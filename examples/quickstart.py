@@ -46,7 +46,7 @@ def main() -> None:
     result = run_session(video, config)
     analysis = analyze_session(result)
 
-    print(f"\ncaptured packets : {len(result.records)}")
+    print(f"\ncaptured packets : {len(result.capture)}")
     print(f"downloaded       : {bytes_human(result.downloaded)}")
     print(f"strategy         : {analysis.strategy}")
     print(f"buffering amount : {bytes_human(analysis.buffering_bytes)} "

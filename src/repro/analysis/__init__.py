@@ -3,7 +3,7 @@
 from .accumulation import RateEstimate, estimate_encoding_rate, estimate_session_rate
 from .ackclock import AckClockSample, ackclock_samples, first_rtt_bytes
 from .classify import MIXED_HIGH, MIXED_LOW, Classification, classify_onoff
-from .flowtable import DownloadTrace, FlowData, build_download_trace
+from .flowtable import DownloadTrace, EventLog, FlowData, build_download_trace
 from .onoff import (
     DEFAULT_GAP_THRESHOLD,
     DEFAULT_MIN_ON_BYTES,
@@ -41,6 +41,7 @@ from .stats import (
 
 __all__ = [
     "DownloadTrace",
+    "EventLog",
     "FlowData",
     "build_download_trace",
     "OnPeriod",

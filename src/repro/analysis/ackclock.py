@@ -11,7 +11,9 @@ measured YouTube/Netflix sources instead blast `min(cwnd, block size)`.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional
 
 from .flowtable import DownloadTrace, FlowData
@@ -41,21 +43,27 @@ def first_rtt_bytes(
     the beginning of the ON period.  ``skip_first`` excludes the buffering
     phase (whose start is connection establishment, where slow start always
     imposes an ACK clock).
+
+    Each period's window ``[start, start + rtt]`` is found by bisecting the
+    flow's time-ordered event column and its bytes read off prefix sums of
+    the advances: O(P log N) for P periods over N data packets.
     """
     effective_rtt = rtt if rtt is not None else flow.handshake_rtt
-    if effective_rtt is None or not flow.events:
+    if effective_rtt is None or not flow.packet_count:
         return []
     onoff = detect_onoff(
-        flow.events, gap_threshold=gap_threshold, min_on_bytes=min_on_bytes
+        flow, gap_threshold=gap_threshold, min_on_bytes=min_on_bytes
     )
     periods = onoff.on_periods[1:] if skip_first else onoff.on_periods
+    if not periods:
+        return []
+    times = flow.activity
+    moved_before = [0, *accumulate(flow.advances)]  # bytes of events [0, i)
     samples = []
     for period in periods:
-        horizon = period.start + effective_rtt
-        moved = sum(
-            advance for t, advance in flow.events
-            if period.start <= t <= horizon
-        )
+        lo = bisect_left(times, period.start)
+        hi = bisect_right(times, period.start + effective_rtt)
+        moved = moved_before[hi] - moved_before[lo] if hi > lo else 0
         samples.append(AckClockSample(period.start, moved, effective_rtt))
     return samples
 

@@ -1,4 +1,4 @@
-"""Flow tracking and download-trace reconstruction from packet records.
+"""Flow tracking and download-trace reconstruction from a capture's columns.
 
 The analysis views a streaming session the way the paper's tooling viewed a
 tcpdump capture: a set of TCP flows between a client and the streaming
@@ -13,32 +13,37 @@ server.  :func:`build_download_trace` reconstructs, from raw packets,
 * the in-order leading payload bytes of each flow, from which HTTP response
   heads and container metadata are re-parsed.
 
+The input is a :class:`~repro.pcap.capture.CaptureColumns` view — the
+capture's wire values in parallel, time-ordered columns — read in one
+loop.  Each flow id's direction and flow are resolved once, on its first
+packet, and the accounting state of the flow currently receiving data is
+held in local variables, so a data packet costs a few integer operations
+and four column appends.  A :class:`~repro.pcap.capture.PacketRecord`
+list (say, from a pcap file) is converted to that view first.
+
 Sequence numbers are 32-bit wire values; each flow unwraps them
 independently, so the pipeline works on real pcap input too.
 
-Per-packet state is held in columnar ``array('d')``/``array('q')``
-buffers — one float and one int append per data packet instead of a
-tuple and two list appends.  The tuple-list views the downstream
-consumers iterate (:attr:`FlowData.events`, :attr:`DownloadTrace.events`)
-are materialized lazily on first access and cached.
+Per-packet output goes to columnar ``array('d')``/``array('q')`` event
+logs.  The tuple-list views (:attr:`EventLog.events`) are materialized
+lazily, on first access, for consumers that want pairs; the pipeline's
+own stages read the columns.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate
-from typing import Dict, List, Optional, Tuple
+from itertools import accumulate, count
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..pcap.capture import PacketRecord
+from ..pcap.capture import CaptureColumns, FlowKey, PacketRecord
 from ..simnet.monitor import TimeSeries
 from ..tcp.constants import ACK as F_ACK
 from ..tcp.constants import SYN as F_SYN
-from ..tcp.seqspace import SequenceUnwrapper
-
-FlowKey = Tuple[str, int, str, int]  # (src_ip, src_port, dst_ip, dst_port)
+from ..tcp.seqspace import HALF_MOD, SEQ_MOD
 
 
-class _EventColumns:
+class EventLog:
     """Columnar (time, unique-byte advance) event log shared by flow and
     aggregate views: two parallel arrays plus a lazily-built tuple view."""
 
@@ -48,10 +53,6 @@ class _EventColumns:
         self._event_times = array("d")
         self._event_advances = array("q")
         self._events_cache: Optional[List[Tuple[float, int]]] = None
-
-    def _add_event(self, t: float, advance: int) -> None:
-        self._event_times.append(t)
-        self._event_advances.append(advance)
 
     @property
     def events(self) -> List[Tuple[float, int]]:
@@ -64,8 +65,13 @@ class _EventColumns:
 
     @property
     def activity(self) -> array:
-        """Data-packet timestamps (retransmissions included)."""
+        """Data-packet timestamps (retransmissions included), in order."""
         return self._event_times
+
+    @property
+    def advances(self) -> array:
+        """Unique bytes each data packet added (0 for retransmissions)."""
+        return self._event_advances
 
     @property
     def packet_count(self) -> int:
@@ -73,7 +79,7 @@ class _EventColumns:
         return len(self._event_times)
 
 
-class FlowData(_EventColumns):
+class FlowData(EventLog):
     """Downstream state of one TCP flow (server -> client direction)."""
 
     __slots__ = (
@@ -90,7 +96,8 @@ class FlowData(_EventColumns):
         "retransmitted_bytes",
         "head_bytes",
         "_head_expect",
-        "_unwrapper",
+        "_last_seq",
+        "_rel",
     )
 
     HEAD_CAPTURE_LIMIT = 8192
@@ -103,52 +110,15 @@ class FlowData(_EventColumns):
         self.handshake_rtt: Optional[float] = None
         self.first_data_time: Optional[float] = None
         self.last_data_time: Optional[float] = None
-        self.base_seq: Optional[int] = None   # unwrapped seq of first payload byte
-        self.max_seq_seen = 0                 # highest unwrapped end-seq (relative)
+        self.base_seq: Optional[int] = None   # wire seq of first payload byte
+        self.max_seq_seen = 0                 # highest end-seq relative to base
         self.unique_bytes = 0
         self.total_payload_bytes = 0
         self.retransmitted_bytes = 0
         self.head_bytes = bytearray()
         self._head_expect = 0
-        self._unwrapper = SequenceUnwrapper()
-
-    def on_data_packet(self, record: PacketRecord) -> int:
-        """Account one downstream data packet; returns the unique-byte advance."""
-        payload_len = record.payload_len
-        timestamp = record.timestamp
-        seq = self._unwrapper.unwrap(record.seq)
-        if self.base_seq is None:
-            self.base_seq = seq
-        rel = seq - self.base_seq
-        end = rel + payload_len
-        max_seen = self.max_seq_seen
-        advance = end - max_seen
-        if advance < 0:
-            advance = 0
-        # client-side retransmission detection by sequence regression (what
-        # tstat-style tools do): a data packet starting below the highest
-        # sequence already seen is a retransmission — either a duplicate or
-        # a late hole-filler whose original was lost upstream of the capture
-        if rel < max_seen:
-            self.retransmitted_bytes += payload_len
-        # capture the in-order leading bytes for HTTP/container parsing
-        if (
-            record.payload is not None
-            and rel == self._head_expect
-            and len(self.head_bytes) < self.HEAD_CAPTURE_LIMIT
-        ):
-            self.head_bytes.extend(record.payload)
-            self._head_expect = rel + payload_len
-        if end > max_seen:
-            self.max_seq_seen = end
-        self.unique_bytes += advance
-        self.total_payload_bytes += payload_len
-        if self.first_data_time is None:
-            self.first_data_time = timestamp
-        self.last_data_time = timestamp
-        self._event_times.append(timestamp)
-        self._event_advances.append(advance)
-        return advance
+        self._last_seq = 0                    # wire seq of the last data packet
+        self._rel = 0                         # its offset from base_seq
 
     @property
     def retransmission_rate(self) -> float:
@@ -157,7 +127,7 @@ class FlowData(_EventColumns):
         return self.retransmitted_bytes / self.total_payload_bytes
 
 
-class DownloadTrace(_EventColumns):
+class DownloadTrace(EventLog):
     """Aggregate download view of one capture (all flows combined)."""
 
     __slots__ = (
@@ -250,55 +220,154 @@ class DownloadTrace(_EventColumns):
 
 
 def build_download_trace(
-    records: List[PacketRecord],
+    packets: Union[CaptureColumns, Sequence[PacketRecord]],
     client_ip: str,
     server_ip: str,
 ) -> DownloadTrace:
-    """Reconstruct the aggregate download trace of one capture."""
+    """Reconstruct the aggregate download trace of one capture.
+
+    ``packets`` is a capture's :class:`CaptureColumns` view (see
+    :meth:`~repro.pcap.capture.TraceCapture.columns`); a list of
+    :class:`PacketRecord` is converted to one first.
+    """
+    if not isinstance(packets, CaptureColumns):
+        packets = CaptureColumns.from_records(packets)
+    timestamps = packets.timestamps
     flows: Dict[FlowKey, FlowData] = {}
-    window_times = array("d")
-    window_values = array("d")
     trace = DownloadTrace(
         client_ip=client_ip,
         server_ip=server_ip,
         flows=flows,
         window_series=TimeSeries("recv-window"),
-        capture_start=records[0].timestamp if records else 0.0,
-        capture_end=records[-1].timestamp if records else 0.0,
+        capture_start=timestamps[0] if len(timestamps) else 0.0,
+        capture_end=timestamps[-1] if len(timestamps) else 0.0,
     )
-    agg_times = trace._event_times
-    agg_advances = trace._event_advances
 
-    for record in records:
-        src, dst = record.src_ip, record.dst_ip
-        downstream = src == server_ip and dst == client_ip
-        if downstream:
-            key = (src, record.src_port, dst, record.dst_port)
-        elif src == client_ip and dst == server_ip:  # upstream
-            key = (dst, record.dst_port, src, record.src_port)
+    # Resolved once per flow id: its direction (True downstream, False
+    # upstream, None for traffic between other hosts) and its flow, keyed
+    # downstream.  Flows are created in the order their first packet, in
+    # either direction, appears.
+    directions: List[Optional[bool]] = []
+    for src, _sport, dst, _dport in packets.flow_table:
+        if src == server_ip and dst == client_ip:
+            directions.append(True)
+        elif src == client_ip and dst == server_ip:
+            directions.append(False)
         else:
-            continue
-        flow = flows.get(key)
-        if flow is None:
-            flow = flows[key] = FlowData(key=key)
+            directions.append(None)
+    owners: List[Optional[FlowData]] = [None] * len(directions)
+    for fid in dict.fromkeys(packets.flow_ids):
+        if directions[fid] is not None:
+            src, sport, dst, dport = packets.flow_table[fid]
+            key = ((src, sport, dst, dport) if directions[fid]
+                   else (dst, dport, src, sport))
+            flow = flows.get(key)
+            if flow is None:
+                flow = flows[key] = FlowData(key=key)
+            owners[fid] = flow
 
-        flags = record.flags
-        if flags & F_SYN:
-            if not downstream and flow.syn_time is None:
-                flow.syn_time = record.timestamp
-            elif downstream and flow.synack_time is None:
-                flow.synack_time = record.timestamp
+    window_times = array("d")
+    window_values = array("d")
+    window_t, window_v = window_times.append, window_values.append
+    agg_t = trace._event_times.append
+    agg_a = trace._event_advances.append
+    payload_get = packets.payloads.get
+    head_limit = FlowData.HEAD_CAPTURE_LIMIT
+    syn, ack = F_SYN, F_ACK
+    mask, half, modulus = SEQ_MOD - 1, HALF_MOD, SEQ_MOD
+
+    # Accounting state of the flow the last data packet belonged to (flow
+    # id `cur_fid`) lives in these locals; it is written back to the
+    # FlowData on a switch to another flow and at the end.
+    cur: Optional[FlowData] = None
+    cur_fid = -1
+    last_seq = rel = max_seen = head_expect = 0
+    unique = total = retx = 0
+    head = bytearray()
+
+    for row, t, fid, seq, flags, plen, window in zip(
+            count(), timestamps, packets.flow_ids, packets.seqs,
+            packets.flags, packets.payload_lens, packets.windows):
+        downstream = directions[fid]
+        if downstream is False:  # client -> server
+            if flags & syn:
+                flow = owners[fid]
+                if flow.syn_time is None:
+                    flow.syn_time = t
+            elif flags & ack:
+                window_t(t)
+                window_v(window)
+            continue
+        if downstream is None:
+            continue
+        if flags & syn:
+            flow = owners[fid]
+            if flow.synack_time is None:
+                flow.synack_time = t
                 if flow.syn_time is not None:
-                    flow.handshake_rtt = flow.synack_time - flow.syn_time
+                    flow.handshake_rtt = t - flow.syn_time
             continue
-        if downstream and record.payload_len > 0:
-            advance = flow.on_data_packet(record)
-            agg_times.append(record.timestamp)
-            agg_advances.append(advance)
-        elif not downstream and flags & F_ACK:
-            window_times.append(record.timestamp)
-            window_values.append(record.window)
+        if plen <= 0:
+            continue
 
+        if fid != cur_fid:
+            if cur is not None:
+                _store(cur, last_seq, rel, max_seen, head_expect,
+                       unique, total, retx)
+            cur, cur_fid = owners[fid], fid
+            if cur.base_seq is None:
+                cur.base_seq = cur._last_seq = seq
+            last_seq, rel = cur._last_seq, cur._rel
+            max_seen, head_expect = cur.max_seq_seen, cur._head_expect
+            unique, total = cur.unique_bytes, cur.total_payload_bytes
+            retx, head = cur.retransmitted_bytes, cur.head_bytes
+            flow_t = cur._event_times.append
+            flow_a = cur._event_advances.append
+
+        # unwrap: the signed 32-bit distance from the previous data packet
+        delta = (seq - last_seq) & mask
+        if delta > half:
+            delta -= modulus
+        rel += delta
+        last_seq = seq
+        # client-side retransmission detection by sequence regression (what
+        # tstat-style tools do): a data packet starting below the highest
+        # sequence already seen is a retransmission — either a duplicate or
+        # a late hole-filler whose original was lost upstream of the capture
+        if rel < max_seen:
+            retx += plen
+        end = rel + plen
+        if end > max_seen:
+            advance = end - max_seen
+            max_seen = end
+        else:
+            advance = 0
+        # capture the in-order leading bytes for HTTP/container parsing
+        if rel == head_expect and len(head) < head_limit:
+            payload = payload_get(row)
+            if payload is not None:
+                head.extend(payload)
+                head_expect = end
+        unique += advance
+        total += plen
+        flow_t(t)
+        flow_a(advance)
+        agg_t(t)
+        agg_a(advance)
+
+    if cur is not None:
+        _store(cur, last_seq, rel, max_seen, head_expect, unique, total, retx)
     trace.window_series = TimeSeries.from_columns(
         "recv-window", window_times, window_values)
     return trace
+
+
+def _store(flow: FlowData, last_seq: int, rel: int, max_seen: int,
+           head_expect: int, unique: int, total: int, retx: int) -> None:
+    """Write the builder's local accounting state back to ``flow``."""
+    flow._last_seq, flow._rel = last_seq, rel
+    flow.max_seq_seen, flow._head_expect = max_seen, head_expect
+    flow.unique_bytes, flow.total_payload_bytes = unique, total
+    flow.retransmitted_bytes = retx
+    flow.first_data_time = flow._event_times[0]
+    flow.last_data_time = flow._event_times[-1]

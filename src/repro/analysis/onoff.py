@@ -16,7 +16,10 @@ the nominal 64 kB (Section 5.1.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import List, Optional, Sequence, Tuple, Union
+
+from .flowtable import EventLog
 
 #: Default idle-gap threshold separating ON from OFF, in seconds.  The
 #: shortest OFF periods the paper reports are ~0.2 s; intra-block gaps are
@@ -92,7 +95,7 @@ class OnOffProfile:
 
 
 def detect_onoff(
-    events: Sequence[Tuple[float, int]],
+    events: Union[EventLog, Sequence[Tuple[float, int]]],
     *,
     gap_threshold: float = DEFAULT_GAP_THRESHOLD,
     min_on_bytes: int = DEFAULT_MIN_ON_BYTES,
@@ -100,17 +103,24 @@ def detect_onoff(
 ) -> OnOffProfile:
     """Partition data-arrival ``events`` into ON and OFF periods.
 
-    ``events`` is a time-ordered sequence of ``(timestamp, new_bytes)``;
-    retransmissions appear with ``new_bytes == 0`` and still count as
-    activity.  ``stream_end`` (defaults to the last event) bounds the
-    analysis — idleness after the transfer finished is not an OFF period.
+    ``events`` is a flow's or trace's :class:`~.flowtable.EventLog`, whose
+    time and advance columns are read directly, or a time-ordered sequence
+    of ``(timestamp, new_bytes)`` pairs.  Retransmissions appear with
+    ``new_bytes == 0`` and still count as activity.  ``stream_end``
+    (defaults to the last event) bounds the analysis — idleness after the
+    transfer finished is not an OFF period.
     """
-    if not events:
+    if isinstance(events, EventLog):
+        times, advances = events.activity, events.advances
+    else:
+        times = [t for t, _ in events]
+        advances = [advance for _, advance in events]
+    if not times:
         return OnOffProfile([], [], gap_threshold)
 
     groups: List[Tuple[float, float, int]] = []  # (start, end, bytes)
-    start, end, moved = events[0][0], events[0][0], events[0][1]
-    for t, advance in events[1:]:
+    start, end, moved = times[0], times[0], advances[0]
+    for t, advance in zip(islice(times, 1, None), islice(advances, 1, None)):
         if t - end > gap_threshold:
             groups.append((start, end, moved))
             start, moved = t, 0

@@ -9,9 +9,9 @@ session, producing the per-session record every experiment consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Union
 
-from ..pcap.capture import PacketRecord
+from ..pcap.capture import CaptureColumns, PacketRecord
 from ..streaming.session import SessionResult
 from ..telemetry import current_recorder
 from ..streaming.strategy import StreamingStrategy
@@ -70,7 +70,7 @@ class SessionAnalysis:
 
 
 def analyze_records(
-    records: List[PacketRecord],
+    records: Union[CaptureColumns, Sequence[PacketRecord]],
     client_ip: str,
     server_ip: str,
     *,
@@ -78,7 +78,11 @@ def analyze_records(
     gap_threshold: float = DEFAULT_GAP_THRESHOLD,
     min_on_bytes: int = DEFAULT_MIN_ON_BYTES,
 ) -> SessionAnalysis:
-    """Run the full pipeline on raw packet records.
+    """Run the full pipeline on a capture's packets.
+
+    ``records`` is a :class:`CaptureColumns` view, or a list of packet
+    records (e.g. from :func:`~repro.pcap.records_from_pcap`), which
+    :func:`build_download_trace` converts to one.
 
     ``duration`` is the out-of-band video duration, needed to estimate the
     encoding rate of webM streams from the Content-Length.
@@ -90,7 +94,7 @@ def analyze_records(
             rec.inc("analysis.packets", len(records))
         trace = build_download_trace(records, client_ip, server_ip)
         onoff = detect_onoff(
-            trace.events,
+            trace,
             gap_threshold=gap_threshold,
             min_on_bytes=min_on_bytes,
             stream_end=trace.last_data_time,
@@ -127,7 +131,7 @@ def analyze_session(
     artifact against perfect knowledge (Section 5.1.1's discussion).
     """
     analysis = analyze_records(
-        result.records,
+        result.capture.columns(),
         result.client_ip,
         result.server_ip,
         duration=result.video.duration,

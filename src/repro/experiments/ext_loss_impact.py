@@ -160,7 +160,7 @@ def _run_cohort(strategy: StreamingStrategy, n_sessions: int,
     offered = stats.packets_in
     drops = stats.packets_dropped_queue
     delivered = sum(p.downloaded for p in players)
-    trace = build_download_trace(sniffer.records, CLIENT_IP, SERVER_IP)
+    trace = build_download_trace(sniffer.columns(), CLIENT_IP, SERVER_IP)
     return LossImpactRow(
         strategy=strategy,
         sessions=n_sessions,

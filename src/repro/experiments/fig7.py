@@ -24,6 +24,7 @@ from ..streaming import (
     SessionConfig,
     StreamingStrategy,
 )
+from ..tcp import SYN
 from ..workloads import MBPS, Video, make_dataset
 from .common import MB, SMALL, Scale, SessionPlan, pick_videos, run_sessions
 
@@ -94,9 +95,11 @@ def _trace(video: Video, result) -> Fig7Video:
     analysis = analyze_session(result, use_true_rate=True)
     blocks = analysis.block_sizes
     # connections opened in the first minute: SYNs from the client
-    syns = [r for r in result.records
-            if r.is_syn and r.src_ip == result.client_ip]
-    first_minute = sum(1 for r in syns if r.timestamp <= 60.0)
+    view = result.capture.columns()
+    from_client = [key[0] == result.client_ip for key in view.flow_table]
+    first_minute = sum(
+        1 for t, fid, flags in zip(view.timestamps, view.flow_ids, view.flags)
+        if flags & SYN and from_client[fid] and t <= 60.0)
     label = "Video1" if video.encoding_rate_bps >= 1e6 else "Video2"
     return Fig7Video(
         label=label,

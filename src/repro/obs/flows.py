@@ -70,9 +70,9 @@ def flow_records(result: SessionResult, session_id: str) -> List[Dict]:
     repeated on every flow of the session, the way flow exporters
     denormalize per-exporter attributes.
     """
-    trace = build_download_trace(result.records, result.client_ip,
+    trace = build_download_trace(result.capture.columns(), result.client_ip,
                                  result.server_ip)
-    onoff = detect_onoff(trace.events, stream_end=trace.last_data_time)
+    onoff = detect_onoff(trace, stream_end=trace.last_data_time)
     classification = classify_onoff(onoff)
     session_fields = {
         "session": session_id,

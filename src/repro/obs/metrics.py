@@ -61,7 +61,7 @@ def metric_samples(result: SessionResult, session_id: str) -> List[Dict]:
     * ``cwnd_bytes`` — server congestion window per connection, when the
       session ran with ``config.trace_cwnd`` set.
     """
-    trace = build_download_trace(result.records, result.client_ip,
+    trace = build_download_trace(result.capture.columns(), result.client_ip,
                                  result.server_ip)
     samples: List[Dict] = []
     cumulative = trace.cumulative_series()

@@ -8,6 +8,7 @@ simulated captures and on re-collected real tcpdump traces.
 from . import ethernet, ipv4, tcpwire
 from .capture import (
     WSCALE_SHIFT,
+    CaptureColumns,
     PacketRecord,
     TraceCapture,
     record_from_segment,
@@ -26,6 +27,7 @@ from .pcapfile import (
 from .pcapng import PcapngReader, PcapngWriter, is_pcapng
 
 __all__ = [
+    "CaptureColumns",
     "PacketRecord",
     "TraceCapture",
     "record_from_segment",

@@ -2,14 +2,19 @@
 
 :class:`TraceCapture` attaches to links/paths as a tap and records every
 segment (including ones later lost downstream, as a sender-side tcpdump
-would).  Records are exposed in two equivalent forms:
+would).  A capture is read in three equivalent forms:
 
-* :attr:`TraceCapture.records` — :class:`PacketRecord` objects, the fast
-  path the analysis pipeline consumes directly;
+* :meth:`TraceCapture.columns` — a :class:`CaptureColumns` view: the wire
+  values of every packet (wrapped sequence numbers, window-scale-quantized
+  windows) in parallel columns, in time order.  This is what the analysis
+  pipeline consumes; it allocates no per-packet object.
+* :attr:`TraceCapture.records` — :class:`PacketRecord` objects built from
+  that view, for callers that want one object per packet;
 * :meth:`TraceCapture.write_pcap` — byte-exact libpcap output, which
   :func:`records_from_pcap` parses back into identical ``PacketRecord``
-  lists.  The round trip exercises real header serialization (checksums,
-  32-bit sequence wrap, window scaling), proving the analysis would work
+  lists (and :meth:`CaptureColumns.from_records` into the same view).
+  The round trip exercises real header serialization (checksums, 32-bit
+  sequence wrap, window scaling), proving the analysis would work
   unchanged on re-collected real traces.
 """
 
@@ -17,7 +22,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import compress, count, islice
+from operator import le, ne
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..tcp.constants import ACK as F_ACK
 from ..tcp.constants import FIN as F_FIN
@@ -126,6 +133,78 @@ def segment_to_frame(seg: TcpSegment) -> bytes:
     )
 
 
+FlowKey = Tuple[str, int, str, int]  # (src_ip, src_port, dst_ip, dst_port)
+
+_SEQ_MASK = 0xFFFFFFFF
+#: Smallest byte window whose scaled 16-bit field saturates at 0xFFFF.
+_WINDOW_FIELD_CAP = 0x10000 << WSCALE_SHIFT
+
+
+@dataclass(repr=False)
+class CaptureColumns:
+    """The wire values of a capture, one column per field, in time order.
+
+    Row ``i`` of every column describes the same packet; rows are sorted
+    by timestamp, with capture (or file) order breaking ties.  Each packet
+    names its direction by a *flow id*, an index into :attr:`flow_table`
+    of ``(src_ip, src_port, dst_ip, dst_port)`` keys, so per-flow lookups
+    happen once per flow rather than once per packet.
+
+    :attr:`seqs` are wrapped 32-bit wire values; :attr:`windows` are bytes,
+    quantized exactly as the window-scaled 16-bit field carries them;
+    :attr:`payloads` is a sparse ``row -> bytes`` dict of the packets whose
+    payload was kept.  Acknowledgment numbers are left out: the analysis
+    never reads them.
+    """
+
+    timestamps: Sequence[float]
+    flow_ids: Sequence[int]
+    seqs: Sequence[int]
+    flags: Sequence[int]
+    payload_lens: Sequence[int]
+    windows: Sequence[int]
+    payloads: Dict[int, bytes]
+    flow_table: List[FlowKey]
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    @classmethod
+    def from_records(cls, records: Sequence[PacketRecord]
+                     ) -> "CaptureColumns":
+        """The view of a record list (e.g. :func:`records_from_pcap`).
+
+        Records are taken in time order (list order on ties); windows are
+        kept as the records carry them, already scaled by the shift each
+        direction's SYN advertised.
+        """
+        order = sorted(range(len(records)),
+                       key=lambda i: records[i].timestamp)
+        flow_table: List[FlowKey] = []
+        flow_index: Dict[FlowKey, int] = {}
+        timestamps, flow_ids = array("d"), array("i")
+        seqs, windows = array("q"), array("q")
+        flags, payload_lens = array("i"), array("i")
+        payloads: Dict[int, bytes] = {}
+        for row, i in enumerate(order):
+            r = records[i]
+            key = (r.src_ip, r.src_port, r.dst_ip, r.dst_port)
+            fid = flow_index.get(key)
+            if fid is None:
+                fid = flow_index[key] = len(flow_table)
+                flow_table.append(key)
+            timestamps.append(r.timestamp)
+            flow_ids.append(fid)
+            seqs.append(r.seq & _SEQ_MASK)
+            flags.append(r.flags)
+            payload_lens.append(r.payload_len)
+            windows.append(r.window)
+            if r.payload is not None:
+                payloads[row] = r.payload
+        return cls(timestamps, flow_ids, seqs, flags, payload_lens,
+                   windows, payloads, flow_table)
+
+
 class TraceCapture:
     """A sniffer recording per-segment fields into columnar buffers.
 
@@ -137,9 +216,9 @@ class TraceCapture:
     payloads (HTTP heads, container metadata) are kept in a sparse dict
     keyed by capture index; virtual video-body payloads store nothing.
 
-    :class:`PacketRecord` objects are materialized lazily, on each
-    :attr:`records` access, sorted by timestamp with capture order
-    breaking ties.
+    :meth:`columns` turns those buffers into the time-ordered wire view
+    the analysis reads; :class:`PacketRecord` objects are materialized
+    from it only on :attr:`records` access.
     """
 
     def __init__(self, name: str = "capture", keep_payload: bool = True) -> None:
@@ -219,22 +298,56 @@ class TraceCapture:
         ts = self._t
         return sorted(range(len(ts)), key=ts.__getitem__)
 
+    def columns(self) -> CaptureColumns:
+        """The captured packets as a time-ordered :class:`CaptureColumns`.
+
+        A snapshot: packets tapped afterwards need a new view.  Sequence
+        numbers are wrapped and windows quantized here, once per column,
+        so the tap itself stays one append per field.
+        """
+        captured = (self._t, self._flow, self._seq, self._flags, self._plen,
+                    self._window)
+        columns = [column[:] for column in captured]
+        ts, flows, seqs, flags, plens, windows = columns
+        payloads = dict(self._payloads) if self.keep_payload else {}
+        if not all(map(le, ts, islice(ts, 1, None))):
+            # A few packets were tapped out of time order (a delivery
+            # stamped before an upstream send tapped earlier): move just
+            # the rows the stable sort displaces.
+            order = self._order()
+            moved = list(compress(count(), map(ne, order, count())))
+            for column, source in zip(columns, captured):
+                for row in moved:
+                    column[row] = source[order[row]]
+            rank = {order[row]: row for row in moved}
+            payloads = {rank.get(i, i): payload
+                        for i, payload in payloads.items()}
+        mask, cap = _SEQ_MASK, _WINDOW_FIELD_CAP
+        scaled, saturated = -1 << WSCALE_SHIFT, 0xFFFF << WSCALE_SHIFT
+        return CaptureColumns(
+            ts, flows, array("q", [seq & mask for seq in seqs]), flags, plens,
+            # the wire's 16-bit field: unscaled on SYNs, >> WSCALE_SHIFT
+            # (saturating) on everything else
+            array("q", [
+                (window if window < 0xFFFF else 0xFFFF) if flag & F_SYN
+                else (window & scaled if window < cap else saturated)
+                for window, flag in zip(windows, flags)]),
+            payloads, list(self._flow_table))
+
     @property
     def records(self) -> List[PacketRecord]:
-        """All captured segments as analysis records, in capture order.
+        """All captured segments as analysis records, in time order.
 
-        Materialized on first access and cached (keyed on the capture
-        length) so repeated analysis passes share one record list.
+        Built from :meth:`columns` on first access and cached (keyed on
+        the capture length) so repeated passes share one record list.
         """
         cached = self._records_cache
         if cached is not None and len(cached) == len(self._t):
             return cached
-        ts, flows = self._t, self._flow
-        seqs, acks = self._seq, self._ack
-        flagcol, plens, windows = self._flags, self._plen, self._window
-        table = self._flow_table
-        payloads = self._payloads if self.keep_payload else {}
-        payload_get = payloads.get
+        view = self.columns()
+        table = view.flow_table
+        payload_get = view.payloads.get
+        acks = self._ack
         # Bypass the dataclass __init__ (keyword processing dominates when
         # materializing tens of thousands of records): build the instance
         # dict directly.  header_overhead() is a flags-only branch, so
@@ -245,32 +358,25 @@ class TraceCapture:
         syn_overhead = header_overhead(F_SYN)
         out = []
         append = out.append
-        for i in self._order():
-            flags = flagcol[i]
-            window = windows[i]
-            # quantize exactly as the wire's scaled 16-bit field would
-            if flags & F_SYN:
-                window = min(window, 0xFFFF)
-                wire_len = syn_overhead
-            else:
-                window = min(window >> WSCALE_SHIFT, 0xFFFF) << WSCALE_SHIFT
-                wire_len = overhead
-            src_ip, src_port, dst_ip, dst_port = table[flows[i]]
-            plen = plens[i]
+        for row, i, t, fid, seq, flags, plen, window in zip(
+                count(), self._order(), view.timestamps, view.flow_ids,
+                view.seqs, view.flags, view.payload_lens, view.windows):
+            src_ip, src_port, dst_ip, dst_port = table[fid]
             rec = new(cls)
             rec.__dict__ = {
-                "timestamp": ts[i],
+                "timestamp": t,
                 "src_ip": src_ip,
                 "src_port": src_port,
                 "dst_ip": dst_ip,
                 "dst_port": dst_port,
-                "seq": seqs[i] & 0xFFFFFFFF,
-                "ack": acks[i] & 0xFFFFFFFF,
+                "seq": seq,
+                "ack": acks[i] & _SEQ_MASK,
                 "flags": flags,
                 "payload_len": plen,
                 "window": window,
-                "wire_len": wire_len + plen,
-                "payload": payload_get(i),
+                "wire_len": (syn_overhead if flags & F_SYN else overhead)
+                + plen,
+                "payload": payload_get(row),
             }
             append(rec)
         self._records_cache = out

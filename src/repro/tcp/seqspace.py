@@ -2,9 +2,11 @@
 
 Internally the simulator uses *unwrapped* (unbounded) sequence numbers so
 ordinary integer comparisons work; the wire/pcap layer wraps them modulo
-2**32.  The analysis pipeline, which reads pcap files that may have been
-produced by real stacks, uses :class:`SequenceUnwrapper` to recover
-monotonically increasing byte offsets from wrapped sequence numbers.
+2**32.  Reading pcap files that may have been produced by real stacks
+means recovering monotonically increasing byte offsets from wrapped
+sequence numbers: :class:`SequenceUnwrapper` does it for one stream, and
+the analysis's trace builder applies the same :func:`seq_diff` step to
+each flow inline.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 """Unit tests for flow reconstruction from synthetic packet records."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     AckClockSample,
     ackclock_samples,
     build_download_trace,
+    detect_onoff,
     estimate_encoding_rate,
     estimate_session_rate,
     first_rtt_bytes,
@@ -251,3 +254,91 @@ class TestAckClock:
         samples = first_rtt_bytes(trace.main_flow())
         assert all(isinstance(s, AckClockSample) for s in samples)
         assert all(s.rtt == pytest.approx(0.02) for s in samples)
+
+
+def brute_force_first_rtt(flow, rtt, gap_threshold, min_on_bytes, skip_first):
+    """The ACK-clock metric by definition: for every ON period, scan every
+    event of the flow and sum the advances inside [start, start + rtt]."""
+    events = flow.events
+    onoff = detect_onoff(events, gap_threshold=gap_threshold,
+                         min_on_bytes=min_on_bytes)
+    periods = onoff.on_periods[1:] if skip_first else onoff.on_periods
+    return [
+        (p.start, sum(a for t, a in events if p.start <= t <= p.start + rtt))
+        for p in periods
+    ]
+
+
+# Times on a 1/1024 s grid are exact binary fractions, so an event can sit
+# exactly on `start + rtt`; step 0 repeats a timestamp and steps of 160+
+# ticks exceed the 0.15 s gap threshold, opening a new ON period.
+TICK = 1 / 1024
+event_steps = st.lists(
+    st.tuples(st.sampled_from([0, 0, 1, 2, 8, 20, 160, 300, 1000]),
+              st.sampled_from([100, 1000, 1460, 4000]),
+              st.booleans()),          # True: retransmit the last segment
+    min_size=1, max_size=60)
+
+
+def flow_from_steps(steps, rtt_ticks):
+    """One flow: handshake with an RTT of `rtt_ticks`, then one data packet
+    per step; retransmissions repeat the previous segment (zero advance)."""
+    records = handshake(rtt=rtt_ticks * TICK)
+    t, offset, last = 1.0, 0, None
+    for ticks, length, retransmit in steps:
+        t += ticks * TICK
+        if retransmit and last is not None:
+            seq, length = last
+        else:
+            seq = 1 + offset
+            offset += length
+        last = (seq, length)
+        records.append(rec(t, seq=seq, payload_len=length))
+    return build_download_trace(records, CLIENT, SERVER).main_flow()
+
+
+class TestAckClockOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(steps=event_steps,
+           rtt_ticks=st.sampled_from([1, 2, 8, 20, 64]),
+           min_on_bytes=st.sampled_from([0, 1000, 4096]),
+           skip_first=st.booleans(),
+           use_handshake_rtt=st.booleans())
+    @example(steps=[(0, 1000, False)], rtt_ticks=8, min_on_bytes=0,
+             skip_first=False, use_handshake_rtt=False)   # single event
+    @example(steps=[(0, 1000, False), (8, 1000, False), (0, 1000, True),
+                    (1, 1000, False)],
+             rtt_ticks=8, min_on_bytes=0, skip_first=False,
+             use_handshake_rtt=False)   # events exactly at start + rtt
+    def test_bisect_matches_brute_force_scan(self, steps, rtt_ticks,
+                                             min_on_bytes, skip_first,
+                                             use_handshake_rtt):
+        flow = flow_from_steps(steps, rtt_ticks)
+        rtt = None if use_handshake_rtt else rtt_ticks * TICK
+        effective = flow.handshake_rtt if use_handshake_rtt else rtt
+        got = first_rtt_bytes(flow, rtt=rtt, min_on_bytes=min_on_bytes,
+                              skip_first=skip_first)
+        expected = brute_force_first_rtt(flow, effective, 0.15, min_on_bytes,
+                                         skip_first)
+        assert [(s.on_start, s.bytes_first_rtt) for s in got] == expected
+        assert all(s.rtt == effective for s in got)
+
+    def test_event_exactly_at_horizon_counts(self):
+        flow = flow_from_steps(
+            [(0, 1000, False), (8, 500, False), (1, 700, False)], 8)
+        [sample] = first_rtt_bytes(flow, rtt=8 * TICK, min_on_bytes=0,
+                                   skip_first=False)
+        assert sample.bytes_first_rtt == 1500   # t0 and t0 + rtt, not t0+9
+
+    def test_duplicate_timestamps_and_retransmissions(self):
+        flow = flow_from_steps(
+            [(0, 1000, False), (0, 1000, True), (0, 400, False)], 4)
+        assert flow.advances.tolist() == [1000, 0, 400]
+        [sample] = first_rtt_bytes(flow, rtt=4 * TICK, min_on_bytes=0,
+                                   skip_first=False)
+        assert sample.bytes_first_rtt == 1400
+
+    def test_flow_without_data_has_no_samples(self):
+        flow = build_download_trace(handshake(), CLIENT, SERVER).main_flow()
+        assert flow.packet_count == 0
+        assert first_rtt_bytes(flow) == []

@@ -237,6 +237,24 @@ class TestColumnarCapture:
         assert recs[0].payload is None
         assert recs[1].payload == b"abc"
 
+    def test_columns_put_out_of_order_taps_in_time_order(self):
+        """Rows tapped out of time order move to their sorted place, ties
+        keep capture order, and a moved row keeps its payload."""
+        from repro.pcap.capture import TraceCapture, record_from_segment
+        cap = TraceCapture(name="t")
+        stamps = [0.0, 2.0, 1.0, 2.0, 1.0]
+        segs = [self._seg(0), self._seg(1), self._seg(2, b"late"),
+                self._seg(3), self._seg(4)]
+        for t, seg in zip(stamps, segs):
+            cap.tap(t, seg)
+        view = cap.columns()
+        order = [0, 2, 4, 1, 3]
+        assert view.timestamps.tolist() == [stamps[i] for i in order]
+        assert view.seqs.tolist() == [segs[i].seq for i in order]
+        assert view.payloads == {1: b"late"}
+        assert cap.records == [record_from_segment(stamps[i], segs[i])
+                               for i in order]
+
     def test_columns_survive_segment_pooling(self):
         """The tap copies fields out, so recycling the segment afterwards
         must not disturb what was captured."""
@@ -255,3 +273,181 @@ class TestColumnarCapture:
         assert rec.seq == 42
         assert rec.ack == 7
         assert rec.payload_len == 1460
+
+
+# -- one trace builder: capture columns vs. pcap round trip -----------------
+
+def _flat_times(*values):
+    """Time-valued outputs as one flat float list (None as -1.0), for an
+    approximate comparison: pcap stores microsecond timestamps."""
+    flat = []
+    for value in values:
+        if isinstance(value, (list, tuple)):
+            flat.extend(value)
+        else:
+            flat.append(-1.0 if value is None else value)
+    return flat
+
+
+def _analysis_fields(analysis):
+    """``(exact, times, heads)``: every byte-valued output of one analysis,
+    its time-valued outputs, and each flow's captured leading bytes."""
+    trace = analysis.trace
+    flows = list(trace.flows.values())
+    exact = {
+        "flows": [(f.key, f.unique_bytes, f.total_payload_bytes,
+                   f.retransmitted_bytes, f.max_seq_seen, f.packet_count,
+                   f.advances.tolist()) for f in flows],
+        "aggregate": trace.advances.tolist(),
+        "windows": trace.window_series.values,
+        "handshakes": [f.handshake_rtt is not None for f in flows],
+        "strategy": analysis.strategy,
+        "blocks": analysis.block_sizes,
+        "ackclock": analysis.ackclock,
+        "encoding_rate": analysis.encoding_rate_bps,
+    }
+    times = _flat_times(
+        *[_flat_times(f.syn_time, f.synack_time, f.handshake_rtt,
+                      f.first_data_time, f.last_data_time,
+                      f.activity.tolist()) for f in flows],
+        trace.activity.tolist(), trace.window_series.times,
+        trace.capture_start, trace.capture_end)
+    heads = [bytes(f.head_bytes) for f in flows]
+    return exact, times, heads
+
+
+def _assert_same_analysis(direct, reparsed):
+    exact, times, heads = _analysis_fields(direct)
+    exact_p, times_p, heads_p = _analysis_fields(reparsed)
+    assert exact == exact_p
+    assert times == pytest.approx(times_p, abs=1e-6)
+    # pcap frames carry virtual video bodies as zero bytes, so the pcap
+    # head continues with zero fill where the capture's head stops
+    for head, head_p in zip(heads, heads_p):
+        assert head_p[:len(head)] == head
+        assert not head_p[len(head):].strip(b"\0")
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_capture_columns_and_pcap_records_analyze_identically(name, tmp_path):
+    """``analyze_session`` reads the capture's columns; the pcap workflow
+    parses records and converts them.  Both must give the same analysis,
+    and the simulator's own records must give it exactly."""
+    from repro.analysis import analyze_records, analyze_session
+    from repro.pcap import records_from_pcap
+
+    result = _run(SCENARIOS[name], fast_forward=True, vector=True,
+                  batching=True)
+    direct = analyze_session(result)
+    path = str(tmp_path / "session.pcap")
+    result.capture.write_pcap(path)
+    reparsed = analyze_records(records_from_pcap(path), result.client_ip,
+                               result.server_ip,
+                               duration=result.video.duration)
+    _assert_same_analysis(direct, reparsed)
+    from_records = analyze_records(result.records, result.client_ip,
+                                   result.server_ip,
+                                   duration=result.video.duration)
+    assert _analysis_fields(from_records) == _analysis_fields(direct)
+
+
+class TestHandBuiltCaptures:
+    CLIENT, SERVER = "10.0.0.1", "192.0.2.1"
+
+    def _seg(self, t, *, down, seq, flags, plen=0, window=65535,
+             payload=None):
+        src, dst = (self.SERVER, self.CLIENT) if down else (self.CLIENT,
+                                                          self.SERVER)
+        sport, dport = (80, 50000) if down else (50000, 80)
+        return t, TcpSegment(src, sport, dst, dport, seq=seq, ack=1,
+                             flags=flags, window=window, payload_len=plen,
+                             payload=payload, sent_at=t)
+
+    def test_sequence_wrap_through_capture_and_pcap(self, tmp_path):
+        from repro.analysis import analyze_records
+        from repro.pcap import TraceCapture, records_from_pcap
+        from repro.tcp.constants import SYN
+
+        isn = (1 << 32) - 5000          # the data crosses 2**32
+        head = b"HTTP/1.1 200 OK\r\nContent-Length: 20000\r\n\r\n"
+        packets = [
+            self._seg(0.0, down=False, seq=7, flags=SYN),
+            self._seg(0.02, down=True, seq=isn, flags=SYN | ACK),
+            self._seg(0.021, down=False, seq=8, flags=ACK, window=70_001),
+            self._seg(0.05, down=True, seq=isn + 1, flags=ACK,
+                      plen=len(head), payload=head),
+        ]
+        offset, t = len(head), 0.05
+        for i in range(12):
+            t += 0.001
+            packets.append(self._seg(t, down=True, seq=isn + 1 + offset,
+                                     flags=ACK, plen=1460))
+            offset += 1460
+            packets.append(self._seg(t + 0.0005, down=False, seq=8,
+                                     flags=ACK, window=200_000 - 999 * i))
+        # a retransmission of the fourth body segment, which straddles 2**32
+        packets.append(self._seg(t + 0.2, down=True,
+                                 seq=isn + 1 + len(head) + 3 * 1460,
+                                 flags=ACK, plen=1460))
+        capture = TraceCapture(name="wrap")
+        for stamp, seg in packets:
+            capture.tap(stamp, seg)
+        path = str(tmp_path / "wrap.pcap")
+        capture.write_pcap(path)
+        direct = analyze_records(capture.columns(), self.CLIENT, self.SERVER,
+                                 duration=10.0)
+        reparsed = analyze_records(records_from_pcap(path), self.CLIENT,
+                                   self.SERVER, duration=10.0)
+        _assert_same_analysis(direct, reparsed)
+        flow = direct.trace.main_flow()
+        assert flow.unique_bytes == offset
+        assert flow.retransmitted_bytes == 1460
+        assert bytes(flow.head_bytes) == head
+        # windows reach the analysis quantized to the scaled wire field
+        assert direct.trace.window_series.values[0] == 70_001 >> 7 << 7
+
+    def test_pcap_window_scale_other_than_seven_is_kept(self, tmp_path):
+        """Windows learned from a SYN advertising wscale 3 reach the window
+        series as field << 3; converting the records to columns must not
+        re-quantize them with the simulator's shift of 7."""
+        from repro.analysis import build_download_trace
+        from repro.pcap import (CaptureColumns, PcapWriter, ethernet, ipv4,
+                                records_from_pcap, tcpwire)
+        from repro.tcp.constants import SYN
+
+        def frame(down, *, seq, flags, window, payload=b"", wscale=None):
+            src, dst = (self.SERVER, self.CLIENT) if down else (self.CLIENT,
+                                                              self.SERVER)
+            sport, dport = (80, 50000) if down else (50000, 80)
+            tcp = tcpwire.pack(src, dst, sport, dport, seq=seq, ack=1,
+                               flags=flags, window=window, payload=payload,
+                               mss=1460 if wscale is not None else None,
+                               wscale=wscale)
+            return ethernet.pack(ethernet.mac_from_ip(dst),
+                                 ethernet.mac_from_ip(src),
+                                 ipv4.pack(src, dst, tcp))
+
+        fields = [1001, 3333, 65535]
+        path = str(tmp_path / "wscale3.pcap")
+        with open(path, "wb") as f:
+            writer = PcapWriter(f)
+            writer.write_packet(0.0, frame(False, seq=0, flags=SYN,
+                                           window=65535, wscale=3))
+            writer.write_packet(0.02, frame(True, seq=0, flags=SYN | ACK,
+                                            window=65535, wscale=3))
+            for i, field in enumerate(fields):
+                writer.write_packet(0.1 + i, frame(False, seq=1, flags=ACK,
+                                                   window=field))
+                writer.write_packet(0.15 + i, frame(True, seq=1 + 100 * i,
+                                                    flags=ACK, window=65535,
+                                                    payload=b"x" * 100))
+        records = records_from_pcap(path)
+        assert [r.window for r in records if r.src_ip == self.CLIENT][1:] \
+            == [field << 3 for field in fields]
+        columns = CaptureColumns.from_records(records)
+        assert columns.windows.tolist() == [r.window for r in records]
+        trace = build_download_trace(records, self.CLIENT, self.SERVER)
+        assert trace.window_series.values == [float(field << 3)
+                                              for field in fields]
+        assert 1001 << 3 != (1001 << 3) >> 7 << 7   # 7 would have changed it
+        assert trace.total_bytes == 300
