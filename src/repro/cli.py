@@ -557,8 +557,9 @@ def _cmd_worker(args) -> int:
         return 2
     # the coordinator stops local workers with SIGTERM; route it through
     # the normal teardown so the held lease is abandoned immediately
-    # instead of waiting out the TTL on another worker's clock
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+    # instead of waiting out the TTL on another worker's clock; the
+    # caller's handler is restored on return (main() may run in-process)
+    previous = signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     options = WorkerOptions(
         queue=args.queue_dir,
         cache_dir=os.path.expanduser(cache_dir),
@@ -581,6 +582,9 @@ def _cmd_worker(args) -> int:
         if args.verbose:
             print("worker terminated; lease abandoned", file=sys.stderr)
         return int(exc.code or 0)
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
     print(stats.summary())
     return 0
 

@@ -37,6 +37,7 @@ import contextvars
 import dataclasses
 import multiprocessing
 import os
+import signal
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -369,6 +370,17 @@ def _pool_context():
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
+def _pool_worker_init() -> None:
+    # Pool.terminate() ends its workers with SIGTERM while holding the
+    # task queue's read lock.  A forked worker inherits whatever SIGTERM
+    # handler the parent installed (``repro worker`` installs one); a
+    # Python-level handler turns the signal into an exception that can
+    # race the worker's own shutdown and leave it blocked on that lock,
+    # hanging terminate() forever.  Workers always take the default
+    # action, whatever the parent process does with the signal.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _indexed_call(payload: Tuple[int, Callable[[Any], Any], Any]):
     """Pool shim tagging each result with its input index, so the parent
     can persist results in *completion* order and still reassemble the
@@ -411,7 +423,8 @@ def _execute(worker: Callable[[Any], Any], items: Sequence[Any],
     # identically everywhere for the jobs=N == jobs=1 guarantee to be
     # testable on any machine.
     processes = min(jobs, len(items))
-    with _pool_context().Pool(processes=processes) as pool:
+    with _pool_context().Pool(processes=processes,
+                              initializer=_pool_worker_init) as pool:
         # chunksize=1: sessions vary widely in cost (a 16-cell Table 1
         # batch mixes 30 s bulk transfers with 180 s Netflix sessions),
         # so fine-grained dispatch keeps the stragglers from serializing

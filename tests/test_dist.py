@@ -31,6 +31,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import signal
 import threading
 import time
 from types import SimpleNamespace
@@ -548,10 +549,13 @@ class TestDistCli:
         shards, keys = _make_shards(2)
         queue = FileShardQueue(tmp_path / "q", ttl=30)
         _publish_all(queue, shards, keys)
+        before = signal.getsignal(signal.SIGTERM)
         code = main(["worker", "--queue-dir", str(tmp_path / "q"),
                      "--cache-dir", str(tmp_path / "cache"),
                      "--worker-id", "cli-w0", "--drain"])
         assert code == 0
+        # the worker's SIGTERM handler must not outlive an in-process call
+        assert signal.getsignal(signal.SIGTERM) is before
         out = capsys.readouterr().out
         assert "worker cli-w0: 2 shards" in out
         assert queue.settled()

@@ -9,6 +9,7 @@ that fronts it.
 import enum
 import importlib
 import pathlib
+import signal
 from dataclasses import dataclass
 
 import pytest
@@ -52,6 +53,10 @@ def _square(x):
 
 def _swap(a, b):
     return (b, a)
+
+
+def _sigterm_is_default(_):
+    return signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
 
 
 class _Color(enum.Enum):
@@ -178,6 +183,20 @@ class TestRunTasks:
         result = run_tasks(_square, args, cache=cache, stats=stats)
         assert (stats.cache_hits, stats.cache_misses) == (0, 4)
         assert result == [0, 1, 4, 9]
+
+
+class TestPoolShutdown:
+    def test_workers_take_the_default_sigterm_action(self):
+        # Pool.terminate() ends workers with SIGTERM; a Python handler
+        # inherited from the parent (``repro worker`` installs one) could
+        # leave a worker blocked on the task queue's lock and the pool
+        # waiting for it forever
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        try:
+            assert run_tasks(_sigterm_is_default,
+                             [(i,) for i in range(4)], jobs=2) == [True] * 4
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
 
 class TestEngineOptions:
