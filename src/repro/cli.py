@@ -27,10 +27,11 @@ Commands:
 * ``dash <name>`` — run an experiment under worker supervision with the
   live multi-line health dashboard: one lane per worker (heartbeat age,
   units/s, RSS, current unit) plus straggler/missed-beat flags.
-* ``report`` — render a campaign's run ledger (written by
-  ``--health``/``dash`` under ``--cache-dir``) into a self-contained
-  markdown or HTML report: timeline, per-worker utilization, unit
-  latency percentiles, failures and health suspicions.
+* ``report`` — render a campaign's run ledger (written by every
+  campaign run under ``--cache-dir``; ``--health``/``dash`` add the
+  worker-health events) into a self-contained markdown or HTML report:
+  timeline, per-worker utilization, unit latency percentiles, failures
+  and health suspicions.
 * ``bench`` — run a named experiment suite at a chosen scale and write a
   schema-versioned ``BENCH_<gitsha>.json`` perf snapshot (wall time,
   sessions/sec, peak RSS, cache hits/misses, telemetry span totals);
@@ -72,11 +73,16 @@ import time
 from typing import List, Optional
 
 
-def _add_campaign_args(p: argparse.ArgumentParser) -> None:
-    """The campaign flags ``experiment`` and ``dash`` share."""
+def _add_scale_seed(p: argparse.ArgumentParser) -> None:
+    """The ``--scale``/``--seed`` pair every campaign command takes."""
     p.add_argument("--scale", default="small",
                    choices=["small", "medium", "full"])
     p.add_argument("--seed", type=int, default=0)
+
+
+def _add_campaign_args(p: argparse.ArgumentParser) -> None:
+    """The campaign flags ``experiment`` and ``dash`` share."""
+    _add_scale_seed(p)
     p.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for independent sessions (default 1; "
@@ -232,8 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "`repro experiment --distributed`)")
     p_worker.add_argument(
         "--queue-dir", required=True, metavar="DIR",
-        help="shard-queue directory (or redis:// URL) shared with the "
-             "coordinator")
+        help="shard-queue directory shared with the coordinator")
     p_worker.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="shared artifact-store root — the coordinator's "
@@ -286,9 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "name", nargs="?", default=None,
         help="experiment whose ledger to load (with --cache-dir); "
              "alternatively pass --ledger FILE")
-    p_report.add_argument("--scale", default="small",
-                          choices=["small", "medium", "full"])
-    p_report.add_argument("--seed", type=int, default=0)
+    _add_scale_seed(p_report)
     p_report.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="cache root the campaign ran under "
@@ -311,9 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run one experiment with telemetry on and print the "
              "per-phase/counter breakdown")
     p_prof.add_argument("name", help="an experiment name from `repro list`")
-    p_prof.add_argument("--scale", default="small",
-                        choices=["small", "medium", "full"])
-    p_prof.add_argument("--seed", type=int, default=0)
+    _add_scale_seed(p_prof)
     p_prof.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes (counters/events are identical for any N; "
@@ -347,9 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "suite", nargs="*", metavar="NAME",
         help="experiment names to benchmark (default: the quick suite)")
-    p_bench.add_argument("--scale", default="small",
-                         choices=["small", "medium", "full"])
-    p_bench.add_argument("--seed", type=int, default=0)
+    _add_scale_seed(p_bench)
     p_bench.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes while benchmarking (recorded in the file)")
@@ -517,16 +516,18 @@ def _cmd_stream(args) -> int:
     return 0
 
 
+def _cache_root(args) -> Optional[str]:
+    """``--cache-dir``, else ``$REPRO_CACHE_DIR``, else ``None``."""
+    root = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
+    return os.path.expanduser(root) if root else None
+
+
 def _resolve_cache(args):
     """The result cache selected by ``--cache-dir``/``--no-cache``/env."""
     from .runner import ResultCache
 
-    if args.no_cache:
-        return None
-    root = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
-    if not root:
-        return None
-    return ResultCache(os.path.expanduser(root))
+    root = None if args.no_cache else _cache_root(args)
+    return ResultCache(root) if root else None
 
 
 def _supervision_policy(args):
@@ -547,13 +548,18 @@ def _cmd_worker(args) -> int:
     """``repro worker``: drain a shard queue into the shared store."""
     import signal
 
-    from .runner import WorkerOptions, run_worker
+    from .runner import WorkerOptions, make_queue, run_worker
 
-    cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
+    cache_dir = _cache_root(args)
     if not cache_dir:
         print("repro worker needs the shared store: pass --cache-dir or "
               "set $REPRO_CACHE_DIR (same root as the coordinator)",
               file=sys.stderr)
+        return 2
+    try:
+        queue = make_queue(args.queue_dir, ttl=args.lease_ttl)
+    except ValueError as exc:
+        print(f"repro worker: {exc}", file=sys.stderr)
         return 2
     # the coordinator stops local workers with SIGTERM; route it through
     # the normal teardown so the held lease is abandoned immediately
@@ -562,7 +568,7 @@ def _cmd_worker(args) -> int:
     previous = signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     options = WorkerOptions(
         queue=args.queue_dir,
-        cache_dir=os.path.expanduser(cache_dir),
+        cache_dir=cache_dir,
         worker_id=args.worker_id,
         ttl=args.lease_ttl,
         poll=args.poll,
@@ -573,7 +579,7 @@ def _cmd_worker(args) -> int:
         verbose=args.verbose,
     )
     try:
-        stats = run_worker(options)
+        stats = run_worker(options, queue=queue)
     except KeyboardInterrupt:
         print("worker interrupted; lease abandoned", file=sys.stderr)
         return 130
@@ -595,9 +601,9 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
     from .runner import (
         NULL_OBSERVER,
         CampaignAborted,
-        CampaignJournal,
         CompositeRunObserver,
         FailureReport,
+        RunLedger,
         RunStats,
         engine_options,
     )
@@ -643,10 +649,15 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
             return 2
         from .runner import DistPolicy
 
-        dist = DistPolicy(queue=args.queue_dir or str(cache.root / "queue"),
-                          workers=args.workers, ttl=args.lease_ttl,
-                          max_attempts=args.max_attempts,
-                          unit_timeout=args.unit_timeout)
+        try:
+            dist = DistPolicy(
+                queue=args.queue_dir or str(cache.root / "queue"),
+                workers=args.workers, ttl=args.lease_ttl,
+                max_attempts=args.max_attempts,
+                unit_timeout=args.unit_timeout)
+        except ValueError as exc:
+            print(f"--distributed: {exc}", file=sys.stderr)
+            return 2
     # the observatory: progress + collection ride the engine observer
     # hook; with neither flag the observer stays NULL_OBSERVER and the
     # engine takes its zero-cost path
@@ -690,48 +701,43 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
                 spec = REGISTRY[name]
                 stats = RunStats()
                 failures = FailureReport()
-                journal = None
+                ledger = None
                 if cache is not None:
                     # the write-ahead ledger: fresh unless resuming, so a
-                    # stale journal never misreports a new campaign
-                    journal = CampaignJournal.for_campaign(
+                    # stale log never misreports a new campaign
+                    ledger = RunLedger.for_campaign(
                         cache.root, name, scale.name, args.seed,
                         fresh=not args.resume)
                     if args.resume:
-                        counts = journal.counts()
+                        counts = ledger.unit_counts()
                         print(f"resume {name}: journal has "
                               f"{counts['done']} done, "
                               f"{counts['failed']} failed, "
                               f"{counts['quarantined']} quarantined",
                               file=sys.stderr)
+                    ledger.event("campaign-started", experiment=name,
+                                 jobs=args.jobs, shards=args.shards,
+                                 sessions=args.sessions,
+                                 shard_size=args.shard_size,
+                                 resume=True if args.resume else None,
+                                 distributed=True if dist else None,
+                                 workers=(args.workers
+                                          if dist is not None else None))
                 monitor = None
-                ledger = None
                 if health_on:
-                    from .obs import HealthMonitor, HealthPolicy, RunLedger
+                    from .obs import HealthMonitor, HealthPolicy
 
-                    if cache is not None:
-                        ledger = RunLedger.for_campaign(
-                            cache.root, name, scale.name, args.seed,
-                            fresh=not args.resume)
-                        ledger.event("campaign-started", experiment=name,
-                                     jobs=args.jobs, shards=args.shards,
-                                     sessions=args.sessions,
-                                     shard_size=args.shard_size,
-                                     resume=True if args.resume else None,
-                                     distributed=True if dist else None,
-                                     workers=(args.workers
-                                              if dist is not None else None))
                     beat = getattr(args, "beat_interval", None)
                     policy = (HealthPolicy(interval=beat)
                               if beat is not None else None)
-                    monitor = HealthMonitor(policy, ledger=ledger)
+                    monitor = HealthMonitor(policy)
                 if collector is not None:
                     collector.ledger = ledger
                 started = time.perf_counter()
                 try:
                     result = spec.run(scale, seed=args.seed, jobs=args.jobs,
                                       cache=cache, stats=stats,
-                                      journal=journal, failures=failures,
+                                      ledger=ledger, failures=failures,
                                       sharding=sharding, health=monitor,
                                       dist=dist)
                 except CampaignAborted as exc:
@@ -764,8 +770,6 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
                     summary.append((spec, elapsed, stats))
                     continue
                 finally:
-                    if journal is not None:
-                        journal.close()
                     if ledger is not None:
                         ledger.event(
                             "campaign-finished", experiment=name,
@@ -865,14 +869,13 @@ def _cmd_report(args) -> int:
     if args.ledger is not None:
         path = args.ledger
     else:
-        root = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
+        root = _cache_root(args)
         if args.name is None or not root:
             print("repro report needs an experiment name plus a cache dir "
                   "(--cache-dir or $REPRO_CACHE_DIR), or --ledger FILE",
                   file=sys.stderr)
             return 2
-        path = ledger_path(os.path.expanduser(root), args.name,
-                           args.scale, args.seed)
+        path = ledger_path(root, args.name, args.scale, args.seed)
     try:
         view = load_ledger(path)
     except (OSError, ValueError) as exc:
@@ -991,22 +994,17 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _journal_summaries(args):
-    """Campaign-journal summaries under the requested cache dir, if any."""
-    cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
-    if not cache_dir:
-        return None
-    from .runner import list_journals
-
-    return list_journals(cache_dir)
-
-
 def _cmd_list(args) -> int:
     from .analysis import format_table
     from .experiments import REGISTRY
     from .simnet import PROFILES
 
-    journals = _journal_summaries(args)
+    campaigns = None
+    cache_dir = _cache_root(args)
+    if cache_dir:
+        from .runner import list_campaigns
+
+        campaigns = list_campaigns(cache_dir)
     if args.json:
         import json
 
@@ -1015,10 +1013,10 @@ def _cmd_list(args) -> int:
              "tags": list(spec.tags)}
             for spec in REGISTRY.values()
         ]
-        # plain registry list unless a cache dir brings journals into
+        # plain registry list unless a cache dir brings campaigns into
         # scope — the historical shape stays stable for existing callers
-        payload = (experiments if journals is None
-                   else {"experiments": experiments, "campaigns": journals})
+        payload = (experiments if campaigns is None
+                   else {"experiments": experiments, "campaigns": campaigns})
         print(json.dumps(payload, indent=2))
         return 0
 
@@ -1032,13 +1030,13 @@ def _cmd_list(args) -> int:
     print("networks    :", ", ".join(PROFILES))
     print("applications:", ", ".join(_APPLICATIONS))
     print("containers  :", ", ".join(_CONTAINERS))
-    if journals is not None:
+    if campaigns is not None:
         print()
-        if journals:
+        if campaigns:
             rows = [
-                (j["experiment"], j["scale"], j["seed"], j["done"],
-                 j["failed"], j["quarantined"])
-                for j in journals
+                (c["experiment"], c["scale"], c["seed"], c["done"],
+                 c["failed"], c["quarantined"])
+                for c in campaigns
             ]
             print(format_table(
                 ["Campaign", "Scale", "Seed", "Done", "Failed",

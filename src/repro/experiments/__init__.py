@@ -67,7 +67,7 @@ class ExperimentSpec:
         cache: CacheLike = None,
         stats: Optional[RunStats] = None,
         supervision=None,
-        journal=None,
+        ledger=None,
         failures=None,
         sharding=None,
         health=None,
@@ -78,9 +78,9 @@ class ExperimentSpec:
         All keywords default to ``None`` = inherit the surrounding
         :func:`~repro.runner.engine_options` scope, so nested callers
         (CLI around spec, test around CLI) compose.  ``supervision``,
-        ``journal`` and ``failures`` are the durability layer: a
+        ``ledger`` and ``failures`` are the durability layer: a
         :class:`~repro.runner.SupervisionPolicy`, a
-        :class:`~repro.runner.CampaignJournal` and a
+        :class:`~repro.runner.RunLedger` and a
         :class:`~repro.runner.FailureReport` to accumulate into.
         ``sharding`` is a :class:`~repro.runner.Sharding` policy;
         sharding-aware experiments (``model_validation``) scale their
@@ -92,7 +92,7 @@ class ExperimentSpec:
         pool, with byte-identical results.
         """
         with engine_options(jobs=jobs, cache=cache, stats=stats,
-                            supervision=supervision, journal=journal,
+                            supervision=supervision, ledger=ledger,
                             failures=failures, sharding=sharding,
                             health=health, dist=dist):
             return self.module.run(scale, seed=seed)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..runner import (
-    CampaignJournal,
     FailureReport,
     RetryBudget,
     RunStats,
@@ -37,7 +36,6 @@ from ..workloads.catalog import Catalog
 from ..workloads.video import Video
 
 __all__ = [
-    "CampaignJournal",
     "FULL",
     "FailureReport",
     "MB",

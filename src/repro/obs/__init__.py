@@ -19,14 +19,14 @@ a result, an analysis, or a cache fingerprint.  Three pillars:
   perf-regression tracker: run a suite, write a schema-versioned
   ``BENCH_<gitsha>.json``, and ``--compare`` two of them with a
   configurable regression threshold.
-* **Engine health** (:mod:`~repro.obs.health`, :mod:`~repro.obs.ledger`,
-  :mod:`~repro.obs.dash`, :mod:`~repro.obs.report`) — the campaign
-  control plane: per-worker heartbeats and straggler detection
-  (:class:`HealthMonitor`), an append-only JSONL run ledger
-  (:class:`RunLedger`), the live ``repro dash`` worker-lane dashboard,
-  and the post-hoc ``repro report`` renderer.  All of it observes the
-  supervised engine through the same default-off hook — health on or
-  off, exports stay byte-identical.
+* **Engine health** (:mod:`~repro.obs.health`, :mod:`~repro.obs.dash`,
+  :mod:`~repro.obs.report`) — the campaign control plane: per-worker
+  heartbeats and straggler detection (:class:`HealthMonitor`), the live
+  ``repro dash`` worker-lane dashboard, and the post-hoc ``repro
+  report`` renderer over the campaign's run ledger (:class:`RunLedger`,
+  re-exported from :mod:`repro.runner.ledger`, where the engine writes
+  it).  All of it observes the supervised engine through the same
+  default-off hook — health on or off, exports stay byte-identical.
 
 See ``docs/OBSERVABILITY.md`` for formats and workflows.
 """
@@ -66,7 +66,7 @@ from .health import (
     Suspicion,
     WorkerLane,
 )
-from .ledger import (
+from ..runner.ledger import (
     LEDGER_SCHEMA,
     LedgerView,
     RunLedger,

@@ -299,7 +299,7 @@ class CampaignCollector(NullRunObserver):
     snapshot and dropped, so memory stays constant; per-session exports
     (flows/metrics) then raise, because the data they need is gone.
 
-    ``ledger`` (a :class:`~repro.obs.ledger.RunLedger`) records one
+    ``ledger`` (a :class:`~repro.runner.ledger.RunLedger`) records one
     ``merged`` event per shard snapshot folded into the streaming
     reduction — attribution for the reduce side of a sharded campaign.
     Write-only, like everything else here: the collector never reads it.

@@ -102,7 +102,6 @@ class WorkerLane:
     rss_kb: int = 0              # worker-reported RSS watermark
     unit: Optional[int] = None   # batch index currently running
     label: str = ""
-    key: Optional[str] = None
     unit_started_at: Optional[float] = None
     missing: bool = False        # currently under missed-beat suspicion
     straggling: bool = False     # current unit flagged as a straggler
@@ -143,18 +142,19 @@ class HealthMonitor:
     The supervisor drives it through the hook methods (``beat``,
     ``worker_started`` ... ``poll``); the monitor fans observations out
     to the engine observer (``worker_beat`` / ``worker_suspect`` /
-    ``unit_started`` callbacks) and, when given one, a
-    :class:`~repro.obs.ledger.RunLedger`.  It never steers: the
-    supervisor consults nothing here.
+    ``unit_started`` callbacks) and, when the engine attaches one, the
+    campaign's :class:`~repro.runner.ledger.RunLedger`: ``started``,
+    ``heartbeat-summary`` and ``suspect`` events (unit settlements are
+    the engine's to write).  It never steers: the supervisor consults
+    nothing here.
     """
 
     def __init__(self, policy: Optional[HealthPolicy] = None, *,
-                 ledger: Optional[Any] = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.policy = policy or HealthPolicy()
-        self.ledger = ledger
         self.clock = clock
         self.observer: Optional[Any] = None
+        self.ledger: Optional[Any] = None
         self.suspicions: List[Suspicion] = []
         self.units_scheduled = 0
         self.cache_hits = 0
@@ -170,9 +170,11 @@ class HealthMonitor:
         this when spawning worker processes)."""
         return self.policy.interval
 
-    def attach(self, observer: Any) -> None:
-        """Forward subsequent observations to an engine observer."""
+    def attach(self, observer: Any, ledger: Optional[Any] = None) -> None:
+        """Forward subsequent observations to an engine observer and,
+        when the campaign has one, its run ledger."""
         self.observer = observer
+        self.ledger = ledger
 
     # -- engine hooks (called by pool/supervise, never the reverse) ----------
 
@@ -180,8 +182,6 @@ class HealthMonitor:
         """An engine batch was scheduled (after cache lookup)."""
         self.units_scheduled += units
         self.cache_hits += cache_hits
-        if self.ledger is not None:
-            self.ledger.event("scheduled", units=units, cache_hits=cache_hits)
 
     def worker_started(self, worker: str, pid: Optional[int]) -> None:
         """A worker process spawned (or respawned) on lane ``worker``."""
@@ -192,7 +192,6 @@ class HealthMonitor:
         lane.last_beat = None
         lane.unit = None
         lane.label = ""
-        lane.key = None
         lane.unit_started_at = None
         lane.missing = False
         lane.straggling = False
@@ -213,7 +212,6 @@ class HealthMonitor:
         lane = self._lane(worker)
         lane.unit = index
         lane.label = label or f"unit {index}"
-        lane.key = key
         lane.unit_started_at = self.clock()
         lane.straggling = False
         if self.ledger is not None:
@@ -237,12 +235,8 @@ class HealthMonitor:
             lane.rate = (sample if lane.rate == 0.0
                          else alpha * sample + (1 - alpha) * lane.rate)
             self._latencies.append(latency)
-        if self.ledger is not None:
-            self.ledger.event("done", unit=index, worker=worker,
-                              key=lane.key, latency_s=round(latency, 6))
         lane.unit = None
         lane.label = ""
-        lane.key = None
         lane.unit_started_at = None
         lane.straggling = False
 
@@ -254,17 +248,10 @@ class HealthMonitor:
             if lane.unit == failure.index:
                 lane.unit = None
                 lane.label = ""
-                lane.key = None
                 lane.unit_started_at = None
                 lane.straggling = False
             if not failure.final:
                 lane.retries += 1
-        if self.ledger is not None:
-            self.ledger.event(
-                "quarantined" if failure.final else "retried",
-                unit=failure.index, label=failure.label, worker=worker,
-                key=failure.key, kind=failure.kind, error=failure.error,
-                attempts=failure.attempts)
 
     def beat(self, worker: str, pid: Optional[int], units_done: int,
              rss_kb: int) -> None:

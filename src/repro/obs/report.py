@@ -1,7 +1,7 @@
 """Campaign reports: render a run ledger into markdown or HTML.
 
 ``repro report`` is the post-hoc half of the health plane: the ledger
-(:mod:`repro.obs.ledger`) records what a campaign did, this module
+(:mod:`repro.runner.ledger`) records what a campaign did, this module
 replays it into a self-contained document — event timeline, per-worker
 utilization, unit latency percentiles (via the same
 :mod:`repro.stats` sketches the aggregate exports use), cache-hit /
@@ -14,7 +14,7 @@ the repository the campaign ran in.
 Markdown is the primary rendering (readable in a terminal, a gist, or
 a CI artifact); :func:`render_html` wraps the same content in one
 dependency-free HTML file for browsers.  Everything here is a pure
-function of the loaded :class:`~repro.obs.ledger.LedgerView` — the
+function of the loaded :class:`~repro.runner.ledger.LedgerView` — the
 report never touches the engine, the cache, or the clock beyond
 formatting the timestamps the ledger already recorded.
 """
@@ -24,10 +24,10 @@ from __future__ import annotations
 import html
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..stats import HistogramSketch, MomentAccumulator
-from .ledger import LedgerView
+from ..runner.ledger import LedgerView
 
 __all__ = [
     "render_html",
@@ -104,15 +104,10 @@ def render_report(view: LedgerView, *, bench_dir=None,
     lines += ["## Timeline", ""]
     if span:
         base = span[0]
-        kinds: Dict[str, List[float]] = {}
-        for event in view.events:
-            if "ts" in event:
-                kinds.setdefault(event.get("event", "?"), []).append(
-                    event["ts"])
         rows = [(kind, len(stamps),
                  f"+{_fmt_seconds(min(stamps) - base)}",
                  f"+{_fmt_seconds(max(stamps) - base)}")
-                for kind, stamps in sorted(kinds.items())]
+                for kind, stamps in sorted(view.timeline().items())]
         lines += _table(("event", "count", "first", "last"), rows)
     else:
         lines.append("(empty ledger)")

@@ -28,9 +28,11 @@ Public API:
   :class:`FailedUnit` — the durability layer
   (:mod:`repro.runner.supervise`): per-unit deadlines, retries with
   backoff, and quarantine of poison units.
-* :class:`CampaignJournal`, :func:`campaign_fingerprint`,
-  :func:`list_journals` — the write-ahead campaign ledger behind
-  ``repro experiment --resume`` (:mod:`repro.runner.journal`).
+* :class:`RunLedger`, :func:`load_ledger`, :func:`ledger_path`,
+  :func:`campaign_fingerprint`, :func:`list_campaigns` — the one
+  campaign log (:mod:`repro.runner.ledger`): the engine's write-ahead
+  record of every unit settlement, behind ``--resume``, ``repro list``
+  and ``repro report``.
 * :class:`Sharding`, :class:`ShardSpec`, :class:`ShardResult`,
   :class:`ShardStore`, :func:`run_shards`, :func:`run_sharded_sessions`,
   :func:`shard_fingerprint` — the million-session campaign layer
@@ -60,7 +62,13 @@ from .fingerprint import (
     plan_fingerprint,
     task_fingerprint,
 )
-from .journal import CampaignJournal, campaign_fingerprint, list_journals
+from .ledger import (
+    RunLedger,
+    campaign_fingerprint,
+    ledger_path,
+    list_campaigns,
+    load_ledger,
+)
 from .pool import (
     CacheLike,
     CompositeRunObserver,
@@ -99,7 +107,6 @@ from .supervise import (
 __all__ = [
     "CacheLike",
     "CampaignAborted",
-    "CampaignJournal",
     "ChaosError",
     "CompositeRunObserver",
     "DistPolicy",
@@ -111,6 +118,7 @@ __all__ = [
     "NullRunObserver",
     "ResultCache",
     "RetryBudget",
+    "RunLedger",
     "RunStats",
     "SessionPlan",
     "ShardQueue",
@@ -128,7 +136,9 @@ __all__ = [
     "current_options",
     "engine_options",
     "fingerprint",
-    "list_journals",
+    "ledger_path",
+    "list_campaigns",
+    "load_ledger",
     "make_queue",
     "merge_options",
     "plan_fingerprint",

@@ -8,9 +8,7 @@ to move *scheduling* across processes, never results or trust:
 
 * :mod:`repro.runner.dist.queue` — :class:`ShardQueue`, the lease-based
   work queue.  :class:`FileShardQueue` runs it over any shared
-  directory with nothing but atomic filesystem primitives;
-  :class:`RedisShardQueue` stubs the same interface for server-backed
-  fleets.
+  directory with nothing but atomic filesystem primitives.
 * :mod:`repro.runner.dist.worker` — the ``repro worker`` loop: claim a
   shard, run it through the existing supervised engine, push the
   artifact, renew the lease while doing so.
@@ -32,7 +30,6 @@ from .queue import (
     ClaimedShard,
     FileShardQueue,
     Lease,
-    RedisShardQueue,
     ShardQueue,
     default_worker_id,
     make_queue,
@@ -46,7 +43,6 @@ __all__ = [
     "FileShardQueue",
     "Lease",
     "LeaseHeartbeat",
-    "RedisShardQueue",
     "ShardQueue",
     "WorkerOptions",
     "WorkerStats",

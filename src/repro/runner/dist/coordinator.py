@@ -24,13 +24,13 @@ honors.  :func:`run_shards_distributed` is a drop-in body for
    before the barrier (simulation, artifact landing, lease traffic)
    still overlaps freely.
 
-The run ledger (when the health plane is on) gains the distributed
-lifecycle: ``dist-published``, per-shard ``done`` events attributed to
-the worker that landed them, ``re-leased`` when an expired holder's
-shard moves, and ``worker-exit`` when a local worker leaves.  Worker
-lanes are synthesized from queue lease state and fed through the
-ordinary ``worker_beat`` observer hook, so ``repro dash`` renders a
-distributed campaign with no code of its own.
+The run ledger gains the distributed lifecycle: ``dist-published``,
+per-shard ``done`` events attributed to the worker that landed them,
+``re-leased`` when an expired holder's shard moves, and ``worker-exit``
+when a local worker leaves.  Worker lanes are synthesized from queue
+lease state and fed through the ordinary ``worker_beat`` observer hook,
+so ``repro dash`` renders a distributed campaign with no code of its
+own.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..pool import current_options
 from ..sharding import ShardSpec, ShardStore
 from ..supervise import CampaignAborted, FailedUnit, FailureReport, UnitFailure
-from .queue import ShardQueue, make_queue
+from .queue import ShardQueue, make_queue, queue_path
 
 __all__ = [
     "DistPolicy",
@@ -60,8 +60,7 @@ __all__ = [
 class DistPolicy:
     """The distributed-execution policy (``EngineOptions.dist``).
 
-    ``queue`` is the transport spec (a shared directory, or a
-    ``redis://`` URL once that backend lands); ``workers`` is how many
+    ``queue`` is the shared queue directory; ``workers`` is how many
     local drain-mode workers the coordinator spawns — zero means the
     fleet is entirely external (other terminals, other hosts).
     ``max_attempts``/``unit_timeout`` are forwarded to each spawned
@@ -82,6 +81,7 @@ class DistPolicy:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.ttl <= 0:
             raise ValueError(f"lease ttl must be > 0, got {self.ttl}")
+        queue_path(self.queue)  # a URL is refused here, not at publish
 
 
 @dataclass
@@ -204,7 +204,7 @@ def run_shards_distributed(
 
     Same contract as the local :func:`~repro.runner.sharding.run_shards`
     body: plan-ordered results (``ShardResult`` or ``FailedUnit``),
-    ambient stats/journal/failures honored, ``CampaignAborted`` on a
+    ambient stats/ledger/failures honored, ``CampaignAborted`` on a
     quarantined shard unless the supervision policy degrades — plus
     ``on_result`` streamed over the growing plan-order prefix.
     """
@@ -219,9 +219,8 @@ def run_shards_distributed(
     if queue is None:
         queue = make_queue(policy.queue, ttl=policy.ttl)
     observer = options.observer
-    journal = options.journal
+    ledger = options.ledger
     failures = options.failures
-    ledger = getattr(options.health, "ledger", None)
     stats = options.stats if stats is None else stats
 
     total = len(shards)
@@ -237,8 +236,8 @@ def run_shards_distributed(
             results[i] = artifact
             settled[i] = True
             hits += 1
-            if journal is not None:
-                journal.done(key)  # idempotent replay on resume
+            if ledger is not None:
+                ledger.event("done", key=key, unit=i, cached=True)
     if observer.enabled:
         observer.batch_started(total, hits)
 
@@ -279,8 +278,6 @@ def run_shards_distributed(
         record = getattr(queue, "done_record", lambda key: {})(keys[i])
         worker = record.get("worker")
         done_by[worker or "?"] = done_by.get(worker or "?", 0) + 1
-        if journal is not None:
-            journal.done(keys[i], worker=worker)
         if ledger is not None:
             # the done marker is the authoritative re-lease record:
             # watch_leases only sees transitions that straddle an idle
@@ -291,7 +288,7 @@ def run_shards_distributed(
                 ledger.event("re-leased", worker=worker,
                              previous=stolen_from, unit=i,
                              shard=_shard_label(shards[i][0]))
-            ledger.event("done", unit=i, worker=worker,
+            ledger.event("done", key=keys[i], unit=i, worker=worker,
                          latency_s=record.get("wall_s"),
                          shard=_shard_label(shards[i][0]))
         if observer.enabled:
@@ -308,12 +305,10 @@ def run_shards_distributed(
         results[i] = FailedUnit(failure)
         settled[i] = True
         quarantined.append(failure)
-        if journal is not None:
-            journal.quarantined(failure.key, failure.error,
-                                failure.attempts, failure.worker)
         if ledger is not None:
-            ledger.event("quarantined", unit=i, worker=failure.worker,
-                         error=failure.error, shard=failure.label)
+            ledger.event("quarantined", key=failure.key, unit=i,
+                         worker=failure.worker, error=failure.error,
+                         attempts=failure.attempts, shard=failure.label)
         if failures is not None:
             failures.add(failure)
         if observer.enabled:

@@ -44,12 +44,6 @@ so it needs no daemon and no locks:
 TTLs compare a lease's mtime against the *observer's* clock, so hosts
 sharing one queue should have loosely synchronized clocks (NTP-grade
 skew is fine for the multi-second TTLs this queue is meant for).
-
-:class:`RedisShardQueue` sketches the same interface over a redis
-server for fleets without a shared filesystem; it is a stub — the
-dependency is deliberately not imported until someone constructs one —
-and :func:`make_queue` routes ``redis://`` URLs to it so the CLI
-surface is already shaped for the swap.
 """
 
 from __future__ import annotations
@@ -66,10 +60,10 @@ __all__ = [
     "ClaimedShard",
     "FileShardQueue",
     "Lease",
-    "RedisShardQueue",
     "ShardQueue",
     "default_worker_id",
     "make_queue",
+    "queue_path",
 ]
 
 
@@ -395,35 +389,22 @@ class FileShardQueue(ShardQueue):
         return out
 
 
-class RedisShardQueue(ShardQueue):
-    """The redis-shaped backend: same interface, server-side leases.
+def queue_path(spec) -> str:
+    """The directory a queue spec names.
 
-    A stub by design — the repository adds no dependencies, so the
-    class only materializes the mapping (``SET NX EX`` for claims,
-    ``EXPIRE`` for renewal, a done set for completion) and raises
-    until a redis client is importable.  :func:`make_queue` routes
-    ``redis://`` URLs here, so the CLI surface needs no change when
-    the backend lands.
+    A URL (``scheme://...``) raises ``ValueError``: the shared directory
+    is the only transport, and ``redis://host`` must not quietly become
+    a directory called ``redis:``.
     """
-
-    def __init__(self, url: str, *, ttl: float = 30.0) -> None:
-        try:
-            import redis  # noqa: F401  (deliberately optional)
-        except ImportError as exc:
-            raise NotImplementedError(
-                "RedisShardQueue needs the optional redis client; the "
-                "filesystem backend (a shared directory) is the "
-                "supported transport") from exc
-        raise NotImplementedError(
-            "RedisShardQueue is interface-only for now: claims map to "
-            "SET NX EX, renewals to EXPIRE, completion to a done set")
+    text = str(spec)
+    if "://" in text:
+        raise ValueError(
+            f"shard queue {text!r} is a URL; the queue is a directory "
+            f"path shared by the coordinator and every worker")
+    return os.path.expanduser(text)
 
 
 def make_queue(spec, *, ttl: float = 30.0) -> ShardQueue:
-    """A queue from a CLI-shaped spec: ``redis://...`` URLs build a
-    :class:`RedisShardQueue`, anything else is a directory path for
-    :class:`FileShardQueue`."""
-    text = str(spec)
-    if text.startswith("redis://"):
-        return RedisShardQueue(text, ttl=ttl)
-    return FileShardQueue(os.path.expanduser(text), ttl=ttl)
+    """A :class:`FileShardQueue` over the directory ``spec`` names
+    (see :func:`queue_path`)."""
+    return FileShardQueue(queue_path(spec), ttl=ttl)

@@ -92,7 +92,7 @@ class WorkerOptions:
     executes (tests, canary workers).
     """
 
-    queue: str                       # directory path or redis:// URL
+    queue: str                       # shared queue directory
     cache_dir: str                   # shared store root (same as coordinator)
     worker_id: Optional[str] = None  # default: <host>-<pid>
     ttl: float = 30.0

@@ -1,37 +1,33 @@
-"""The run ledger: an append-only event log of campaign lifecycle.
+"""The run ledger: the one append-only event log of a campaign.
 
-The resume journal (:mod:`repro.runner.journal`) answers one question —
-*which units are settled?* — and deliberately forgets everything else.
-The ledger keeps what the journal drops: **when** each lifecycle
-transition happened and **which worker** it happened on, as a flat
-JSONL event stream that post-hoc tooling (``repro report``) can replay
-into timelines, per-worker utilization, and latency distributions.
-
-One file per campaign, written alongside the journal
-(``<cache_root>/ledger/<experiment>-<fingerprint>.jsonl``).  The first
-line is a schema-versioned header; every later line is one event::
+Every campaign run with a result cache writes one JSONL file,
+``<cache_root>/ledger/<experiment>-<fingerprint>.jsonl``: a
+schema-versioned header, then one event per line::
 
     {"schema": "repro-ledger/v1", "meta": {"experiment": "fig2", ...}}
     {"seq": 0, "ts": 1754554000.21, "event": "campaign-started", ...}
     {"seq": 1, "ts": 1754554000.23, "event": "scheduled", "units": 4, ...}
-    {"seq": 2, "ts": 1754554000.30, "event": "started", "unit": 0,
-     "worker": "w0", ...}
+    {"seq": 2, "ts": 1754554000.30, "event": "done", "key": "3f...",
+     "unit": 0, "worker": "w0", "latency_s": 0.07}
 
 Event kinds: ``campaign-started`` / ``campaign-finished`` (CLI scope),
-``scheduled`` (one per engine batch, after cache lookup), ``started`` /
-``done`` / ``retried`` / ``quarantined`` (per supervised unit, worker
-attributed), ``heartbeat-summary`` (periodic worker-lane snapshot),
-``suspect`` (health suspicion: missed-beat, straggler, worker-lost) and
-``merged`` (one per shard folded into the streaming reduction).  A
-distributed campaign adds ``dist-published`` (the batch hit the work
-queue), ``re-leased`` (an expired holder's shard moved to a live
-worker — the fabric's fault-tolerance record), and ``worker-exit``
-(a coordinator-spawned local worker left, normally or not).
+``scheduled`` (one per engine batch, after cache lookup), the unit
+*settlements* ``done`` / ``retried`` / ``quarantined`` (written once
+each by the engine, keyed by the unit's cache ``key``; a cache hit
+replays as ``done`` with ``"cached": true``) and ``merged`` (one per
+shard folded into the streaming reduction).  The health plane
+(:mod:`repro.obs.health`) adds ``started``, ``heartbeat-summary`` and
+``suspect``; a distributed campaign adds ``dist-published``,
+``re-leased`` and ``worker-exit``.
 
-The ledger obeys the obs invariant — it *watches*: nothing reads it
-back during a run, it never enters a cache fingerprint, and the loader
-(:func:`load_ledger`) tolerates the torn final line a killed writer
-leaves behind, exactly like the journal's.
+The settlements are the write-ahead record behind ``--resume`` and
+``repro list``: folded last-status-wins per key (``retried`` reads as
+``failed``), they say which units a killed campaign already settled.
+Each event is flushed as it is appended and the loader skips the torn
+final line a kill leaves behind.  The log never gates execution —
+results always come from the cache or a fresh simulation — nothing
+reads it back during a run beyond the resume load at open, and it
+never enters a cache fingerprint.
 """
 
 from __future__ import annotations
@@ -42,33 +38,52 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from ..runner.journal import campaign_fingerprint
+from .fingerprint import fingerprint
 
 __all__ = [
     "LEDGER_SCHEMA",
     "LedgerView",
     "RunLedger",
+    "campaign_fingerprint",
     "ledger_path",
+    "list_campaigns",
     "load_ledger",
 ]
 
 #: Schema identifier stamped into (and required of) every ledger file.
 LEDGER_SCHEMA = "repro-ledger/v1"
 
-#: Subdirectory of a cache root where run ledgers live (sibling of
-#: the resume journal's ``journal/``).
+#: Subdirectory of a cache root where run ledgers live.
 LEDGER_DIRNAME = "ledger"
+
+#: Settlement events and the unit status each one leaves behind.
+SETTLEMENTS = {"done": "done", "retried": "failed",
+               "quarantined": "quarantined"}
+
+
+def campaign_fingerprint(experiment: str, scale: str, seed: int) -> str:
+    """A stable identity for one campaign: (experiment, scale, seed).
+
+    Deliberately excludes ``code_version`` and ``jobs``: a resumed
+    campaign must find its ledger after a code fix or with a different
+    worker count.  Unit *results* still refuse to cross code versions —
+    their cache keys embed ``code_version`` — so resuming across a code
+    change simply re-simulates everything, correctly.
+    """
+    return fingerprint("campaign", experiment, scale, seed)[:16]
 
 
 def ledger_path(cache_root, experiment: str, scale: str, seed: int) -> Path:
-    """Where the ledger for one (experiment, scale, seed) campaign lives.
-
-    Named by the same :func:`~repro.runner.journal.campaign_fingerprint`
-    as the resume journal, so the two files for one campaign sit side by
-    side under the cache root.
-    """
+    """Where the ledger for one (experiment, scale, seed) campaign lives."""
     fp = campaign_fingerprint(experiment, scale, seed)
     return Path(cache_root) / LEDGER_DIRNAME / f"{experiment}-{fp}.jsonl"
+
+
+def _count_statuses(units: Dict[str, str]) -> Dict[str, int]:
+    counts = {"done": 0, "failed": 0, "quarantined": 0}
+    for status in units.values():
+        counts[status] += 1
+    return counts
 
 
 class RunLedger:
@@ -77,7 +92,8 @@ class RunLedger:
     Events are sequence-numbered and wall-clock timestamped at append
     time; each is flushed immediately, so a killed campaign keeps every
     event up to the kill.  ``clock`` is injectable for deterministic
-    tests.
+    tests.  ``units`` is the last settlement status per unit key, loaded
+    at open when appending to an existing log.
     """
 
     def __init__(self, path, *, meta: Optional[dict] = None,
@@ -87,6 +103,7 @@ class RunLedger:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.clock = clock
         self._seq = 0
+        self.units: Dict[str, str] = {}
         if fresh and self.path.exists():
             self.path.unlink()
         existed = self.path.exists() and self.path.stat().st_size > 0
@@ -94,8 +111,11 @@ class RunLedger:
             # resumed campaign: keep appending, continue the sequence
             view = load_ledger(self.path)
             self._seq = (view.events[-1]["seq"] + 1) if view.events else 0
+            self.units = view.units()
         self._file = open(self.path, "a", encoding="utf-8")
-        # terminate a torn final line (same defence as the journal's)
+        # a killed writer can leave a torn, newline-less final line; left
+        # as-is the next append would glue onto it and corrupt *both*
+        # records, so terminate it now (the loader skips the fragment)
         if self._file.tell() > 0:
             with open(self.path, "rb") as f:
                 f.seek(-1, os.SEEK_END)
@@ -119,13 +139,27 @@ class RunLedger:
         self._file.flush()
 
     def event(self, event: str, **fields: Any) -> None:
-        """Append one lifecycle event (``None``-valued fields dropped)."""
+        """Append one lifecycle event (``None``-valued fields dropped).
+
+        A keyed settlement updates :attr:`units`; a ``done`` for a unit
+        already done (a cache hit replayed on resume) is not rewritten.
+        """
+        key = fields.get("key")
+        status = SETTLEMENTS.get(event)
+        if status is not None and key is not None:
+            if status == "done" and self.units.get(key) == "done":
+                return
+            self.units[key] = status
         record: Dict[str, Any] = {"seq": self._seq,
                                   "ts": round(self.clock(), 3),
                                   "event": event}
         record.update((k, v) for k, v in fields.items() if v is not None)
         self._seq += 1
         self._append(record)
+
+    def unit_counts(self) -> Dict[str, int]:
+        """Settled units per status: done / failed / quarantined."""
+        return _count_statuses(self.units)
 
     def close(self) -> None:
         """Flush and close the underlying file (idempotent)."""
@@ -139,10 +173,16 @@ class RunLedger:
         self.close()
 
 
+def _kind(event: dict) -> str:
+    """An event's kind, with cache-hit replays told apart from real work."""
+    kind = event.get("event", "?")
+    return "done (cached)" if kind == "done" and event.get("cached") else kind
+
+
 class LedgerView:
     """A loaded ledger: header metadata plus the event list, with the
-    derived views ``repro report`` renders (counts, per-worker activity,
-    unit latencies, failures)."""
+    derived views ``repro report``, ``repro list`` and ``--resume`` read
+    (counts, unit statuses, per-worker activity, latencies, failures)."""
 
     def __init__(self, schema: str, meta: dict, events: List[dict]) -> None:
         self.schema = schema
@@ -150,12 +190,34 @@ class LedgerView:
         self.events = events
 
     def counts(self) -> Dict[str, int]:
-        """Events per kind, e.g. ``{"started": 13, "done": 12, ...}``."""
+        """Events per kind, e.g. ``{"started": 13, "done": 12, ...}``;
+        cache-hit replays count as ``"done (cached)"``, not ``done``."""
         counts: Dict[str, int] = {}
         for event in self.events:
-            kind = event.get("event", "?")
+            kind = _kind(event)
             counts[kind] = counts.get(kind, 0) + 1
         return counts
+
+    def timeline(self) -> Dict[str, List[float]]:
+        """Timestamps per event kind, kinds as in :meth:`counts`."""
+        kinds: Dict[str, List[float]] = {}
+        for event in self.events:
+            if "ts" in event:
+                kinds.setdefault(_kind(event), []).append(event["ts"])
+        return kinds
+
+    def units(self) -> Dict[str, str]:
+        """Last settlement status per unit key (``retried`` → ``failed``)."""
+        units: Dict[str, str] = {}
+        for event in self.events:
+            status = SETTLEMENTS.get(event.get("event"))
+            if status is not None and event.get("key"):
+                units[event["key"]] = status
+        return units
+
+    def unit_counts(self) -> Dict[str, int]:
+        """Settled units per status: done / failed / quarantined."""
+        return _count_statuses(self.units())
 
     def span(self) -> Optional[tuple]:
         """``(first_ts, last_ts)`` over all events, or ``None`` if empty."""
@@ -177,7 +239,7 @@ class LedgerView:
     def unit_latencies(self) -> List[float]:
         """Per-unit wall latencies from ``done`` events, arrival order."""
         return [e["latency_s"] for e in self.events
-                if e.get("event") == "done" and "latency_s" in e]
+                if _kind(e) == "done" and "latency_s" in e]
 
     def failures(self) -> List[dict]:
         """Every ``retried`` / ``quarantined`` event, ledger order."""
@@ -232,7 +294,7 @@ class LedgerView:
                 "suspicions": 0})
 
         for event in self.events:
-            kind = event.get("event")
+            kind = _kind(event)
             worker = event.get("worker")
             if kind == "done" and worker:
                 entry = lane(worker)
@@ -284,3 +346,28 @@ def load_ledger(path) -> LedgerView:
         raise ValueError(
             f"{path}: ledger schema {schema!r}, expected {LEDGER_SCHEMA!r}")
     return LedgerView(schema or LEDGER_SCHEMA, meta, events)
+
+
+def list_campaigns(cache_root) -> List[dict]:
+    """Summaries of every campaign ledger under ``cache_root``.
+
+    One dict per ledger — metadata plus settled-unit counts and the
+    file's mtime — sorted by experiment name then path, for the
+    ``repro list`` campaign table.
+    """
+    root = Path(cache_root) / LEDGER_DIRNAME
+    summaries = []
+    for path in sorted(root.glob("*.jsonl")):
+        view = load_ledger(path)
+        counts = view.unit_counts()
+        summaries.append({
+            "path": str(path),
+            "experiment": view.meta.get("experiment", path.stem),
+            "scale": view.meta.get("scale", "?"),
+            "seed": view.meta.get("seed", "?"),
+            "units": sum(counts.values()),
+            **counts,
+            "updated": os.path.getmtime(path),
+        })
+    summaries.sort(key=lambda s: (s["experiment"], s["path"]))
+    return summaries

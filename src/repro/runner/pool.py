@@ -43,10 +43,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..telemetry import NULL, NullRecorder, Recorder, SessionTelemetry, current_recorder, use_recorder
+from ..telemetry import NullRecorder, Recorder, SessionTelemetry, current_recorder, use_recorder
 from .cache import ResultCache
 from .fingerprint import plan_fingerprint, task_fingerprint
-from .journal import CampaignJournal
+from .ledger import RunLedger
 from .supervise import (
     CHAOS_ENV,
     CampaignAborted,
@@ -203,11 +203,11 @@ class RunStats:
 class EngineOptions:
     """Ambient engine configuration (see :func:`engine_options`).
 
-    ``supervision``/``journal``/``failures`` form the durability layer:
+    ``supervision``/``ledger``/``failures`` form the durability layer:
     a :class:`~repro.runner.supervise.SupervisionPolicy` routes cache
     misses through supervised worker processes (deadlines, retries,
-    quarantine), a :class:`~repro.runner.journal.CampaignJournal`
-    receives a write-ahead record as each unit settles, and a
+    quarantine), a :class:`~repro.runner.ledger.RunLedger` receives
+    one write-ahead event as each unit settles, and a
     :class:`~repro.runner.supervise.FailureReport` accumulates whatever
     was quarantined.  ``sharding`` is the campaign-scaling layer: a
     :class:`~repro.runner.sharding.Sharding` policy that sharding-aware
@@ -233,7 +233,7 @@ class EngineOptions:
     stats: Optional[RunStats] = None
     observer: NullRunObserver = NULL_OBSERVER
     supervision: Optional[SupervisionPolicy] = None
-    journal: Optional[CampaignJournal] = None
+    ledger: Optional[RunLedger] = None
     failures: Optional[FailureReport] = None
     sharding: Optional[Any] = None  # repro.runner.sharding.Sharding
     health: Optional[Any] = None    # repro.obs.health.HealthMonitor
@@ -297,7 +297,7 @@ def engine_options(**overrides):
 
     Keywords are the :class:`EngineOptions` fields — ``jobs``, ``cache``
     (a :class:`ResultCache`, a path, or ``None``), ``stats``,
-    ``observer``, ``supervision``, ``journal``, ``failures``,
+    ``observer``, ``supervision``, ``ledger``, ``failures``,
     ``sharding``, ``health``, ``dist``.  ``None`` keeps the surrounding value, so nested
     scopes compose: a test can pin ``jobs=1`` around an experiment the
     CLI configured with ``jobs=8``.
@@ -405,18 +405,19 @@ def _execute(worker: Callable[[Any], Any], items: Sequence[Any],
     caller persist results incrementally so a killed campaign keeps what
     it already computed.
     """
+    results: List[Any] = [None] * len(items)
+
+    def settle(index: int, result: Any) -> None:
+        if on_unit is not None:
+            on_unit(index, result)
+        if observer.enabled:
+            observer.unit_finished(result)
+        results[index] = result
+
     if jobs <= 1 or len(items) <= 1:
-        if observer.enabled or on_unit is not None:
-            results = []
-            for index, item in enumerate(items):
-                result = worker(item)
-                if on_unit is not None:
-                    on_unit(index, result)
-                if observer.enabled:
-                    observer.unit_finished(result)
-                results.append(result)
-            return results
-        return [worker(item) for item in items]
+        for index, item in enumerate(items):
+            settle(index, worker(item))
+        return results
     # An explicit jobs=N request spawns N workers even when os.cpu_count()
     # is lower: oversubscription costs little for these CPU-bound sessions,
     # and the parallel code path (fork + pickle round-trip) must behave
@@ -427,45 +428,38 @@ def _execute(worker: Callable[[Any], Any], items: Sequence[Any],
                               initializer=_pool_worker_init) as pool:
         # chunksize=1: sessions vary widely in cost (a 16-cell Table 1
         # batch mixes 30 s bulk transfers with 180 s Netflix sessions),
-        # so fine-grained dispatch keeps the stragglers from serializing
-        if observer.enabled or on_unit is not None:
-            # imap_unordered yields completion-order results, so a
-            # straggler never delays persisting the units that finished
-            # after it; the index tag restores plan order.
-            results: List[Any] = [None] * len(items)
-            indexed = [(i, worker, item) for i, item in enumerate(items)]
-            for index, result in pool.imap_unordered(_indexed_call, indexed,
-                                                     chunksize=1):
-                if on_unit is not None:
-                    on_unit(index, result)
-                if observer.enabled:
-                    observer.unit_finished(result)
-                results[index] = result
-            return results
-        return pool.map(worker, items, chunksize=1)
+        # so fine-grained dispatch keeps the stragglers from serializing;
+        # imap_unordered yields completion-order results, so a straggler
+        # never delays persisting the units that finished after it, and
+        # the index tag restores plan order.
+        indexed = [(i, worker, item) for i, item in enumerate(items)]
+        for index, result in pool.imap_unordered(_indexed_call, indexed,
+                                                 chunksize=1):
+            settle(index, result)
+    return results
 
 
 def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
                 keys: Optional[List[str]], jobs: int,
-                cache: Optional[ResultCache],
-                stats: Optional[RunStats],
-                rec: NullRecorder = NULL,
-                observer: NullRunObserver = NULL_OBSERVER,
-                supervision: Optional[SupervisionPolicy] = None,
-                journal: Optional[CampaignJournal] = None,
-                failures: Optional[FailureReport] = None,
-                describe: Optional[Callable[[int], str]] = None,
-                health: Optional[Any] = None) -> List[Any]:
+                cache: Optional[ResultCache], stats: Optional[RunStats],
+                rec: NullRecorder, options: EngineOptions,
+                describe: Callable[[int], str]) -> List[Any]:
     """Cache-lookup, execute, persist: the engine's one batch pipeline.
 
-    Every unit that completes is persisted (cache + journal) *as it
+    Every unit that completes is persisted (cache + ledger) *as it
     completes*, not after the batch — a campaign killed mid-batch keeps
-    everything already simulated.  With a ``supervision`` policy, cache
-    misses run under :func:`~repro.runner.supervise.run_supervised`
-    (deadlines, retries, quarantine) instead of the plain pool; a
-    ``health`` monitor additionally receives worker heartbeats and unit
-    lifecycle notifications there (report-only).
+    everything already simulated.  Each settlement is written to the
+    ledger exactly once, here.  With a supervision policy, cache misses
+    run under :func:`~repro.runner.supervise.run_supervised` (deadlines,
+    retries, quarantine) instead of the plain pool; a health monitor
+    additionally receives worker heartbeats and unit lifecycle
+    notifications there (report-only).
     """
+    observer = options.observer
+    supervision = options.supervision
+    ledger = options.ledger
+    failures = options.failures
+    health = options.health
     results: List[Any] = [None] * len(items)
     pending = list(range(len(items)))
     if cache is not None and keys is not None:
@@ -476,90 +470,72 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
                 pending.append(i)
             else:
                 results[i] = hit
-                if journal is not None:
-                    journal.done(key)  # idempotent replay on resume
+                if ledger is not None:
+                    ledger.event("done", key=key, unit=i, cached=True)
+    hits = len(items) - len(pending)
+    if ledger is not None:
+        ledger.event("scheduled", units=len(items), cache_hits=hits)
     if observer.enabled:
-        observer.batch_started(len(items), len(items) - len(pending))
+        observer.batch_started(len(items), hits)
     if health is not None:
-        health.attach(observer)
-        health.batch_started(len(items), len(items) - len(pending))
+        health.attach(observer, ledger)
+        health.batch_started(len(items), hits)
     if rec.enabled:
         rec.inc("engine.units", len(items))
-        rec.inc("engine.cache_hits", len(items) - len(pending))
+        rec.inc("engine.cache_hits", hits)
         rec.inc("engine.cache_misses", len(pending))
 
-    def persist(local_index: int, result: Any) -> None:
+    def persist(local_index: int, result: Any, lane: Optional[str] = None,
+                latency_s: Optional[float] = None) -> None:
         i = pending[local_index]
         results[i] = result
         if keys is not None:
             if cache is not None:
                 cache.put(keys[i], result)
-            if journal is not None:
-                journal.done(keys[i])
+            if ledger is not None:
+                ledger.event("done", key=keys[i], unit=i, worker=lane,
+                             latency_s=latency_s)
 
-    pending_items = [items[i] for i in pending]
-    if supervision is None:
-        # incremental persistence only matters when there is somewhere
-        # durable to persist to; otherwise keep the plain fast path
-        on_unit = (persist if keys is not None
-                   and (cache is not None or journal is not None) else None)
-        if rec.enabled:
-            with rec.span("engine.execute"):
-                computed = _execute(worker, pending_items, jobs, observer,
-                                    on_unit)
-        else:
-            computed = _execute(worker, pending_items, jobs, observer,
-                                on_unit)
-        for i, result in zip(pending, computed):
-            results[i] = result
-            if on_unit is None and cache is not None and keys is not None:
-                cache.put(keys[i], result)
-        if stats is not None:
-            stats.add(len(items), len(items) - len(pending))
-        return results
-
-    # -- supervised path ------------------------------------------------------
-    describe_local = ((lambda li: describe(pending[li]))
-                      if describe is not None else None)
-    keys_local = [keys[i] for i in pending] if keys is not None else None
-
-    def on_done(local_index: int, value: Any) -> None:
-        persist(local_index, value)
+    def on_done(local_index: int, value: Any, lane: str,
+                latency_s: float) -> None:
+        persist(local_index, value, lane, round(latency_s, 6))
         if observer.enabled:
             observer.unit_finished(value)
 
     def on_failure(failure: UnitFailure) -> None:
         # remap the supervisor's batch-local index to the plan index
         failure.index = pending[failure.index]
-        if journal is not None and failure.key is not None:
-            if failure.final:
-                journal.quarantined(failure.key, failure.error,
-                                    failure.attempts, failure.worker)
-            else:
-                journal.failed(failure.key, failure.error, failure.attempts,
-                               failure.worker)
+        if ledger is not None and failure.key is not None:
+            ledger.event(
+                "quarantined" if failure.final else "retried",
+                key=failure.key, unit=failure.index, label=failure.label,
+                worker=failure.worker, kind=failure.kind,
+                error=failure.error, attempts=failure.attempts)
         if failure.final and failures is not None:
             failures.add(failure)
         if observer.enabled:
             observer.unit_failed(failure)
 
-    def run() -> Tuple[List[Any], List[UnitFailure], int]:
-        return run_supervised(
-            worker, pending_items, jobs=jobs, policy=supervision,
-            describe=describe_local, keys=keys_local,
-            on_done=on_done, on_failure=on_failure, health=health)
-
-    if rec.enabled:
-        with rec.span("engine.execute"):
-            computed, quarantined, retries = run()
-    else:
-        computed, quarantined, retries = run()
-    for i, result in zip(pending, computed):
-        results[i] = result  # FailedUnit placeholders land here too
+    pending_items = [items[i] for i in pending]
+    quarantined: List[UnitFailure] = []
+    retries = 0
+    with rec.span("engine.execute"):
+        if supervision is None:
+            _execute(worker, pending_items, jobs, observer, persist)
+        else:
+            computed, quarantined, retries = run_supervised(
+                worker, pending_items, jobs=jobs, policy=supervision,
+                describe=lambda li: describe(pending[li]),
+                keys=[keys[i] for i in pending] if keys is not None else None,
+                on_done=on_done, on_failure=on_failure, health=health)
+            for i, result in zip(pending, computed):
+                results[i] = result  # FailedUnit placeholders land here too
     if stats is not None:
-        stats.add(len(items), len(items) - len(pending))
+        stats.add(len(items), hits)
         stats.retries += retries
         stats.failed += len(quarantined)
+    if supervision is None:
+        return results
     if failures is not None:
         failures.retries += retries
     if rec.enabled:
@@ -598,13 +574,12 @@ def run_sessions(plans: Iterable[PlanLike], *, jobs: Optional[int] = None,
     normalized = [p if isinstance(p, SessionPlan) else SessionPlan(*p)
                   for p in plans]
     keys = None
-    if cache is not None or options.journal is not None:
+    if cache is not None or options.ledger is not None:
         # The cache key is (video, config, code version) only — whether
         # telemetry is recording never changes what a session computes,
         # so it must not change where its result lives.
         keys = [plan.key for plan in normalized]
     rec = current_recorder()
-    observer = options.observer
     payloads = [(plan, rec.enabled) for plan in normalized]
 
     def describe(i: int) -> str:
@@ -613,34 +588,22 @@ def run_sessions(plans: Iterable[PlanLike], *, jobs: Optional[int] = None,
         seed = getattr(plan.config, "seed", "?")
         return f"{video} seed={seed}"
 
-    if not rec.enabled:
-        results = _run_cached(_call_plan, payloads, keys, jobs, cache,
-                              stats, observer=observer,
-                              supervision=options.supervision,
-                              journal=options.journal,
-                              failures=options.failures, describe=describe,
-                              health=options.health)
-        if observer.enabled:
-            observer.batch_finished(results)
-        return results
     with rec.span("engine.run_sessions"):
-        rec.gauge("engine.jobs", jobs)
+        if rec.enabled:
+            rec.gauge("engine.jobs", jobs)
         results = _run_cached(_call_plan, payloads, keys, jobs, cache,
-                              stats, rec, observer,
-                              supervision=options.supervision,
-                              journal=options.journal,
-                              failures=options.failures, describe=describe,
-                              health=options.health)
-        # Merge per-session telemetry in *plan order* — the results list
-        # is already plan-ordered, so merged counters and event logs are
-        # identical for any worker count.  Cache hits replay whatever
-        # telemetry they were computed with (possibly none).
-        for result in results:
-            telemetry = getattr(result, "telemetry", None)
-            if telemetry is not None:
-                rec.merge(telemetry)
-    if observer.enabled:
-        observer.batch_finished(results)
+                              stats, rec, options, describe)
+        if rec.enabled:
+            # Merge per-session telemetry in *plan order* — the results
+            # list is already plan-ordered, so merged counters and event
+            # logs are identical for any worker count.  Cache hits replay
+            # whatever telemetry they were computed with (possibly none).
+            for result in results:
+                telemetry = getattr(result, "telemetry", None)
+                if telemetry is not None:
+                    rec.merge(telemetry)
+    if options.observer.enabled:
+        options.observer.batch_finished(results)
     return results
 
 
@@ -663,14 +626,13 @@ def run_tasks(fn: Callable[..., Any], argslist: Iterable[tuple], *,
     cache = options.cache if cache is None else _as_cache(cache)
     stats = options.stats if stats is None else stats
     rec = current_recorder()
-    observer = options.observer
     items = [(fn, tuple(args), rec.enabled) for args in argslist]
     if keys is not None:
         keys = list(keys)
         if len(keys) != len(items):
             raise ValueError(
                 f"run_tasks got {len(items)} tasks but {len(keys)} keys")
-    elif cache is not None or options.journal is not None:
+    elif cache is not None or options.ledger is not None:
         # Keyed on (function, args, code version); the record flag is
         # deliberately excluded, like everything telemetry-related.
         keys = [task_fingerprint(fn, args) for _fn, args, _record in items]
@@ -682,26 +644,11 @@ def run_tasks(fn: Callable[..., Any], argslist: Iterable[tuple], *,
             rendered = rendered[:57] + "..."
         return f"{fn.__name__}{rendered}"
 
-    if not rec.enabled:
-        results = _run_cached(_call_task, items, keys, jobs, cache, stats,
-                              observer=observer,
-                              supervision=options.supervision,
-                              journal=options.journal,
-                              failures=options.failures, describe=describe,
-                              health=options.health)
-        unwrapped = [r.value if isinstance(r, _TaskEnvelope) else r
-                     for r in results]
-        if observer.enabled:
-            observer.batch_finished(unwrapped)
-        return unwrapped
     with rec.span("engine.run_tasks"):
-        rec.gauge("engine.jobs", jobs)
-        results = _run_cached(_call_task, items, keys, jobs, cache,
-                              stats, rec, observer,
-                              supervision=options.supervision,
-                              journal=options.journal,
-                              failures=options.failures, describe=describe,
-                              health=options.health)
+        if rec.enabled:
+            rec.gauge("engine.jobs", jobs)
+        results = _run_cached(_call_task, items, keys, jobs, cache, stats,
+                              rec, options, describe)
         unwrapped: List[Any] = []
         for result in results:
             if isinstance(result, _TaskEnvelope):
@@ -710,6 +657,6 @@ def run_tasks(fn: Callable[..., Any], argslist: Iterable[tuple], *,
                 unwrapped.append(result.value)
             else:
                 unwrapped.append(result)
-    if observer.enabled:
-        observer.batch_finished(unwrapped)
+    if options.observer.enabled:
+        options.observer.batch_finished(unwrapped)
     return unwrapped

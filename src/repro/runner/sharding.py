@@ -17,7 +17,7 @@ that scale with three moves:
    through :func:`~repro.runner.pool.run_tasks` with explicit shard
    keys, so everything the engine already guarantees — plan-order
    results, ``jobs=N`` determinism, supervision retries/quarantine, the
-   write-ahead journal, ambient observers — applies per *shard* with no
+   campaign's run ledger, ambient observers — applies per *shard* with no
    new machinery.  Shard artifacts land in a :class:`ShardStore` (the
    content-addressed cache, namespaced under ``<root>/shards``), so a
    re-run of a completed campaign re-simulates zero shards and a resumed
@@ -72,7 +72,7 @@ class Sharding:
     session count (sharding-aware experiments scale their workload to
     it — ``model_validation`` turns it into a Poisson arrival horizon).
     ``shards=1`` still routes through the shard path (one shard), which
-    keeps the artifact store and journal semantics identical at every
+    keeps the artifact store and ledger semantics identical at every
     scale.
 
     ``shard_size`` (CLI: ``--shard-size``) switches from count-based to
@@ -239,7 +239,7 @@ def run_shards(fn: Callable[..., Any],
     """Run ``fn(*args)`` for each ``(spec, args)`` shard, in shard order.
 
     The shard batch rides :func:`~repro.runner.pool.run_tasks` — ambient
-    jobs/supervision/journal/observers all apply, each shard is one
+    jobs/supervision/ledger/observers all apply, each shard is one
     supervised unit — but cache keys are :func:`shard_fingerprint`\\ s
     and artifacts land in the :class:`ShardStore` next to the ambient
     cache.  Returns the plan-ordered values (:class:`ShardResult`\\ s,
@@ -299,7 +299,7 @@ def run_sharded_sessions(plans: Iterable[PlanLike], *, campaign: str,
     :class:`~repro.obs.collect.CampaignSnapshot` of flow/metric/QoE
     aggregates, and no session result ever crosses a process boundary.
     ``shards`` defaults to the ambient :class:`Sharding` policy (1 when
-    none is installed).  Supervision retries whole shards; the journal
+    none is installed).  Supervision retries whole shards; the ledger
     and artifact store make a killed campaign resumable at shard
     granularity.
     """

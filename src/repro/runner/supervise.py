@@ -179,7 +179,7 @@ class CampaignAborted(RuntimeError):
     """A batch finished with quarantined units and ``degrade`` is off.
 
     Raised *after* the batch completes, with every completed unit
-    already persisted to the cache/journal — ``repro experiment
+    already persisted to the cache and ledger — ``repro experiment
     --resume`` (or simply rerunning against the same cache) re-simulates
     only what is missing.  ``report`` carries the full
     :class:`FailureReport`.
@@ -426,8 +426,9 @@ def run_supervised(
     Returns ``(results, quarantined, retries)``: results in input order
     with :class:`FailedUnit` placeholders for quarantined units, the
     final :class:`UnitFailure` list (empty on a clean run), and the
-    number of retries spent.  ``on_done(index, value)`` fires in
-    *completion order* as units finish (the persistence hook);
+    number of retries spent.  ``on_done(index, value, worker,
+    latency_s)`` fires in *completion order* as units finish (the
+    persistence hook), naming the worker lane and the unit's wall time;
     ``on_failure(failure)`` fires on every failed attempt, with
     ``failure.final`` set on the quarantining one.
 
@@ -579,7 +580,9 @@ def run_supervised(
                             if health is not None:
                                 health.unit_finished(lanes[slot], index)
                             if on_done is not None:
-                                on_done(index, payload[0])
+                                on_done(index, payload[0], lanes[slot],
+                                        time.monotonic()
+                                        - worker_handle.started_at)
                         else:
                             _failed_attempt(index, "exception", *payload,
                                             lane=lanes[slot])

@@ -312,32 +312,3 @@ def _run_session_impl(video: Video, config: SessionConfig) -> SessionResult:
         fault_log=fault_log,
     )
 
-
-def run_sessions(videos, config: SessionConfig) -> List[SessionResult]:
-    """Deprecated: delegate a serial session batch to the engine.
-
-    Historically this looped :func:`run_session` inline; it now derives
-    the same per-session seeds and hands the plans to
-    :func:`repro.runner.run_sessions`, so there is one campaign entry
-    point and ambient engine options (jobs, cache, observers,
-    supervision) apply here too.  Results are identical in content and
-    order; new code should build :class:`~repro.runner.SessionPlan`
-    batches and call the engine directly.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.streaming.run_sessions is deprecated; build SessionPlan "
-        "batches and call repro.runner.run_sessions (the engine) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..runner.pool import run_sessions as _engine_run_sessions
-
-    plans = [
-        (video,
-         SessionConfig(**{**vars(config),
-                          "seed": derive_seed(config.seed, str(i))}))
-        for i, video in enumerate(videos)
-    ]
-    return _engine_run_sessions(plans)

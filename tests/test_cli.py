@@ -27,11 +27,12 @@ class TestList:
 
     def test_list_with_cache_dir_shows_campaign_journals(self, capsys,
                                                          tmp_path):
-        from repro.runner import CampaignJournal
+        from repro.runner import RunLedger
 
-        with CampaignJournal.for_campaign(tmp_path, "fig2", "small", 1) as j:
-            j.done("aa" + "0" * 38)
-            j.quarantined("bb" + "0" * 38, "boom", 3)
+        with RunLedger.for_campaign(tmp_path, "fig2", "small", 1) as j:
+            j.event("done", key="aa" + "0" * 38)
+            j.event("quarantined", key="bb" + "0" * 38, error="boom",
+                    attempts=3)
         assert main(["list", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "Campaign journals" in out
@@ -46,10 +47,10 @@ class TestList:
                                                      tmp_path):
         import json
 
-        from repro.runner import CampaignJournal
+        from repro.runner import RunLedger
 
-        with CampaignJournal.for_campaign(tmp_path, "fig3", "small", 0) as j:
-            j.done("aa" + "0" * 38)
+        with RunLedger.for_campaign(tmp_path, "fig3", "small", 0) as j:
+            j.event("done", key="aa" + "0" * 38)
         assert main(["list", "--json", "--cache-dir", str(tmp_path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"experiments", "campaigns"}

@@ -34,11 +34,9 @@ import pickle
 import signal
 import threading
 import time
-from types import SimpleNamespace
 
 import pytest
 
-from repro.obs.ledger import RunLedger, load_ledger
 from repro.runner.cache import ResultCache
 from repro.runner.dist import (
     DistPolicy,
@@ -48,6 +46,7 @@ from repro.runner.dist import (
     make_queue,
     run_worker,
 )
+from repro.runner.ledger import RunLedger, load_ledger
 from repro.runner.pool import RunStats, engine_options
 from repro.runner.sharding import (
     ShardResult,
@@ -210,14 +209,28 @@ class TestFileShardQueue:
         with pytest.raises(ValueError):
             FileShardQueue(tmp_path, ttl=0)
 
-    def test_make_queue_routes_paths_and_redis_urls(self, tmp_path):
+    def test_make_queue_routes_paths_and_rejects_urls(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
         queue = make_queue(tmp_path / "q", ttl=7)
         assert isinstance(queue, FileShardQueue)
         assert queue.ttl == 7
-        # redis is deliberately not installed: the stub must say so
-        # loudly instead of half-working
-        with pytest.raises(NotImplementedError):
-            make_queue("redis://localhost:6379/0")
+        # the shared directory is the only transport: a URL is refused
+        # loudly instead of becoming a directory called "redis:"
+        monkeypatch.chdir(tmp_path)
+        url = "redis://localhost:6379/0"
+        with pytest.raises(ValueError, match="redis://"):
+            make_queue(url)
+        with pytest.raises(ValueError, match="redis://"):
+            DistPolicy(queue=url)
+        assert main(["worker", "--queue-dir", url,
+                     "--cache-dir", str(tmp_path / "cache")]) == 2
+        assert main(["experiment", "model_validation", "--sessions", "8",
+                     "--distributed", "--queue-dir", url,
+                     "--cache-dir", str(tmp_path / "cache")]) == 2
+        assert capsys.readouterr().err.count("redis://") == 2
+        assert not (tmp_path / "redis:").exists()
 
     def test_heartbeat_renews_while_running(self, tmp_path):
         queue = FileShardQueue(tmp_path, ttl=0.4)
@@ -405,7 +418,7 @@ class TestCoordinator:
                            meta={"experiment": "dist-test"})
         with ledger, engine_options(
                 cache=ResultCache(tmp_path / "cache"), stats=stats,
-                health=SimpleNamespace(ledger=ledger),
+                ledger=ledger,
                 dist=DistPolicy(queue=str(tmp_path / "q"), workers=0,
                                 ttl=1.0, poll=0.05)):
             results = run_shards(_moments_shard, shards)
@@ -423,9 +436,12 @@ class TestCoordinator:
         dist = view.distribution()
         assert dist["shards"] == 2 and dist["cache_hits"] == 1
         assert dist["re_leases"] == 1
-        done_workers = {e.get("worker") for e in view.events
-                       if e.get("event") == "done"}
-        assert done_workers == {"rescuer"}
+        done = [e for e in view.events if e.get("event") == "done"]
+        assert {e.get("worker") for e in done
+                if not e.get("cached")} == {"rescuer"}
+        # the prefilled artifact is replayed once, keyed, as a cache hit
+        assert [e["key"] for e in done if e.get("cached")] == [keys[0]]
+        assert view.units() == {key: "done" for key in keys}
 
     def test_failed_shard_aborts_the_campaign_unless_degraded(
             self, tmp_path):

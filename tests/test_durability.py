@@ -19,15 +19,16 @@ import pytest
 from repro.obs import CampaignCollector
 from repro.runner import (
     CampaignAborted,
-    CampaignJournal,
     FailedUnit,
     FailureReport,
     ResultCache,
     RetryBudget,
     RunStats,
     SupervisionPolicy,
+    RunLedger,
     engine_options,
-    list_journals,
+    list_campaigns,
+    load_ledger,
     run_sessions,
 )
 from repro.simnet import RESEARCH
@@ -114,10 +115,10 @@ class TestKillAndResume:
                       chaos="kill-after:1")
         assert killed.returncode == 130, killed.stderr
 
-        # the journal recorded what the kill did not lose
-        journals = list_journals(tmp_path / "cache")
-        assert len(journals) == 1
-        done_before_resume = journals[0]["done"]
+        # the ledger recorded what the kill did not lose
+        campaigns = list_campaigns(tmp_path / "cache")
+        assert len(campaigns) == 1
+        done_before_resume = campaigns[0]["done"]
         assert done_before_resume >= 1
 
         # resume: finishes, re-simulates only the lost units
@@ -172,7 +173,7 @@ class TestKillAndResume:
 
 
 class TestEngineDurability:
-    """In-process: supervision/journal/failures through run_sessions."""
+    """In-process: supervision/ledger/failures through run_sessions."""
 
     def _run(self, tmp_path, *, chaos=None, monkeypatch=None, plans=None,
              **opts):
@@ -191,29 +192,31 @@ class TestEngineDurability:
         assert [r.records for r in supervised] == [r.records for r in plain]
 
     def test_journal_records_done_units(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "j.jsonl")
+        ledger = RunLedger(tmp_path / "j.jsonl")
         try:
-            self._run(tmp_path, journal=journal)
-            assert journal.counts() == {"done": 3, "failed": 0,
-                                        "quarantined": 0}
+            self._run(tmp_path, ledger=ledger)
+            assert ledger.unit_counts() == {"done": 3, "failed": 0,
+                                            "quarantined": 0}
         finally:
-            journal.close()
+            ledger.close()
 
     def test_cache_hits_are_journaled_too(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         self._run(tmp_path, cache=cache)
-        journal = CampaignJournal(tmp_path / "j.jsonl")
+        ledger = RunLedger(tmp_path / "j.jsonl")
         try:
-            _, stats = self._run(tmp_path, cache=cache, journal=journal)
+            _, stats = self._run(tmp_path, cache=cache, ledger=ledger)
             assert stats.cache_hits == 3
-            assert journal.counts()["done"] == 3
+            assert ledger.unit_counts()["done"] == 3
         finally:
-            journal.close()
+            ledger.close()
+        # replays are marked as such, so reports never count them as work
+        assert load_ledger(ledger.path).counts()["done (cached)"] == 3
 
     def test_poison_aborts_after_persisting_completed_units(
             self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path / "cache")
-        journal = CampaignJournal(tmp_path / "j.jsonl")
+        ledger = RunLedger(tmp_path / "j.jsonl")
         policy = SupervisionPolicy(
             retry=RetryBudget(max_attempts=2, backoff_base=0.0))
         failures = FailureReport()
@@ -222,11 +225,11 @@ class TestEngineDurability:
             with pytest.raises(CampaignAborted) as excinfo:
                 self._run(tmp_path, chaos="poison:0.5",
                           monkeypatch=monkeypatch, plans=plans, cache=cache,
-                          journal=journal, supervision=policy,
+                          ledger=ledger, supervision=policy,
                           failures=failures)
-            counts = journal.counts()
+            counts = ledger.unit_counts()
             # abort happens *after* the batch: completed units are in the
-            # cache and journal, quarantined ones attributed
+            # cache and ledger, quarantined ones attributed
             assert counts["quarantined"] == 1
             assert counts["done"] == 2
             assert len(cache) == 2
@@ -234,7 +237,7 @@ class TestEngineDurability:
             assert not failures.ok
             assert len(failures.failures) == 1
         finally:
-            journal.close()
+            ledger.close()
 
     def test_degrade_returns_placeholders_in_plan_order(
             self, tmp_path, monkeypatch):

@@ -28,8 +28,12 @@ from repro.obs import (
 from repro.runner import (
     NullRunObserver,
     RetryBudget,
+    RunStats,
     SupervisionPolicy,
+    engine_options,
     run_supervised,
+    run_tasks,
+    task_fingerprint,
 )
 
 #: Retry without waiting; generous deadline the tests must beat.
@@ -344,38 +348,45 @@ class TestSupervisedIntegration:
 
     def test_sigkilled_worker_attributed_in_ledger(self, tmp_path):
         """kill -9 mid-unit: the supervisor settles the corpse, the
-        monitor attributes the retry to the lane in the ledger, and the
-        retried unit still completes — all well inside unit_timeout."""
+        engine ledgers the retry attributed to the lane, the monitor
+        ledgers the worker-lost suspicion, and the retried unit still
+        completes — all well inside unit_timeout."""
         unit_timeout = 30.0
         ledger = RunLedger(tmp_path / "run.jsonl",
                            meta={"experiment": "kill-test"})
-        monitor = HealthMonitor(HealthPolicy(interval=0.1), ledger=ledger)
+        monitor = HealthMonitor(HealthPolicy(interval=0.1))
         spy = Spy()
-        monitor.attach(spy)
         policy = SupervisionPolicy(unit_timeout=unit_timeout, retry=FAST)
+        stats = RunStats()
+        args = (str(tmp_path), 3)
         started = time.monotonic()
-        results, quarantined, retries = run_supervised(
-            _sigkill_once, [(str(tmp_path), 3)], jobs=1, policy=policy,
-            health=monitor, describe=lambda i: f"unit-{i}")
+        with ledger, engine_options(observer=spy, supervision=policy,
+                                    health=monitor, ledger=ledger,
+                                    stats=stats):
+            results = run_tasks(_sigkill_once, [(args,)])
         elapsed = time.monotonic() - started
-        ledger.close()
         assert results == [9]
-        assert quarantined == []
-        assert retries == 1
+        assert stats.failed == 0
+        assert stats.retries == 1
         assert elapsed < unit_timeout
         assert "worker-lost" in [s.kind for s in spy.suspicions]
 
         view = load_ledger(tmp_path / "run.jsonl")
+        key = task_fingerprint(_sigkill_once, (args,))
         retried = [e for e in view.events if e["event"] == "retried"]
         assert len(retried) == 1
         assert retried[0]["worker"] == "w0"   # the attribution
         assert retried[0]["kind"] == "crash"
-        assert retried[0]["label"] == "unit-0"
+        assert retried[0]["key"] == key
+        assert retried[0]["label"].startswith("_sigkill_once(")
         lost = [e for e in view.suspicions() if e["kind"] == "worker-lost"]
         assert lost and lost[0]["worker"] == "w0"
-        # the respawned worker finished the retry on the same lane
+        # the respawned worker finished the retry on the same lane, and
+        # that settlement is the unit's one done event
         done = [e for e in view.events if e["event"] == "done"]
-        assert [e["worker"] for e in done] == ["w0"]
+        assert [(e["worker"], e["key"]) for e in done] == [("w0", key)]
+        assert done[0]["latency_s"] >= 0
+        assert view.units() == {key: "done"}
 
     def test_healthy_run_raises_no_suspicion(self, tmp_path):
         # thresholds generous (but finite) against a loaded machine:

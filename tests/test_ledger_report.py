@@ -220,6 +220,36 @@ class TestReportCli:
         assert "- Shards merged: 12" in out
         assert "| w0 |" in out
 
+    def test_cached_campaign_reports_without_health(self, tmp_path, capsys):
+        """Every cached campaign writes the one log: `repro report`
+        renders a run without --health, with exactly one non-cached
+        `done` per simulated unit; a warm rerun replays them as hits."""
+        cache = tmp_path / "cache"
+        argv = ["experiment", "fig2", "--scale", "small", "--seed", "1",
+                "--cache-dir", str(cache)]
+        report = ["report", "fig2", "--seed", "1", "--cache-dir",
+                  str(cache)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        view = load_ledger(ledger_path(cache, "fig2", "small", 1))
+        done = [e for e in view.events if e["event"] == "done"]
+        assert len(done) == 2  # fig2 simulates two units
+        assert not any(e.get("cached") for e in done)
+        assert len({e["key"] for e in done}) == 2
+        assert main(report) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# Campaign report — fig2")
+        assert ("- Units: 2 scheduled (0 cache hits), 2 done, 0 retried, "
+                "0 quarantined") in out
+
+        assert main(argv) == 0  # warm: a fresh log of two replays
+        capsys.readouterr()
+        assert main(report) == 0
+        out = capsys.readouterr().out
+        assert ("- Units: 2 scheduled (2 cache hits), 0 done, 0 retried, "
+                "0 quarantined") in out
+        assert "| done (cached) | 2 |" in out
+
     def test_report_out_renders_html(self, tmp_path, capsys):
         view_path = _write_campaign(tmp_path / "run.jsonl")
         out = tmp_path / "report.html"

@@ -11,8 +11,9 @@ from repro.streaming import (
     Service,
     SessionConfig,
     run_session,
-    run_sessions,
 )
+from repro.runner import SessionPlan, run_sessions
+from repro.simnet.rng import derive_seed
 from repro.workloads import MBPS, Video
 
 
@@ -28,6 +29,13 @@ def config(**kw):
                     container=Container.FLASH, capture_duration=45.0, seed=3)
     defaults.update(kw)
     return SessionConfig(**defaults)
+
+
+def batch_plans(videos, cfg):
+    """One engine plan per video, each on its own derived seed."""
+    return [SessionPlan(video, SessionConfig(
+                **{**vars(cfg), "seed": derive_seed(cfg.seed, str(i))}))
+            for i, video in enumerate(videos)]
 
 
 class TestDeterminism:
@@ -70,8 +78,8 @@ class TestRunSessions:
     def test_batch_runs_are_independent(self):
         videos = [flash_video(f"v{i}", rate=0.6 + 0.1 * i, duration=200.0)
                   for i in range(3)]
-        with pytest.deprecated_call():
-            results = run_sessions(videos, config(capture_duration=30.0))
+        results = run_sessions(batch_plans(videos,
+                                           config(capture_duration=30.0)))
         assert len(results) == 3
         # each session saw only its own video
         for video, result in zip(videos, results):
@@ -82,36 +90,12 @@ class TestRunSessions:
         videos = [flash_video("same", 0.6), flash_video("same", 0.6)]
         from repro.simnet import RESIDENCE
 
-        with pytest.deprecated_call():
-            results = run_sessions(videos, config(profile=RESIDENCE,
-                                                  capture_duration=30.0))
+        results = run_sessions(batch_plans(
+            videos, config(profile=RESIDENCE, capture_duration=30.0)))
         # same video but per-session derived seeds: lossy paths diverge
         a, b = results
         assert ([r.timestamp for r in a.records]
                 != [r.timestamp for r in b.records])
-
-    def test_shim_matches_engine_batch(self):
-        # the deprecation shim must derive the same per-session seeds the
-        # serial loop always did, then delegate to the engine — identical
-        # results either way
-        from repro.runner import SessionPlan
-        from repro.runner import run_sessions as engine_run_sessions
-        from repro.simnet.rng import derive_seed
-
-        videos = [flash_video(f"v{i}") for i in range(2)]
-        cfg = config(capture_duration=30.0)
-        with pytest.deprecated_call():
-            via_shim = run_sessions(videos, cfg)
-        plans = [
-            SessionPlan(video, SessionConfig(
-                **{**vars(cfg), "seed": derive_seed(cfg.seed, str(i))}))
-            for i, video in enumerate(videos)
-        ]
-        via_engine = engine_run_sessions(plans)
-        for a, b in zip(via_shim, via_engine):
-            assert [r.timestamp for r in a.records] \
-                == [r.timestamp for r in b.records]
-            assert a.downloaded == b.downloaded
 
 
 class TestSessionAccounting:

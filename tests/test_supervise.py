@@ -156,8 +156,10 @@ class TestRunSupervised:
         policy = SupervisionPolicy(retry=FAST)
         results, _, _ = run_supervised(
             _square, [2, 3], jobs=1, policy=policy,
-            on_done=lambda i, v: seen.append((i, v)))
-        assert sorted(seen) == [(0, 4), (1, 9)]
+            on_done=lambda i, v, lane, latency_s: seen.append(
+                (i, v, lane, latency_s >= 0)))
+        # each completion names its worker lane and wall time
+        assert sorted(seen) == [(0, 4, "w0", True), (1, 9, "w0", True)]
         assert results == [4, 9]
 
     def test_on_failure_sees_transient_then_final(self):
