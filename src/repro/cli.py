@@ -80,6 +80,19 @@ def _add_scale_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
+def _add_durability(p: argparse.ArgumentParser, unit: str) -> None:
+    """The ``--max-attempts``/``--unit-timeout`` pair; ``unit`` names
+    what one attempt runs (a campaign unit, or a worker's shard)."""
+    p.add_argument(
+        "--max-attempts", type=int, default=1, metavar="N",
+        help=f"run each {unit} up to N times before quarantining it "
+             f"(default 1 = fail fast; >1 enables worker supervision)")
+    p.add_argument(
+        "--unit-timeout", type=float, default=None, metavar="SECS",
+        help=f"per-{unit} wall-clock deadline; a worker exceeding it is "
+             f"killed and the {unit} retried (enables worker supervision)")
+
+
 def _add_campaign_args(p: argparse.ArgumentParser) -> None:
     """The campaign flags ``experiment`` and ``dash`` share."""
     _add_scale_seed(p)
@@ -134,14 +147,7 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
         help="continue a previous campaign: reuse its journal (requires "
              "--cache-dir) and re-simulate only incomplete units; exports "
              "stay byte-identical to an uninterrupted run")
-    p.add_argument(
-        "--max-attempts", type=int, default=1, metavar="N",
-        help="run each unit up to N times before quarantining it "
-             "(default 1 = fail fast; >1 enables worker supervision)")
-    p.add_argument(
-        "--unit-timeout", type=float, default=None, metavar="SECS",
-        help="per-unit wall-clock deadline; a worker exceeding it is "
-             "killed and the unit retried (enables worker supervision)")
+    _add_durability(p, unit="unit")
     p.add_argument(
         "--degrade", action="store_true",
         help="complete the campaign even when units are quarantined, "
@@ -261,14 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument(
         "--max-shards", type=int, default=None, metavar="N",
         help="stop after claiming N shards (canary/test workers)")
-    p_worker.add_argument(
-        "--max-attempts", type=int, default=1, metavar="N",
-        help="supervised retries per shard before reporting it failed "
-             "(default 1 = fail fast)")
-    p_worker.add_argument(
-        "--unit-timeout", type=float, default=None, metavar="SECS",
-        help="per-shard wall-clock deadline inside this worker's "
-             "supervised pool")
+    _add_durability(p_worker, unit="shard")
     p_worker.add_argument(
         "--verbose", action="store_true",
         help="log every claim/completion/steal to stderr")
@@ -622,13 +621,6 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
         return 2
     supervision = _supervision_policy(args)
     health_on = dashboard or getattr(args, "health", False)
-    if health_on and supervision is None:
-        # heartbeats only exist under worker supervision; health without
-        # an explicit policy gets the default one (1 attempt, no timeout
-        # — behavior matches unsupervised runs, workers just beat)
-        from .runner import SupervisionPolicy
-
-        supervision = SupervisionPolicy()
     sharding = None
     if (args.shards is not None or args.sessions is not None
             or args.shard_size is not None or args.distributed):

@@ -3,8 +3,8 @@
 The paper's dataset is thousands of captures; reproducing its tables
 replays dozens of independent seeded sessions per figure.  This package
 makes that campaign layer a property of the framework instead of each
-experiment: plans fan out over a ``multiprocessing`` pool, completed
-results memoize into an on-disk cache keyed by (video, config, code
+experiment: plans fan out over supervised worker processes (inline
+for ``jobs=1``), completed results memoize into an on-disk cache keyed by (video, config, code
 version), and ordering/seeding guarantees make ``jobs=N`` byte-identical
 to ``jobs=1``.
 
@@ -25,9 +25,10 @@ Public API:
   :mod:`repro.obs` builds progress reporting and exporters on top.
 * :class:`SupervisionPolicy`, :class:`RetryBudget`,
   :class:`FailureReport`, :class:`CampaignAborted`, :class:`UnitFailure`,
-  :class:`FailedUnit` — the durability layer
-  (:mod:`repro.runner.supervise`): per-unit deadlines, retries with
-  backoff, and quarantine of poison units.
+  :class:`FailedUnit`, :func:`run_supervised` — the durability layer
+  (:mod:`repro.runner.supervise`): the worker loop every ``jobs>1``
+  batch runs on, with per-unit deadlines, retries with backoff, and
+  quarantine of poison units under a policy.
 * :class:`RunLedger`, :func:`load_ledger`, :func:`ledger_path`,
   :func:`campaign_fingerprint`, :func:`list_campaigns` — the one
   campaign log (:mod:`repro.runner.ledger`): the engine's write-ahead

@@ -6,11 +6,11 @@ builds a private network whose RNG streams derive from ``config.seed``
 (see :func:`repro.simnet.rng.derive_seed`), never from shared state.  The
 engine exploits exactly that:
 
-* ``run_sessions(plans)`` executes a batch over a ``multiprocessing``
-  pool of ``jobs`` workers and returns results **in plan order** — the
-  pool's ``map`` reassembles completion-order results by input index, so
-  the output is byte-identical to a serial run regardless of worker
-  scheduling.
+* ``run_sessions(plans)`` executes a batch over ``jobs`` supervised
+  worker processes (:func:`~repro.runner.supervise.run_supervised`; a
+  ``jobs=1`` batch runs inline) and returns results **in plan order** —
+  completion-order results land in their input slots, so the output is
+  byte-identical to a serial run regardless of worker scheduling.
 * With a :class:`~repro.runner.cache.ResultCache`, each plan is first
   looked up by content fingerprint (video + config + code version); only
   misses are simulated, and their results are stored for the next run.
@@ -35,9 +35,7 @@ from __future__ import annotations
 
 import contextvars
 import dataclasses
-import multiprocessing
 import os
-import signal
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -363,82 +361,6 @@ def _call_task(payload: Tuple[Callable[..., Any], tuple, bool]):
     return fn(*args)
 
 
-def _pool_context():
-    # fork starts in milliseconds and inherits sys.path; spawn is the
-    # portable fallback (macOS/Windows default)
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-def _pool_worker_init() -> None:
-    # Pool.terminate() ends its workers with SIGTERM while holding the
-    # task queue's read lock.  A forked worker inherits whatever SIGTERM
-    # handler the parent installed (``repro worker`` installs one); a
-    # Python-level handler turns the signal into an exception that can
-    # race the worker's own shutdown and leave it blocked on that lock,
-    # hanging terminate() forever.  Workers always take the default
-    # action, whatever the parent process does with the signal.
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-
-def _indexed_call(payload: Tuple[int, Callable[[Any], Any], Any]):
-    """Pool shim tagging each result with its input index, so the parent
-    can persist results in *completion* order and still reassemble the
-    plan-ordered list."""
-    index, worker, item = payload
-    return index, worker(item)
-
-
-def _execute(worker: Callable[[Any], Any], items: Sequence[Any],
-             jobs: int, observer: NullRunObserver = NULL_OBSERVER,
-             on_unit: Optional[Callable[[int, Any], None]] = None) -> List[Any]:
-    """Run ``worker`` over ``items``, preserving input order.
-
-    ``jobs=1`` (the default everywhere) runs inline — no pool, no pickle
-    round-trip — so tests and single-session experiments pay nothing.
-    The parallel path calls the *same* worker function on the same
-    arguments; results only travel through a pickle round-trip, which is
-    lossless for session results, so outputs are identical bytewise.
-
-    ``on_unit(index, result)`` is the durability hook: it fires as each
-    unit completes (completion order in the parallel path), letting the
-    caller persist results incrementally so a killed campaign keeps what
-    it already computed.
-    """
-    results: List[Any] = [None] * len(items)
-
-    def settle(index: int, result: Any) -> None:
-        if on_unit is not None:
-            on_unit(index, result)
-        if observer.enabled:
-            observer.unit_finished(result)
-        results[index] = result
-
-    if jobs <= 1 or len(items) <= 1:
-        for index, item in enumerate(items):
-            settle(index, worker(item))
-        return results
-    # An explicit jobs=N request spawns N workers even when os.cpu_count()
-    # is lower: oversubscription costs little for these CPU-bound sessions,
-    # and the parallel code path (fork + pickle round-trip) must behave
-    # identically everywhere for the jobs=N == jobs=1 guarantee to be
-    # testable on any machine.
-    processes = min(jobs, len(items))
-    with _pool_context().Pool(processes=processes,
-                              initializer=_pool_worker_init) as pool:
-        # chunksize=1: sessions vary widely in cost (a 16-cell Table 1
-        # batch mixes 30 s bulk transfers with 180 s Netflix sessions),
-        # so fine-grained dispatch keeps the stragglers from serializing;
-        # imap_unordered yields completion-order results, so a straggler
-        # never delays persisting the units that finished after it, and
-        # the index tag restores plan order.
-        indexed = [(i, worker, item) for i, item in enumerate(items)]
-        for index, result in pool.imap_unordered(_indexed_call, indexed,
-                                                 chunksize=1):
-            settle(index, result)
-    return results
-
-
 def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
                 keys: Optional[List[str]], jobs: int,
                 cache: Optional[ResultCache], stats: Optional[RunStats],
@@ -449,11 +371,13 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
     Every unit that completes is persisted (cache + ledger) *as it
     completes*, not after the batch — a campaign killed mid-batch keeps
     everything already simulated.  Each settlement is written to the
-    ledger exactly once, here.  With a supervision policy, cache misses
-    run under :func:`~repro.runner.supervise.run_supervised` (deadlines,
-    retries, quarantine) instead of the plain pool; a health monitor
-    additionally receives worker heartbeats and unit lifecycle
-    notifications there (report-only).
+    ledger exactly once, here.  Cache misses run inline when the batch
+    asks for one job with neither a supervision policy nor a health
+    monitor; every other batch runs on
+    :func:`~repro.runner.supervise.run_supervised`'s worker processes —
+    with deadlines, retries and quarantine under a policy, fail-fast
+    without one — where a health monitor additionally receives worker
+    heartbeats and unit lifecycle notifications (report-only).
     """
     observer = options.observer
     supervision = options.supervision
@@ -485,20 +409,16 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
         rec.inc("engine.cache_hits", hits)
         rec.inc("engine.cache_misses", len(pending))
 
-    def persist(local_index: int, result: Any, lane: Optional[str] = None,
+    def on_done(local_index: int, value: Any, lane: Optional[str] = None,
                 latency_s: Optional[float] = None) -> None:
         i = pending[local_index]
-        results[i] = result
+        results[i] = value
         if keys is not None:
             if cache is not None:
-                cache.put(keys[i], result)
+                cache.put(keys[i], value)
             if ledger is not None:
                 ledger.event("done", key=keys[i], unit=i, worker=lane,
                              latency_s=latency_s)
-
-    def on_done(local_index: int, value: Any, lane: str,
-                latency_s: float) -> None:
-        persist(local_index, value, lane, round(latency_s, 6))
         if observer.enabled:
             observer.unit_finished(value)
 
@@ -520,8 +440,11 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
     quarantined: List[UnitFailure] = []
     retries = 0
     with rec.span("engine.execute"):
-        if supervision is None:
-            _execute(worker, pending_items, jobs, observer, persist)
+        if jobs == 1 and supervision is None and health is None:
+            # inline: no process, no pickle round-trip, and an exception
+            # propagates straight from the unit that raised it
+            for local_index, item in enumerate(pending_items):
+                on_done(local_index, worker(item))
         else:
             computed, quarantined, retries = run_supervised(
                 worker, pending_items, jobs=jobs, policy=supervision,
@@ -534,14 +457,12 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
         stats.add(len(items), hits)
         stats.retries += retries
         stats.failed += len(quarantined)
-    if supervision is None:
-        return results
     if failures is not None:
         failures.retries += retries
-    if rec.enabled:
+    if rec.enabled and supervision is not None:
         rec.inc("engine.retries", retries)
         rec.inc("engine.quarantined", len(quarantined))
-    if quarantined and not supervision.degrade:
+    if quarantined and not (supervision is not None and supervision.degrade):
         # the ambient report (when installed) already holds the batch's
         # quarantines via on_failure; raise with it so callers see one
         # accumulated account, not a per-batch fragment

@@ -1,10 +1,9 @@
 """Worker supervision: deadlines, retries with backoff, and quarantine.
 
-The plain engine path (:func:`repro.runner.pool._execute`) assumes a
-perfect world: every unit returns, no worker hangs, no process dies.
-Long campaigns break that assumption — a single stuck session or a
-worker OOM-killed by the OS used to stall or abort the whole run.  This
-module is the engine's fault boundary:
+:func:`run_supervised` runs every batch the engine does not run inline.
+Long campaigns break the perfect-world assumption — a single stuck
+session or a worker OOM-killed by the OS used to stall or abort the
+whole run.  This module is the engine's fault boundary:
 
 * every unit runs in a *supervised worker process* with a wall-clock
   deadline; a worker that exceeds it is killed and respawned;
@@ -19,8 +18,8 @@ module is the engine's fault boundary:
   degrade *loudly*, never silently.
 
 Supervision is opt-in (``EngineOptions.supervision``); without a policy
-the engine keeps its zero-overhead inline/pool paths and its exact
-historical semantics (first exception propagates).
+the same loop keeps the engine's fail-fast semantics (first exception
+propagates; a dead worker raises :class:`CampaignAborted`).
 
 The module also hosts the chaos hooks (``$REPRO_CHAOS``) used by the
 chaos-smoke CI job and the durability tests to inject worker crashes,
@@ -30,12 +29,17 @@ poison units, and campaign kills deterministically.
 from __future__ import annotations
 
 import hashlib
+import heapq
+import multiprocessing
 import os
+import pickle
+import signal
 import sys
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field
+from multiprocessing import connection
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -91,7 +95,6 @@ class SupervisionPolicy:
     unit_timeout: Optional[float] = None
     retry: RetryBudget = field(default_factory=RetryBudget)
     degrade: bool = False
-    poll_interval: float = 0.05
 
 
 @dataclass
@@ -283,6 +286,13 @@ def chaos_mark_done(key: str) -> None:
 
 # -- the supervisor -----------------------------------------------------------
 
+def _process_context():
+    # fork starts in milliseconds and inherits sys.path; spawn is the
+    # portable fallback (macOS/Windows default)
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
 def _worker_rss_kb() -> int:
     """Peak RSS of this worker process, in kB (0 where unsupported)."""
     try:
@@ -306,9 +316,18 @@ def _beat_emitter(beats, interval: float, counter) -> None:
     while True:
         time.sleep(interval)
         try:
-            beats.put((counter[0], _worker_rss_kb()))
-        except Exception:  # parent gone / queue closed: nothing to tell
+            beats.send((counter[0], _worker_rss_kb()))
+        except Exception:  # parent gone / pipe closed: nothing to tell
             return
+
+
+def _portable(exc: BaseException) -> Optional[BaseException]:
+    """``exc`` if it survives a pickle round trip to the parent, else ``None``."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return None
+    return exc
 
 
 def _supervised_worker_main(worker: Callable[[Any], Any], inbox, outbox,
@@ -317,62 +336,86 @@ def _supervised_worker_main(worker: Callable[[Any], Any], inbox, outbox,
 
     Results and exceptions both travel back through ``outbox``; an
     abrupt death (crash, kill, chaos) is detected by the supervisor
-    through the process exit code instead.  When health monitoring is
-    on, ``beats`` is a dedicated queue fed by a daemon heartbeat thread
+    through the process sentinel instead.  When health monitoring is
+    on, ``beats`` is a dedicated pipe fed by a daemon heartbeat thread
     — separate from ``outbox`` so a torn result pickle can never corrupt
     the liveness channel (or vice versa).
     """
+    # A forked worker inherits whatever SIGTERM handler the parent
+    # installed (``repro worker`` installs one); a Python-level handler
+    # turns the signal into an exception that can race the worker's own
+    # shutdown.  Workers always take the default action, whatever the
+    # parent process does with the signal.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     counter = [0]  # units completed, shared with the heartbeat thread
     if beats is not None:
+        try:  # birth beat, sent before the emitter thread shares the pipe
+            beats.send((0, _worker_rss_kb()))
+        except Exception:
+            pass
         threading.Thread(target=_beat_emitter,
                          args=(beats, beat_interval, counter),
                          daemon=True).start()
-        try:
-            beats.put((0, _worker_rss_kb()))  # birth beat: alive before work
-        except Exception:
-            pass
     while True:
-        message = inbox.get()
+        try:
+            message = inbox.recv()
+        except EOFError:
+            return  # the supervisor is gone
         if message is None:
             return
         index, item = message
         try:
             value = worker(item)
         except BaseException as exc:  # noqa: BLE001 — attribute, don't die
-            outbox.put((index, "err", f"{type(exc).__name__}: {exc}",
-                        traceback.format_exc()))
+            outbox.send((index, "err", f"{type(exc).__name__}: {exc}",
+                         traceback.format_exc(), _portable(exc)))
         else:
             try:
-                outbox.put((index, "ok", value))
+                outbox.send((index, "ok", value))
                 counter[0] += 1
             except Exception as exc:  # unpicklable result
-                outbox.put((index, "err",
-                            f"result not picklable: {exc!r}",
-                            traceback.format_exc()))
+                outbox.send((index, "err",
+                             f"result not picklable: {exc!r}",
+                             traceback.format_exc(), None))
+
+
+class _RemoteTraceback(Exception):
+    """A worker's traceback, the cause of an exception re-raised here."""
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 class _Worker:
     """Supervisor-side handle for one worker process.
 
-    Each worker owns a private result pipe: a process killed mid-write
-    can only corrupt *its own* queue, which the supervisor discards when
-    it respawns the worker — a shared queue would poison the whole
-    batch.
+    Each worker owns private pipes: a process killed mid-write can only
+    corrupt *its own* result pipe, which the supervisor discards when it
+    respawns the worker — a shared queue would poison the whole batch.
+    The parent closes the worker's ends once it has started.
     """
 
     def __init__(self, context, target,
                  beat_interval: Optional[float] = None) -> None:
-        self.inbox = context.SimpleQueue()
-        self.outbox = context.SimpleQueue()
+        inbox, self.inbox = context.Pipe(duplex=False)
+        self.outbox, outbox = context.Pipe(duplex=False)
+        child_ends = [inbox, outbox]
+        args: tuple = (target, inbox, outbox)
         # the heartbeat channel is as private as the result pipe, and
         # only exists when health monitoring asked for it
-        self.beats = context.SimpleQueue() if beat_interval is not None else None
-        args = (target, self.inbox, self.outbox)
-        if self.beats is not None:
-            args = args + (self.beats, beat_interval)
+        self.beats = None
+        if beat_interval is not None:
+            self.beats, beats = context.Pipe(duplex=False)
+            child_ends.append(beats)
+            args = args + (beats, beat_interval)
         self.process = context.Process(
             target=_supervised_worker_main, args=args, daemon=True)
         self.process.start()
+        for end in child_ends:
+            end.close()
+        self.waitables = [self.outbox, self.process.sentinel]
+        if self.beats is not None:
+            self.waitables.append(self.beats)
         self.unit: Optional[int] = None      # batch index being run
         self.started_at: float = 0.0
 
@@ -383,30 +426,34 @@ class _Worker:
     def assign(self, index: int, item: Any) -> None:
         self.unit = index
         self.started_at = time.monotonic()
-        self.inbox.put((index, item))
+        try:
+            self.inbox.send((index, item))
+        except OSError:
+            pass  # died since the liveness check: settled as a crash
 
     def dead(self) -> bool:
         return self.process.exitcode is not None
 
     def kill(self) -> None:
-        """Terminate the process, escalating to SIGKILL if it lingers."""
+        """Terminate the process (SIGKILL if it lingers), close its pipes."""
         self.process.terminate()
         self.process.join(timeout=1.0)
         if self.process.is_alive():
             self.process.kill()
             self.process.join(timeout=1.0)
+        for conn in (self.inbox, self.outbox, self.beats):
+            if conn is not None:
+                conn.close()
 
     def stop(self) -> None:
-        """Ask the process to exit cleanly; kill it if it does not."""
-        if self.dead():
-            return
-        try:
-            self.inbox.put(None)
-        except Exception:
-            pass
-        self.process.join(timeout=1.0)
-        if self.process.is_alive():
-            self.kill()
+        """Ask an idle process to exit; kill a busy or lingering one."""
+        if self.idle:
+            try:
+                self.inbox.send(None)
+            except OSError:
+                pass
+            self.process.join(timeout=1.0)
+        self.kill()
 
 
 def run_supervised(
@@ -414,14 +461,14 @@ def run_supervised(
     items: Sequence[Any],
     *,
     jobs: int,
-    policy: SupervisionPolicy,
+    policy: Optional[SupervisionPolicy] = None,
     describe: Optional[Callable[[int], str]] = None,
     keys: Optional[Sequence[Optional[str]]] = None,
-    on_done: Optional[Callable[[int, Any], None]] = None,
+    on_done: Optional[Callable[[int, Any, str, float], None]] = None,
     on_failure: Optional[Callable[[UnitFailure], None]] = None,
     health: Optional[Any] = None,
 ) -> Tuple[List[Any], List[UnitFailure], int]:
-    """Run ``worker`` over ``items`` under supervision.
+    """Run ``worker`` over ``items`` in ``jobs`` worker processes.
 
     Returns ``(results, quarantined, retries)``: results in input order
     with :class:`FailedUnit` placeholders for quarantined units, the
@@ -432,34 +479,44 @@ def run_supervised(
     ``on_failure(failure)`` fires on every failed attempt, with
     ``failure.final`` set on the quarantining one.
 
+    ``policy=None`` is the unsupervised contract: one attempt, no
+    deadline, and the first failing unit ends the batch.  Its exception
+    is re-raised here, type intact (the worker's traceback chained as
+    the cause); a dead worker comes back as one ``crash`` quarantine.
+
     ``health`` (a :class:`~repro.obs.health.HealthMonitor`, duck-typed
     because the runner never imports ``repro.obs``) turns on the
-    heartbeat channel: each worker gains a dedicated beat queue and a
+    heartbeat channel: each worker gains a dedicated beat pipe and a
     daemon emitter thread, and the supervisor drains beats and notifies
     the monitor of every assign / completion / failure / death.  Every
     monitor call is report-only — retry and quarantine decisions are
     identical with ``health=None``.
 
-    Unlike the plain pool, every unit — even under ``jobs=1`` — runs in
-    a child process, which is what makes crash containment and deadline
-    kills possible at all.
+    The supervisor blocks in :func:`multiprocessing.connection.wait` on
+    every worker's pipes and process sentinel, until the next timed
+    event at the latest: a backoff ending while some worker is idle, a
+    unit deadline, or the heartbeat period.  Every unit — even under
+    ``jobs=1`` — runs in a child process, which is what makes crash
+    containment and deadline kills possible at all.
     """
-    from .pool import _pool_context  # late: avoid import cycle
-
     total = len(items)
     results: List[Any] = [None] * total
     if total == 0:
         return results, [], 0
     describe = describe or (lambda i: f"unit {i}")
-    context = _pool_context()
+    fail_fast = policy is None
+    if policy is None:
+        policy = SupervisionPolicy(retry=RetryBudget(max_attempts=1))
+    context = _process_context()
     budget = policy.retry
-    retries_left = budget.total if budget.total is not None else None
+    retries_left = budget.total
 
     attempts = [0] * total
     done = [False] * total
     quarantined: List[UnitFailure] = []
     retries_spent = 0
-    # (eligible_at, index): units waiting for a free worker / backoff
+    fatal: Optional[Tuple[BaseException, str]] = None  # ends a fail-fast batch
+    # heap of (eligible_at, index): units waiting for a free worker / backoff
     ready: List[Tuple[float, int]] = [(0.0, i) for i in range(total)]
     beat_interval = (getattr(health, "beat_interval", 1.0)
                      if health is not None else None)
@@ -479,8 +536,8 @@ def run_supervised(
             on_failure(failure)
 
     def _failed_attempt(index: int, kind: str, error: str, tb: str,
-                        lane: Optional[str] = None) -> None:
-        nonlocal retries_spent, retries_left
+                        lane: str, exc: Optional[BaseException] = None) -> None:
+        nonlocal retries_spent, retries_left, fatal
         attempts[index] += 1
         failure = UnitFailure(
             index=index, label=describe(index),
@@ -496,6 +553,8 @@ def run_supervised(
             failure.final = terminal
             health.unit_failed(failure)
         if terminal:
+            if fail_fast and not quarantined and exc is not None:
+                fatal = (exc, tb)
             _quarantine(failure)
             return
         if on_failure is not None:
@@ -504,115 +563,120 @@ def run_supervised(
         if retries_left is not None:
             retries_left -= 1
         eligible = time.monotonic() + budget.delay(attempts[index])
-        ready.append((eligible, index))
+        heapq.heappush(ready, (eligible, index))
 
-    def _respawn(slot: int) -> None:
+    def _settle(slot: int, kind: str, error: str) -> None:
+        """A worker died or blew its deadline: respawn, charge its unit."""
+        handle = workers[slot]
+        if health is not None:
+            health.worker_lost(lanes[slot], handle.process.pid,
+                               kind, error, handle.unit)
+        handle.kill()
         workers[slot] = _Worker(context, worker, beat_interval)
         if health is not None:
             health.worker_started(lanes[slot], workers[slot].process.pid)
+        if handle.unit is not None and not done[handle.unit]:
+            _failed_attempt(handle.unit, kind, error, "", lanes[slot])
 
-    def _settle(slot: int, kind: str, error: str) -> None:
-        """A worker crashed or blew its deadline: respawn, charge the unit."""
-        index = workers[slot].unit
-        if health is not None:
-            health.worker_lost(lanes[slot], workers[slot].process.pid,
-                               kind, error, index)
-        _respawn(slot)
-        if index is not None and not done[index]:
-            _failed_attempt(index, kind, error, "", lane=lanes[slot])
+    def _deliver(slot: int, index: int, status: str, *payload: Any) -> None:
+        handle = workers[slot]
+        if handle.unit == index:
+            handle.unit = None
+        if done[index]:
+            return  # stale duplicate
+        if status == "ok":
+            done[index] = True
+            results[index] = payload[0]
+            if health is not None:
+                health.unit_finished(lanes[slot], index)
+            if on_done is not None:
+                on_done(index, payload[0], lanes[slot],
+                        round(time.monotonic() - handle.started_at, 6))
+        else:
+            error, tb, exc = payload
+            _failed_attempt(index, "exception", error, tb, lanes[slot], exc)
+
+    def _drain(slot: int) -> Optional[str]:
+        """Take in a worker's beats and results; why its pipe broke, if so."""
+        handle = workers[slot]
+        if handle.beats is not None:
+            try:
+                while handle.beats.poll():
+                    units_done, rss_kb = handle.beats.recv()
+                    health.beat(lanes[slot], handle.process.pid,
+                                units_done, rss_kb)
+            except Exception:
+                pass  # torn beat from a dying worker: drop it
+        while True:
+            try:
+                if not handle.outbox.poll():
+                    return None
+                message = handle.outbox.recv()
+            except EOFError:
+                handle.kill()  # the worker closed its end: it has exited
+                return None
+            except Exception as exc:
+                # partial pickle from a dying writer: the pipe is
+                # unusable — treat as a crash of the running unit
+                handle.kill()
+                return f"result pipe corrupted: {exc!r}"
+            _deliver(slot, *message)
+
+    def _timeout(now: float) -> Optional[float]:
+        """Seconds until the next timed event; ``None``: only I/O wakes."""
+        wake = []
+        if ready and any(handle.idle for handle in workers):
+            wake.append(ready[0][0])  # a backoff ends for an idle worker
+        if policy.unit_timeout is not None:
+            wake.extend(handle.started_at + policy.unit_timeout
+                        for handle in workers if not handle.idle)
+        if beat_interval is not None:
+            wake.append(now + beat_interval)
+        return max(0.0, min(wake) - now) if wake else None
 
     try:
-        while not all(done):
-            now = time.monotonic()
-            progressed = False
-            # drain heartbeats (liveness only — never gates scheduling)
-            if health is not None:
-                for slot, worker_handle in enumerate(workers):
-                    beats = worker_handle.beats
-                    if beats is None:
-                        continue
-                    try:
-                        while not beats.empty():
-                            units_done, rss_kb = beats.get()
-                            health.beat(lanes[slot],
-                                        worker_handle.process.pid,
-                                        units_done, rss_kb)
-                    except Exception:
-                        pass  # torn beat from a dying worker: drop it
-                health.poll()
+        while not all(done) and not (fail_fast and quarantined):
             # hand eligible units to idle, living workers
-            ready.sort()
-            for slot, worker_handle in enumerate(workers):
-                if not worker_handle.idle or worker_handle.dead():
+            now = time.monotonic()
+            for slot, handle in enumerate(workers):
+                if not handle.idle or handle.dead():
                     continue
                 while ready and done[ready[0][1]]:
-                    ready.pop(0)  # settled while waiting (stale entry)
+                    heapq.heappop(ready)  # settled while waiting
                 if not ready or ready[0][0] > now:
                     break
-                _, index = ready.pop(0)
-                worker_handle.assign(index, items[index])
+                _, index = heapq.heappop(ready)
+                handle.assign(index, items[index])
                 if health is not None:
                     health.unit_started(
                         lanes[slot], index, describe(index),
                         keys[index] if keys is not None else None)
-                progressed = True
-            # drain completions, worker by worker
-            for slot, worker_handle in enumerate(workers):
-                if worker_handle.unit is None:
-                    if worker_handle.dead():
-                        if health is not None:
-                            health.worker_lost(
-                                lanes[slot], worker_handle.process.pid,
-                                "crash", "worker died idle", None)
-                        _respawn(slot)  # died idle (start failure)
-                    continue
-                try:
-                    while not worker_handle.outbox.empty():
-                        index, status, *payload = worker_handle.outbox.get()
-                        progressed = True
-                        if worker_handle.unit == index:
-                            worker_handle.unit = None
-                        if done[index]:
-                            continue  # stale duplicate
-                        if status == "ok":
-                            done[index] = True
-                            results[index] = payload[0]
-                            if health is not None:
-                                health.unit_finished(lanes[slot], index)
-                            if on_done is not None:
-                                on_done(index, payload[0], lanes[slot],
-                                        time.monotonic()
-                                        - worker_handle.started_at)
-                        else:
-                            _failed_attempt(index, "exception", *payload,
-                                            lane=lanes[slot])
-                except Exception as exc:
-                    # partial pickle from a dying writer: the pipe is
-                    # unusable — treat as a crash of the running unit
-                    progressed = True
-                    worker_handle.kill()
-                    _settle(slot, "crash", f"result pipe corrupted: {exc!r}")
-                    continue
-                # supervise: abrupt death and blown deadlines
-                if worker_handle.unit is None:
-                    continue
-                if worker_handle.dead():
-                    progressed = True
-                    code = worker_handle.process.exitcode
-                    _settle(slot, "crash",
-                            f"worker died with exit code {code}")
-                elif (policy.unit_timeout is not None
-                      and now - worker_handle.started_at
-                      > policy.unit_timeout):
-                    progressed = True
-                    worker_handle.kill()
+            connection.wait([w for handle in workers
+                             for w in handle.waitables], _timeout(now))
+            # settle completions, deaths and blown deadlines
+            now = time.monotonic()
+            for slot in range(len(workers)):
+                broken = _drain(slot)
+                handle = workers[slot]
+                if handle.dead():
+                    code = handle.process.exitcode
+                    _settle(slot, "crash", broken or (
+                        "worker died idle" if handle.idle
+                        else f"worker died with exit code {code}"))
+                elif (not handle.idle and policy.unit_timeout is not None
+                      and now - handle.started_at > policy.unit_timeout):
                     _settle(slot, "timeout",
                             f"deadline exceeded ({policy.unit_timeout:.1f}s)")
-            if not progressed and not all(done):
-                time.sleep(policy.poll_interval)
+                if fail_fast and quarantined:
+                    break
+            if health is not None:
+                health.poll()
     finally:
-        for worker_handle in workers:
-            worker_handle.stop()
+        for handle in workers:
+            handle.stop()
         if health is not None:
             health.finish()
+    if fatal is not None:
+        exc, tb = fatal
+        raise exc from _RemoteTraceback(tb)
     return results, quarantined, retries_spent

@@ -126,3 +126,24 @@ class TestExperimentCommand:
     def test_unknown_network_raises(self):
         with pytest.raises(KeyError):
             main(["stream", "--network", "Atlantis"])
+
+    def test_health_leaves_failure_handling_unchanged(self, tmp_path,
+                                                      monkeypatch):
+        # --health only observes: a poison unit fails the campaign the
+        # same way with it as without, and nothing is retried
+        from repro.runner import ChaosError, ledger_path, load_ledger
+
+        monkeypatch.setenv("REPRO_CHAOS", "poison:1.0")
+        errors = []
+        for flags in ([], ["--health"]):
+            cache = tmp_path / ("health" if flags else "plain")
+            with pytest.raises(ChaosError) as excinfo:
+                main(["experiment", "fig2", "--scale", "small",
+                      "--cache-dir", str(cache), *flags])
+            errors.append(str(excinfo.value))
+        assert errors[0] == errors[1]
+        view = load_ledger(ledger_path(tmp_path / "health", "fig2",
+                                       "small", 0))
+        events = [e["event"] for e in view.events]
+        assert "retried" not in events
+        assert events.count("quarantined") == 1

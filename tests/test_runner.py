@@ -8,8 +8,11 @@ that fronts it.
 
 import enum
 import importlib
+import os
 import pathlib
 import signal
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -57,6 +60,42 @@ def _swap(a, b):
 
 def _sigterm_is_default(_):
     return signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+
+
+class _UnitBroke(Exception):
+    pass
+
+
+def _raise_on_one(x):
+    if x == 1:
+        raise _UnitBroke(f"unit {x} broke")
+    return x
+
+
+#: Runs one unsupervised ``jobs=2`` batch whose third unit kills its
+#: worker; prints the failures the engine reports.
+_CRASH_PROBE = """
+import os
+import sys
+
+from repro.runner import CampaignAborted, run_tasks
+
+
+def _die_on_two(x):
+    if x == 2:
+        os._exit(137)
+    return x
+
+
+if __name__ == "__main__":
+    try:
+        run_tasks(_die_on_two, [(x,) for x in range(4)], jobs=2)
+    except CampaignAborted as exc:
+        for failure in exc.report.failures:
+            print(failure.kind, failure.index)
+        sys.exit(0)
+    sys.exit(1)
+"""
 
 
 class _Color(enum.Enum):
@@ -183,6 +222,31 @@ class TestRunTasks:
         result = run_tasks(_square, args, cache=cache, stats=stats)
         assert (stats.cache_hits, stats.cache_misses) == (0, 4)
         assert result == [0, 1, 4, 9]
+
+
+class TestFailFast:
+    """Without a supervision policy the first failing unit ends the
+    batch, whatever the worker count."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_task_raises_its_own_exception(self, jobs):
+        with pytest.raises(_UnitBroke, match="unit 1 broke"):
+            run_tasks(_raise_on_one, [(x,) for x in range(4)], jobs=jobs)
+
+    def test_dead_worker_aborts_instead_of_hanging(self, tmp_path):
+        script = tmp_path / "crash_probe.py"
+        script.write_text(_CRASH_PROBE, encoding="utf-8")
+        src = pathlib.Path(experiments_pkg.__file__).parents[2]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("REPRO_CHAOS", None)
+        try:
+            done = subprocess.run([sys.executable, str(script)], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=30)
+        except subprocess.TimeoutExpired:
+            pytest.fail("a dead worker hung the batch")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n") == ["crash 2", ""]
 
 
 class TestPoolShutdown:

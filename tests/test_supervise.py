@@ -129,8 +129,7 @@ class TestRunSupervised:
         items = [(str(tmp_path), x) for x in range(2)]
         policy = SupervisionPolicy(
             unit_timeout=0.5,
-            retry=RetryBudget(max_attempts=2, backoff_base=0.0),
-            poll_interval=0.02)
+            retry=RetryBudget(max_attempts=2, backoff_base=0.0))
         started = time.monotonic()
         results, quarantined, retries = run_supervised(
             _slow_then_fast, items, jobs=2, policy=policy)
