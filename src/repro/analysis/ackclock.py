@@ -11,10 +11,10 @@ measured YouTube/Netflix sources instead blast `min(cwnd, block size)`.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import List, Optional
+
+import numpy as np
 
 from .flowtable import DownloadTrace, FlowData
 from .onoff import DEFAULT_GAP_THRESHOLD, DEFAULT_MIN_ON_BYTES, detect_onoff
@@ -44,9 +44,10 @@ def first_rtt_bytes(
     phase (whose start is connection establishment, where slow start always
     imposes an ACK clock).
 
-    Each period's window ``[start, start + rtt]`` is found by bisecting the
-    flow's time-ordered event column and its bytes read off prefix sums of
-    the advances: O(P log N) for P periods over N data packets.
+    Each period's window ``[start, start + rtt]`` is found by a binary
+    search (``searchsorted``) of the flow's time-ordered event column and
+    its bytes read off prefix sums of the advances: O(N + P log N) for P
+    periods over N data packets.
     """
     effective_rtt = rtt if rtt is not None else flow.handshake_rtt
     if effective_rtt is None or not flow.packet_count:
@@ -57,15 +58,15 @@ def first_rtt_bytes(
     periods = onoff.on_periods[1:] if skip_first else onoff.on_periods
     if not periods:
         return []
-    times = flow.activity
-    moved_before = [0, *accumulate(flow.advances)]  # bytes of events [0, i)
-    samples = []
-    for period in periods:
-        lo = bisect_left(times, period.start)
-        hi = bisect_right(times, period.start + effective_rtt)
-        moved = moved_before[hi] - moved_before[lo] if hi > lo else 0
-        samples.append(AckClockSample(period.start, moved, effective_rtt))
-    return samples
+    times = np.asarray(flow.activity, dtype=np.float64)
+    # bytes of events [0, i)
+    moved_before = np.concatenate(([0], np.cumsum(flow.advances)))
+    starts = [period.start for period in periods]
+    lo = np.searchsorted(times, starts, side="left")
+    hi = np.searchsorted(times, np.add(starts, effective_rtt), side="right")
+    moved = np.where(hi > lo, moved_before[hi] - moved_before[lo], 0)
+    return [AckClockSample(start, bytes_first_rtt, effective_rtt)
+            for start, bytes_first_rtt in zip(starts, moved.tolist())]
 
 
 def ackclock_samples(

@@ -14,12 +14,13 @@ server.  :func:`build_download_trace` reconstructs, from raw packets,
   heads and container metadata are re-parsed.
 
 The input is a :class:`~repro.pcap.capture.CaptureColumns` view — the
-capture's wire values in parallel, time-ordered columns — read in one
-loop.  Each flow id's direction and flow are resolved once, on its first
-packet, and the accounting state of the flow currently receiving data is
-held in local variables, so a data packet costs a few integer operations
-and four column appends.  A :class:`~repro.pcap.capture.PacketRecord`
-list (say, from a pcap file) is converted to that view first.
+capture's wire values in parallel, time-ordered numpy columns — read in
+whole-column passes: each flow id's direction is resolved once, masks
+pick the handshake, window and data rows, and each flow's data rows are
+accounted by prefix sums and running maxima.  Only the sparse rows that
+kept a payload are walked one by one, for the head bytes.  A
+:class:`~repro.pcap.capture.PacketRecord` list (say, from a pcap file)
+is converted to that view first.
 
 Sequence numbers are 32-bit wire values; each flow unwraps them
 independently, so the pipeline works on real pcap input too.
@@ -33,8 +34,9 @@ own stages read the columns.
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, count
 from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..pcap.capture import CaptureColumns, FlowKey, PacketRecord
 from ..simnet.monitor import TimeSeries
@@ -95,9 +97,6 @@ class FlowData(EventLog):
         "total_payload_bytes",
         "retransmitted_bytes",
         "head_bytes",
-        "_head_expect",
-        "_last_seq",
-        "_rel",
     )
 
     HEAD_CAPTURE_LIMIT = 8192
@@ -116,9 +115,6 @@ class FlowData(EventLog):
         self.total_payload_bytes = 0
         self.retransmitted_bytes = 0
         self.head_bytes = bytearray()
-        self._head_expect = 0
-        self._last_seq = 0                    # wire seq of the last data packet
-        self._rel = 0                         # its offset from base_seq
 
     @property
     def retransmission_rate(self) -> float:
@@ -192,8 +188,8 @@ class DownloadTrace(EventLog):
         """The download-amount-vs-time curve (Figure 2(a) style)."""
         return TimeSeries.from_columns(
             "download-amount",
-            self._event_times,
-            map(float, accumulate(self._event_advances)),
+            self._event_times.tolist(),
+            np.cumsum(self._event_advances).astype(np.float64).tolist(),
         )
 
     def median_handshake_rtt(self) -> Optional[float]:
@@ -232,142 +228,136 @@ def build_download_trace(
     """
     if not isinstance(packets, CaptureColumns):
         packets = CaptureColumns.from_records(packets)
-    timestamps = packets.timestamps
+    ts, fids, flags = packets.timestamps, packets.flow_ids, packets.flags
     flows: Dict[FlowKey, FlowData] = {}
     trace = DownloadTrace(
         client_ip=client_ip,
         server_ip=server_ip,
         flows=flows,
         window_series=TimeSeries("recv-window"),
-        capture_start=timestamps[0] if len(timestamps) else 0.0,
-        capture_end=timestamps[-1] if len(timestamps) else 0.0,
+        capture_start=float(ts[0]) if len(ts) else 0.0,
+        capture_end=float(ts[-1]) if len(ts) else 0.0,
     )
 
-    # Resolved once per flow id: its direction (True downstream, False
-    # upstream, None for traffic between other hosts) and its flow, keyed
-    # downstream.  Flows are created in the order their first packet, in
-    # either direction, appears.
-    directions: List[Optional[bool]] = []
-    for src, _sport, dst, _dport in packets.flow_table:
-        if src == server_ip and dst == client_ip:
-            directions.append(True)
-        elif src == client_ip and dst == server_ip:
-            directions.append(False)
-        else:
-            directions.append(None)
-    owners: List[Optional[FlowData]] = [None] * len(directions)
-    for fid in dict.fromkeys(packets.flow_ids):
-        if directions[fid] is not None:
-            src, sport, dst, dport = packets.flow_table[fid]
-            key = ((src, sport, dst, dport) if directions[fid]
+    # Each flow id's direction: 1 downstream, -1 upstream, 0 for traffic
+    # between other hosts.  Flows are keyed downstream and created in the
+    # order their first packet, in either direction, appears.
+    table = packets.flow_table
+    direction = np.array(
+        [1 if (src, dst) == (server_ip, client_ip)
+         else -1 if (src, dst) == (client_ip, server_ip) else 0
+         for src, _sport, dst, _dport in table], dtype=np.int8)
+    owners: List[Optional[FlowData]] = [None] * len(table)
+    ids, first_rows = np.unique(fids, return_index=True)
+    for fid in ids[np.argsort(first_rows)].tolist():
+        if direction[fid]:
+            src, sport, dst, dport = table[fid]
+            key = ((src, sport, dst, dport) if direction[fid] > 0
                    else (dst, dport, src, sport))
             flow = flows.get(key)
             if flow is None:
                 flow = flows[key] = FlowData(key=key)
             owners[fid] = flow
+    row_direction = direction[fids]
+    upstream, downstream = row_direction < 0, row_direction > 0
+    syn = (flags & F_SYN) != 0
 
-    window_times = array("d")
-    window_values = array("d")
-    window_t, window_v = window_times.append, window_values.append
-    agg_t = trace._event_times.append
-    agg_a = trace._event_advances.append
-    payload_get = packets.payloads.get
-    head_limit = FlowData.HEAD_CAPTURE_LIMIT
-    syn, ack = F_SYN, F_ACK
-    mask, half, modulus = SEQ_MOD - 1, HALF_MOD, SEQ_MOD
+    # handshake: each flow's first client SYN and first server SYN-ACK
+    syn_rows: Dict[FlowKey, int] = {}
+    for fid, row in _first_rows(upstream & syn, fids):
+        flow = owners[fid]
+        flow.syn_time = float(ts[row])
+        syn_rows[flow.key] = row
+    for fid, row in _first_rows(downstream & syn, fids):
+        flow = owners[fid]
+        flow.synack_time = float(ts[row])
+        if syn_rows.get(flow.key, row) < row:
+            flow.handshake_rtt = flow.synack_time - flow.syn_time
 
-    # Accounting state of the flow the last data packet belonged to (flow
-    # id `cur_fid`) lives in these locals; it is written back to the
-    # FlowData on a switch to another flow and at the end.
-    cur: Optional[FlowData] = None
-    cur_fid = -1
-    last_seq = rel = max_seen = head_expect = 0
-    unique = total = retx = 0
-    head = bytearray()
+    # the client's advertised window, from its non-SYN ACKs
+    acks = upstream & ~syn & ((flags & F_ACK) != 0)
+    trace.window_series = TimeSeries.from_columns(
+        "recv-window", ts[acks].tolist(),
+        packets.windows[acks].astype(np.float64).tolist())
 
-    for row, t, fid, seq, flags, plen, window in zip(
-            count(), timestamps, packets.flow_ids, packets.seqs,
-            packets.flags, packets.payload_lens, packets.windows):
-        downstream = directions[fid]
-        if downstream is False:  # client -> server
-            if flags & syn:
-                flow = owners[fid]
-                if flow.syn_time is None:
-                    flow.syn_time = t
-            elif flags & ack:
-                window_t(t)
-                window_v(window)
-            continue
-        if downstream is None:
-            continue
-        if flags & syn:
-            flow = owners[fid]
-            if flow.synack_time is None:
-                flow.synack_time = t
-                if flow.syn_time is not None:
-                    flow.handshake_rtt = t - flow.syn_time
-            continue
-        if plen <= 0:
-            continue
-
-        if fid != cur_fid:
-            if cur is not None:
-                _store(cur, last_seq, rel, max_seen, head_expect,
-                       unique, total, retx)
-            cur, cur_fid = owners[fid], fid
-            if cur.base_seq is None:
-                cur.base_seq = cur._last_seq = seq
-            last_seq, rel = cur._last_seq, cur._rel
-            max_seen, head_expect = cur.max_seq_seen, cur._head_expect
-            unique, total = cur.unique_bytes, cur.total_payload_bytes
-            retx, head = cur.retransmitted_bytes, cur.head_bytes
-            flow_t = cur._event_times.append
-            flow_a = cur._event_advances.append
-
-        # unwrap: the signed 32-bit distance from the previous data packet
-        delta = (seq - last_seq) & mask
-        if delta > half:
-            delta -= modulus
-        rel += delta
-        last_seq = seq
+    rows = np.flatnonzero(downstream & ~syn & (packets.payload_lens > 0))
+    data_t = ts[rows]
+    data_fids = fids[rows]
+    advances = np.zeros(len(rows), dtype=np.int64)
+    has_payload = np.zeros(len(ts), dtype=bool)   # rows that kept one
+    has_payload[list(packets.payloads)] = True
+    # each flow's data positions, in time order; the passes below work in
+    # place and drop what they no longer need, so a flow's peak is a few
+    # arrays of its length (peak RSS is a benchmarked metric)
+    by_flow = np.argsort(data_fids, kind="stable")
+    spans = (np.split(by_flow, np.flatnonzero(np.diff(data_fids[by_flow])) + 1)
+             if len(rows) else [])
+    for span in spans:
+        flow = owners[int(data_fids[span[0]])]
+        flow_rows = rows[span]
+        seq = packets.seqs[flow_rows]
+        flow.base_seq = int(seq[0])
+        # unwrap: the signed 32-bit distance from the previous data packet,
+        # summed into each packet's offset from base_seq
+        rel = np.zeros_like(seq)
+        np.subtract(seq[1:], seq[:-1], out=rel[1:])
+        del seq
+        rel &= SEQ_MOD - 1
+        rel[rel > HALF_MOD] -= SEQ_MOD
+        np.cumsum(rel, out=rel)
+        plen = packets.payload_lens[flow_rows]
+        end = rel + plen
+        # capture the in-order leading bytes for HTTP/container parsing
+        kept = np.flatnonzero(has_payload[flow_rows])
+        _capture_head(flow, rel[kept].tolist(), end[kept].tolist(),
+                      flow_rows[kept].tolist(), packets.payloads)
+        # the highest end-seq seen before each packet (0 before the first)
+        seen = np.zeros_like(end)
+        np.maximum.accumulate(end[:-1], out=seen[1:])
+        flow.max_seq_seen = max(int(seen[-1]), int(end[-1]))
+        flow.total_payload_bytes = int(plen.sum(dtype=np.int64))
         # client-side retransmission detection by sequence regression (what
         # tstat-style tools do): a data packet starting below the highest
         # sequence already seen is a retransmission — either a duplicate or
         # a late hole-filler whose original was lost upstream of the capture
-        if rel < max_seen:
-            retx += plen
-        end = rel + plen
-        if end > max_seen:
-            advance = end - max_seen
-            max_seen = end
-        else:
-            advance = 0
-        # capture the in-order leading bytes for HTTP/container parsing
-        if rel == head_expect and len(head) < head_limit:
-            payload = payload_get(row)
-            if payload is not None:
-                head.extend(payload)
-                head_expect = end
-        unique += advance
-        total += plen
-        flow_t(t)
-        flow_a(advance)
-        agg_t(t)
-        agg_a(advance)
-
-    if cur is not None:
-        _store(cur, last_seq, rel, max_seen, head_expect, unique, total, retx)
-    trace.window_series = TimeSeries.from_columns(
-        "recv-window", window_times, window_values)
+        flow.retransmitted_bytes = int(plen[rel < seen].sum(dtype=np.int64))
+        del rel, plen
+        advance = np.maximum(np.subtract(end, seen, out=end), 0, out=end)
+        del seen
+        advances[span] = advance
+        flow.unique_bytes = int(advance.sum())
+        times = data_t[span]
+        flow.first_data_time = float(times[0])
+        flow.last_data_time = float(times[-1])
+        _extend(flow._event_times, times)
+        _extend(flow._event_advances, advance)
+    _extend(trace._event_times, data_t)
+    _extend(trace._event_advances, advances)
     return trace
 
 
-def _store(flow: FlowData, last_seq: int, rel: int, max_seen: int,
-           head_expect: int, unique: int, total: int, retx: int) -> None:
-    """Write the builder's local accounting state back to ``flow``."""
-    flow._last_seq, flow._rel = last_seq, rel
-    flow.max_seq_seen, flow._head_expect = max_seen, head_expect
-    flow.unique_bytes, flow.total_payload_bytes = unique, total
-    flow.retransmitted_bytes = retx
-    flow.first_data_time = flow._event_times[0]
-    flow.last_data_time = flow._event_times[-1]
+def _extend(log: array, values: np.ndarray) -> None:
+    """Append a numpy column of the log's item type to an event log."""
+    log.frombytes(memoryview(values).cast("B"))
+
+
+def _first_rows(mask: np.ndarray, fids: np.ndarray) -> List[Tuple[int, int]]:
+    """``(flow id, row)`` of each flow id's first row under ``mask``."""
+    rows = np.flatnonzero(mask)
+    ids, first = np.unique(fids[rows], return_index=True)
+    return list(zip(ids.tolist(), rows[first].tolist()))
+
+
+def _capture_head(flow: FlowData, rels: List[int], ends: List[int],
+                  rows: List[int], payloads: Dict[int, bytes]) -> None:
+    """Append the in-order leading payloads of ``flow`` to its head.
+
+    ``rels``/``ends`` are the flow-relative start and end of each of its
+    data packets that kept a payload, in capture order; only those can
+    extend the head, so the walk skips every other packet.
+    """
+    head, expect = flow.head_bytes, 0
+    for rel, end, row in zip(rels, ends, rows):
+        if rel == expect and len(head) < FlowData.HEAD_CAPTURE_LIMIT:
+            head.extend(payloads[row])
+            expect = end

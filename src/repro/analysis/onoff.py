@@ -16,8 +16,9 @@ the nominal 64 kB (Section 5.1.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .flowtable import EventLog
 
@@ -115,25 +116,24 @@ def detect_onoff(
     else:
         times = [t for t, _ in events]
         advances = [advance for _, advance in events]
-    if not times:
+    times = np.asarray(times, dtype=np.float64)
+    if not len(times):
         return OnOffProfile([], [], gap_threshold)
 
-    groups: List[Tuple[float, float, int]] = []  # (start, end, bytes)
-    start, end, moved = times[0], times[0], advances[0]
-    for t, advance in zip(islice(times, 1, None), islice(advances, 1, None)):
-        if t - end > gap_threshold:
-            groups.append((start, end, moved))
-            start, moved = t, 0
-        end = t
-        moved += advance
-    groups.append((start, end, moved))
+    # a gap longer than the threshold closes a group of arrivals
+    breaks = np.flatnonzero(times[1:] - times[:-1] > gap_threshold) + 1
+    firsts = np.concatenate(([0], breaks))
+    lasts = np.concatenate((breaks - 1, [len(times) - 1]))
+    moved = np.add.reduceat(np.asarray(advances), firsts)
 
     # absorb noise bursts (window probes, stray retransmits) into idle time
-    significant = [g for g in groups if g[2] >= min_on_bytes]
-    if not significant:
-        significant = [max(groups, key=lambda g: g[2])] if groups else []
-
-    on_periods = [OnPeriod(s, e, b) for s, e, b in significant]
+    significant = np.flatnonzero(moved >= min_on_bytes)
+    if not len(significant):
+        significant = [int(np.argmax(moved))]
+    on_periods = [OnPeriod(s, e, b) for s, e, b in zip(
+        times[firsts[significant]].tolist(),
+        times[lasts[significant]].tolist(),
+        moved[significant].tolist())]
     off_periods: List[OffPeriod] = []
     for prev, nxt in zip(on_periods, on_periods[1:]):
         off_periods.append(OffPeriod(prev.end, nxt.start))

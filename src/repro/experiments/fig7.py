@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+import numpy as np
+
 from ..analysis import analyze_session, correlation, format_table
 from ..simnet import RESEARCH, TimeSeries
 from ..streaming import (
@@ -96,10 +98,11 @@ def _trace(video: Video, result) -> Fig7Video:
     blocks = analysis.block_sizes
     # connections opened in the first minute: SYNs from the client
     view = result.capture.columns()
-    from_client = [key[0] == result.client_ip for key in view.flow_table]
-    first_minute = sum(
-        1 for t, fid, flags in zip(view.timestamps, view.flow_ids, view.flags)
-        if flags & SYN and from_client[fid] and t <= 60.0)
+    from_client = np.array([key[0] == result.client_ip
+                            for key in view.flow_table], dtype=bool)
+    first_minute = int(np.count_nonzero(
+        ((view.flags & SYN) != 0) & from_client[view.flow_ids]
+        & (view.timestamps <= 60.0)))
     label = "Video1" if video.encoding_rate_bps >= 1e6 else "Video2"
     return Fig7Video(
         label=label,

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import compress, count, islice
-from operator import le, ne
+from itertools import count
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..tcp.constants import ACK as F_ACK
 from ..tcp.constants import FIN as F_FIN
@@ -142,7 +143,8 @@ _WINDOW_FIELD_CAP = 0x10000 << WSCALE_SHIFT
 
 @dataclass(repr=False)
 class CaptureColumns:
-    """The wire values of a capture, one column per field, in time order.
+    """The wire values of a capture, one numpy column per field, in time
+    order.
 
     Row ``i`` of every column describes the same packet; rows are sorted
     by timestamp, with capture (or file) order breaking ties.  Each packet
@@ -150,19 +152,21 @@ class CaptureColumns:
     of ``(src_ip, src_port, dst_ip, dst_port)`` keys, so per-flow lookups
     happen once per flow rather than once per packet.
 
-    :attr:`seqs` are wrapped 32-bit wire values; :attr:`windows` are bytes,
-    quantized exactly as the window-scaled 16-bit field carries them;
-    :attr:`payloads` is a sparse ``row -> bytes`` dict of the packets whose
-    payload was kept.  Acknowledgment numbers are left out: the analysis
-    never reads them.
+    :attr:`timestamps` are float64; :attr:`seqs` (wrapped 32-bit wire
+    values) and :attr:`windows` (bytes, quantized exactly as the
+    window-scaled 16-bit field carries them) are int64; :attr:`flow_ids`,
+    :attr:`flags` and :attr:`payload_lens` are int32.  :attr:`payloads`
+    is a sparse ``row -> bytes`` dict of the packets whose payload was
+    kept.  Acknowledgment numbers are left out: the analysis never reads
+    them.
     """
 
-    timestamps: Sequence[float]
-    flow_ids: Sequence[int]
-    seqs: Sequence[int]
-    flags: Sequence[int]
-    payload_lens: Sequence[int]
-    windows: Sequence[int]
+    timestamps: np.ndarray
+    flow_ids: np.ndarray
+    seqs: np.ndarray
+    flags: np.ndarray
+    payload_lens: np.ndarray
+    windows: np.ndarray
     payloads: Dict[int, bytes]
     flow_table: List[FlowKey]
 
@@ -178,31 +182,21 @@ class CaptureColumns:
         kept as the records carry them, already scaled by the shift each
         direction's SYN advertised.
         """
-        order = sorted(range(len(records)),
-                       key=lambda i: records[i].timestamp)
-        flow_table: List[FlowKey] = []
+        ordered = sorted(records, key=lambda r: r.timestamp)
         flow_index: Dict[FlowKey, int] = {}
-        timestamps, flow_ids = array("d"), array("i")
-        seqs, windows = array("q"), array("q")
-        flags, payload_lens = array("i"), array("i")
-        payloads: Dict[int, bytes] = {}
-        for row, i in enumerate(order):
-            r = records[i]
-            key = (r.src_ip, r.src_port, r.dst_ip, r.dst_port)
-            fid = flow_index.get(key)
-            if fid is None:
-                fid = flow_index[key] = len(flow_table)
-                flow_table.append(key)
-            timestamps.append(r.timestamp)
-            flow_ids.append(fid)
-            seqs.append(r.seq & _SEQ_MASK)
-            flags.append(r.flags)
-            payload_lens.append(r.payload_len)
-            windows.append(r.window)
-            if r.payload is not None:
-                payloads[row] = r.payload
-        return cls(timestamps, flow_ids, seqs, flags, payload_lens,
-                   windows, payloads, flow_table)
+        flow_ids = [flow_index.setdefault(
+            (r.src_ip, r.src_port, r.dst_ip, r.dst_port), len(flow_index))
+            for r in ordered]
+        return cls(
+            np.array([r.timestamp for r in ordered], dtype=np.float64),
+            np.array(flow_ids, dtype=np.int32),
+            np.array([r.seq & _SEQ_MASK for r in ordered], dtype=np.int64),
+            np.array([r.flags for r in ordered], dtype=np.int32),
+            np.array([r.payload_len for r in ordered], dtype=np.int32),
+            np.array([r.window for r in ordered], dtype=np.int64),
+            {row: r.payload for row, r in enumerate(ordered)
+             if r.payload is not None},
+            list(flow_index))
 
 
 class TraceCapture:
@@ -293,46 +287,42 @@ class TraceCapture:
     def __len__(self) -> int:
         return len(self._t)
 
-    def _order(self) -> List[int]:
+    def _order(self) -> np.ndarray:
         """Capture indices sorted by timestamp, capture order on ties."""
-        ts = self._t
-        return sorted(range(len(ts)), key=ts.__getitem__)
+        return np.argsort(np.array(self._t), kind="stable")
 
     def columns(self) -> CaptureColumns:
         """The captured packets as a time-ordered :class:`CaptureColumns`.
 
-        A snapshot: packets tapped afterwards need a new view.  Sequence
+        A snapshot: packets tapped afterwards need a new view.  Every
+        column is a copy, so the tap's buffers stay resizable.  Sequence
         numbers are wrapped and windows quantized here, once per column,
         so the tap itself stays one append per field.
         """
-        captured = (self._t, self._flow, self._seq, self._flags, self._plen,
-                    self._window)
-        columns = [column[:] for column in captured]
-        ts, flows, seqs, flags, plens, windows = columns
+        columns = [np.array(column) for column in (
+            self._t, self._flow, self._seq, self._flags, self._plen,
+            self._window)]
+        ts = columns[0]
         payloads = dict(self._payloads) if self.keep_payload else {}
-        if not all(map(le, ts, islice(ts, 1, None))):
+        if not (ts[1:] >= ts[:-1]).all():
             # A few packets were tapped out of time order (a delivery
-            # stamped before an upstream send tapped earlier): move just
-            # the rows the stable sort displaces.
-            order = self._order()
-            moved = list(compress(count(), map(ne, order, count())))
-            for column, source in zip(columns, captured):
-                for row in moved:
-                    column[row] = source[order[row]]
-            rank = {order[row]: row for row in moved}
-            payloads = {rank.get(i, i): payload
-                        for i, payload in payloads.items()}
-        mask, cap = _SEQ_MASK, _WINDOW_FIELD_CAP
-        scaled, saturated = -1 << WSCALE_SHIFT, 0xFFFF << WSCALE_SHIFT
-        return CaptureColumns(
-            ts, flows, array("q", [seq & mask for seq in seqs]), flags, plens,
-            # the wire's 16-bit field: unscaled on SYNs, >> WSCALE_SHIFT
-            # (saturating) on everything else
-            array("q", [
-                (window if window < 0xFFFF else 0xFFFF) if flag & F_SYN
-                else (window & scaled if window < cap else saturated)
-                for window, flag in zip(windows, flags)]),
-            payloads, list(self._flow_table))
+            # stamped before an upstream send tapped earlier).
+            order = np.argsort(ts, kind="stable")
+            columns = [column[order] for column in columns]
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            payloads = dict(zip(rank[list(payloads)].tolist(),
+                                payloads.values()))
+        ts, flows, seqs, flags, plens, windows = columns
+        seqs &= _SEQ_MASK
+        # the wire's 16-bit window field: unscaled on SYNs, >> WSCALE_SHIFT
+        # (saturating at 0xFFFF) on everything else
+        syn = (flags & F_SYN) != 0
+        np.minimum(windows, np.where(syn, 0xFFFF, _WINDOW_FIELD_CAP - 1),
+                   out=windows)
+        windows &= np.where(syn, -1, -1 << WSCALE_SHIFT)
+        return CaptureColumns(ts, flows, seqs, flags, plens, windows,
+                              payloads, list(self._flow_table))
 
     @property
     def records(self) -> List[PacketRecord]:
@@ -347,20 +337,21 @@ class TraceCapture:
         view = self.columns()
         table = view.flow_table
         payload_get = view.payloads.get
-        acks = self._ack
+        acks = np.array(self._ack)[self._order()] & _SEQ_MASK
+        wire_lens = view.payload_lens + np.where(
+            view.flags & F_SYN, header_overhead(F_SYN), header_overhead(0))
         # Bypass the dataclass __init__ (keyword processing dominates when
         # materializing tens of thousands of records): build the instance
-        # dict directly.  header_overhead() is a flags-only branch, so
-        # hoist both of its values out of the loop.
+        # dict directly.
         new = PacketRecord.__new__
         cls = PacketRecord
-        overhead = header_overhead(0)
-        syn_overhead = header_overhead(F_SYN)
         out = []
         append = out.append
-        for row, i, t, fid, seq, flags, plen, window in zip(
-                count(), self._order(), view.timestamps, view.flow_ids,
-                view.seqs, view.flags, view.payload_lens, view.windows):
+        for row, t, fid, seq, ack, flags, plen, window, wire_len in zip(
+                count(), view.timestamps.tolist(), view.flow_ids.tolist(),
+                view.seqs.tolist(), acks.tolist(), view.flags.tolist(),
+                view.payload_lens.tolist(), view.windows.tolist(),
+                wire_lens.tolist()):
             src_ip, src_port, dst_ip, dst_port = table[fid]
             rec = new(cls)
             rec.__dict__ = {
@@ -370,12 +361,11 @@ class TraceCapture:
                 "dst_ip": dst_ip,
                 "dst_port": dst_port,
                 "seq": seq,
-                "ack": acks[i] & _SEQ_MASK,
+                "ack": ack,
                 "flags": flags,
                 "payload_len": plen,
                 "window": window,
-                "wire_len": (syn_overhead if flags & F_SYN else overhead)
-                + plen,
+                "wire_len": wire_len,
                 "payload": payload_get(row),
             }
             append(rec)
@@ -389,7 +379,7 @@ class TraceCapture:
         not retained); pcap writers use this to serialize real frames.
         """
         table = self._flow_table
-        for i in self._order():
+        for i in self._order().tolist():
             src_ip, src_port, dst_ip, dst_port = table[self._flow[i]]
             yield self._t[i], TcpSegment(
                 src_ip, src_port, dst_ip, dst_port,

@@ -42,12 +42,11 @@ the same byte-identity equivalence suite:
 
 * **Burst enqueue** — :meth:`Link.transmit_train` accepts a whole burst
   of equal-size segments and computes their serialization finish times
-  in one shot (``numpy.add.accumulate`` when numpy is importable and the
-  ``REPRO_NO_NUMPY`` env var is unset, a plain Python loop otherwise;
-  ``add.accumulate`` is strictly sequential, so both produce bit-equal
-  IEEE-754 results).  Loss draws stay per-packet scalar calls so the RNG
-  stream is untouched, and any burst that could hit the drop-tail check
-  or a mixed-rate queue falls back to per-packet :meth:`transmit`.
+  in one shot (``itertools.accumulate``, which adds strictly in sequence,
+  so the floats are bit-equal to the per-packet recurrence).  Loss draws
+  stay per-packet scalar calls so the RNG stream is untouched, and any
+  burst that could hit the drop-tail check or a mixed-rate queue falls
+  back to per-packet :meth:`transmit`.
 * **Batched delivery** — :meth:`Link._deliver_train` processes a prefix
   of the train under a single scheduler event instead of re-posting one
   event per packet.  The batch stops strictly before the earliest *live
@@ -64,18 +63,12 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from itertools import accumulate, repeat
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from .errors import ConfigurationError
 from .loss import LossModel, NoLoss
 from .scheduler import EventScheduler, _HANDLE
-
-try:  # numpy is optional; the pure-python fallback is bit-identical
-    if os.environ.get("REPRO_NO_NUMPY", "").lower() in ("1", "true", "on"):
-        raise ImportError("numpy disabled via REPRO_NO_NUMPY")
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
 
 # A wire packet is anything exposing its on-the-wire size in bytes.
 DeliverFn = Callable[[Any], None]
@@ -361,9 +354,8 @@ class Link:
 
         Byte-identical to calling :meth:`transmit` once per packet: the
         serialization finish times follow the same float recurrence
-        (``numpy.add.accumulate`` is strictly sequential, so the numpy
-        and pure-python legs produce bit-equal results), loss draws stay
-        per-packet scalar calls in the same RNG order, and sequence
+        (``itertools.accumulate`` adds strictly in sequence), loss draws
+        stay per-packet scalar calls in the same RNG order, and sequence
         numbers are reserved packet by packet.  Bursts that could differ
         from the scalar path — drop-tail pressure, a mixed-rate queue
         after ``set_rate``, a down link — fall back to per-packet
@@ -401,18 +393,7 @@ class Link:
                 self.transmit(packet)
             return
         stats.packets_in += n
-        if _np is not None and n >= 8:
-            finishes = _np.empty(n + 1)
-            finishes[0] = start
-            finishes[1:] = delta
-            _np.add.accumulate(finishes, out=finishes)
-            finish_list = finishes[1:].tolist()
-        else:
-            finish_list = []
-            f = start
-            for _ in range(n):
-                f = f + delta
-                finish_list.append(f)
+        finish_list = list(accumulate(repeat(delta, n), initial=start))[1:]
         self._busy_until = finish_list[-1]
         self._queued_bytes += size * n
         epoch = self._rate_epoch

@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
+import numpy as np
+
 __all__ = [
     "HistogramSketch",
     "MomentAccumulator",
@@ -76,26 +78,20 @@ class MomentAccumulator:
 
         Uses the exact batch moments of ``values`` and one Chan merge, so
         folding a 100k-sample grid costs two vectorized passes instead of
-        100k python-level updates when numpy is available.
+        100k python-level updates.
         """
-        try:
-            import numpy as np
-
-            arr = np.asarray(values, dtype=float)
-            if arr.size == 0:
-                return
-            batch = MomentAccumulator(
-                count=int(arr.size),
-                mean=float(arr.mean()),
-                m2=float(arr.var() * arr.size),
-                total=float(arr.sum()),
-                min=float(arr.min()),
-                max=float(arr.max()),
-            )
-            self.merge(batch)
-        except ImportError:  # pragma: no cover - numpy is a hard dep
-            for value in values:
-                self.add(value)
+        arr = np.asarray(values, dtype=float)
+        if arr.size == 0:
+            return
+        batch = MomentAccumulator(
+            count=int(arr.size),
+            mean=float(arr.mean()),
+            m2=float(arr.var() * arr.size),
+            total=float(arr.sum()),
+            min=float(arr.min()),
+            max=float(arr.max()),
+        )
+        self.merge(batch)
 
     def merge(self, other: "MomentAccumulator") -> None:
         """Fold another accumulator in (Chan et al. parallel variance)."""
@@ -179,12 +175,6 @@ class HistogramSketch:
 
     def observe_many(self, values: Iterable[float]) -> None:
         """Fold a batch of observations via one vectorized pass."""
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy is a hard dep
-            for value in values:
-                self.observe(value)
-            return
         arr = np.asarray(values, dtype=float)
         if arr.size == 0:
             return

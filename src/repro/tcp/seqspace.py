@@ -6,7 +6,7 @@ ordinary integer comparisons work; the wire/pcap layer wraps them modulo
 means recovering monotonically increasing byte offsets from wrapped
 sequence numbers: :class:`SequenceUnwrapper` does it for one stream, and
 the analysis's trace builder applies the same :func:`seq_diff` step to
-each flow inline.
+each flow's whole sequence column at once.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Unit tests for flow reconstruction from synthetic packet records."""
 
+from array import array
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from repro.analysis import (
 )
 from repro.http import build_flv_header, build_webm_header
 from repro.pcap import PacketRecord
-from repro.tcp import ACK, PSH, SYN
+from repro.tcp import ACK, FIN, PSH, SYN
 from repro.tcp.seqspace import wrap
 
 CLIENT = "10.0.0.1"
@@ -342,3 +344,290 @@ class TestAckClockOracle:
         flow = build_download_trace(handshake(), CLIENT, SERVER).main_flow()
         assert flow.packet_count == 0
         assert first_rtt_bytes(flow) == []
+
+
+# -- the vectorized trace builder against the per-packet reference ----------
+
+def reference_download_trace(view, client_ip, server_ip):
+    """The trace builder as one loop over the packets, row by row: each
+    flow unwraps its sequence numbers, tracks the highest end-seq seen and
+    extends its head while the payloads stay in order.  Returns plain
+    dicts and lists: ``(flows, aggregate, window_series)``."""
+    directions = []
+    for src, _sport, dst, _dport in view.flow_table:
+        if (src, dst) == (server_ip, client_ip):
+            directions.append(True)
+        elif (src, dst) == (client_ip, server_ip):
+            directions.append(False)
+        else:
+            directions.append(None)
+    flows, owners = {}, {}
+    for fid in dict.fromkeys(view.flow_ids.tolist()):
+        if directions[fid] is None:
+            continue
+        src, sport, dst, dport = view.flow_table[fid]
+        key = ((src, sport, dst, dport) if directions[fid]
+               else (dst, dport, src, sport))
+        owners[fid] = flows.setdefault(key, {
+            "key": key, "syn_time": None, "synack_time": None,
+            "handshake_rtt": None, "first_data_time": None,
+            "last_data_time": None, "base_seq": None, "max_seq_seen": 0,
+            "unique_bytes": 0, "total_payload_bytes": 0,
+            "retransmitted_bytes": 0, "head_bytes": bytearray(),
+            "times": [], "advances": [], "last_seq": 0, "rel": 0,
+            "head_expect": 0})
+    aggregate, window = ([], []), ([], [])
+    mask, half = (1 << 32) - 1, 1 << 31
+    for row, (t, fid, seq, flags, plen, win) in enumerate(zip(
+            view.timestamps.tolist(), view.flow_ids.tolist(),
+            view.seqs.tolist(), view.flags.tolist(),
+            view.payload_lens.tolist(), view.windows.tolist())):
+        downstream = directions[fid]
+        if downstream is None:
+            continue
+        flow = owners[fid]
+        if downstream is False:
+            if flags & SYN:
+                if flow["syn_time"] is None:
+                    flow["syn_time"] = t
+            elif flags & ACK:
+                window[0].append(t)
+                window[1].append(float(win))
+            continue
+        if flags & SYN:
+            if flow["synack_time"] is None:
+                flow["synack_time"] = t
+                if flow["syn_time"] is not None:
+                    flow["handshake_rtt"] = t - flow["syn_time"]
+            continue
+        if plen <= 0:
+            continue
+        if flow["base_seq"] is None:
+            flow["base_seq"] = flow["last_seq"] = seq
+        delta = (seq - flow["last_seq"]) & mask
+        if delta > half:
+            delta -= 1 << 32
+        rel = flow["rel"] = flow["rel"] + delta
+        flow["last_seq"] = seq
+        if rel < flow["max_seq_seen"]:
+            flow["retransmitted_bytes"] += plen
+        end = rel + plen
+        advance = max(end - flow["max_seq_seen"], 0)
+        flow["max_seq_seen"] = max(end, flow["max_seq_seen"])
+        head = flow["head_bytes"]
+        if (rel == flow["head_expect"] and len(head) < 8192
+                and row in view.payloads):
+            head.extend(view.payloads[row])
+            flow["head_expect"] = end
+        flow["unique_bytes"] += advance
+        flow["total_payload_bytes"] += plen
+        if flow["first_data_time"] is None:
+            flow["first_data_time"] = t
+        flow["last_data_time"] = t
+        for times, advances in (aggregate, (flow["times"], flow["advances"])):
+            times.append(t)
+            advances.append(advance)
+    return flows, aggregate, window
+
+
+FLOW_FIELDS = ("key", "syn_time", "synack_time", "handshake_rtt",
+               "first_data_time", "last_data_time", "base_seq",
+               "max_seq_seen", "unique_bytes", "total_payload_bytes",
+               "retransmitted_bytes")
+OTHER = "10.0.0.9"
+
+# One tapped packet: (time step in 1/1024 s ticks — negative steps tap out
+# of time order, zero ones tie —, client port index, path, flags, how the
+# sequence number moves, payload length, keep a real payload, window).
+tap_steps = st.lists(
+    st.tuples(
+        st.sampled_from([0, 1, 1, 2, 5, 200, -1, -3]),
+        st.integers(0, 2),
+        st.sampled_from(["down", "down", "down", "up", "up", "other",
+                         "third-party"]),
+        st.sampled_from([ACK, ACK | PSH, SYN, SYN | ACK, 0, FIN | ACK]),
+        st.sampled_from(["next", "next", "next", "same", "back", "skip",
+                         "half", "far"]),
+        st.sampled_from([0, 1, 536, 1460]),
+        st.booleans(),
+        st.sampled_from([0, 127, 128, 65535, 65536, (1 << 23) - 1, 1 << 23,
+                         1 << 24]),
+    ),
+    max_size=60)
+
+
+def tapped_capture(steps, isn, keep_payload=True):
+    """A :class:`TraceCapture` fed ``steps`` through its tap, and the
+    ``(time, segment)`` taps; every (port, path) stream starts at sequence
+    ``isn + port`` (unwrapped, so ISNs near 2**32 wrap on the wire)."""
+    from repro.pcap import TraceCapture
+    from repro.tcp import TcpSegment
+
+    moves = {"next": None, "same": 0, "back": -700, "skip": 3000,
+             "half": 1 << 31, "far": (1 << 31) + 5}
+    capture, tapped = TraceCapture(keep_payload=keep_payload), []
+    tick, nxt, last = 1 / 1024, {}, {}
+    t = 1.0
+    for i, (dt, port, path, flags, move, plen, real, window) in \
+            enumerate(steps):
+        t += dt * tick
+        stream = (port, path)
+        start = last.get(stream, isn + port)
+        step = moves[move]
+        seq = nxt.get(stream, start) if step is None else start + step
+        last[stream], nxt[stream] = seq, seq + plen
+        payload = bytes([i % 251]) * plen if real and plen else None
+        src, dst = {"down": (SERVER, CLIENT), "up": (CLIENT, SERVER),
+                    "other": (OTHER, CLIENT),
+                    "third-party": (SERVER, OTHER)}[path]
+        sport, dport = (80, 50000 + port) if src != CLIENT \
+            else (50000 + port, 80)
+        segment = TcpSegment(src, sport, dst, dport, seq=seq, ack=1,
+                             flags=flags, window=window, payload_len=plen,
+                             payload=payload)
+        capture.tap(t, segment)
+        tapped.append((t, segment))
+    return capture, tapped
+
+
+class TestTraceBuilderOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(steps=tap_steps,
+           isn=st.sampled_from([0, 1000, (1 << 32) - 2000, (1 << 31) - 1]),
+           keep_payload=st.booleans())
+    @example(steps=[], isn=0, keep_payload=True)
+    @example(steps=[(0, 0, "down", ACK, "next", 1460, True, 65535)], isn=0,
+             keep_payload=True)
+    @example(steps=[(0, 0, "up", SYN, "next", 0, False, 65535)], isn=0,
+             keep_payload=True)
+    @example(steps=[(1, 0, "down", ACK, "next", 1460, True, 65535)] * 8,
+             isn=0, keep_payload=True)   # a head past the capture limit
+    def test_matches_per_packet_reference(self, steps, isn, keep_payload):
+        view = tapped_capture(steps, isn, keep_payload)[0].columns()
+        trace = build_download_trace(view, CLIENT, SERVER)
+        flows, aggregate, window = reference_download_trace(
+            view, CLIENT, SERVER)
+        assert list(trace.flows) == list(flows)
+        for key, expected in flows.items():
+            flow = trace.flows[key]
+            assert {f: getattr(flow, f) for f in FLOW_FIELDS} == \
+                {f: expected[f] for f in FLOW_FIELDS}
+            assert bytes(flow.head_bytes) == bytes(expected["head_bytes"])
+            assert flow.activity.tobytes() == \
+                array("d", expected["times"]).tobytes()
+            assert flow.advances.tobytes() == \
+                array("q", expected["advances"]).tobytes()
+        assert trace.activity.tobytes() == array("d", aggregate[0]).tobytes()
+        assert trace.advances.tobytes() == array("q", aggregate[1]).tobytes()
+        assert (trace.window_series.times, trace.window_series.values) == \
+            window
+        assert [type(v) for v in trace.window_series.values] == \
+            [float] * len(window[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(steps=tap_steps,
+           isn=st.sampled_from([0, (1 << 32) - 2000]),
+           keep_payload=st.booleans())
+    def test_columns_match_per_segment_records(self, steps, isn,
+                                               keep_payload):
+        """The column view equals the records of each tapped segment,
+        stably sorted by time; so does the view of those records."""
+        from repro.pcap import CaptureColumns
+        from repro.pcap.capture import record_from_segment
+
+        capture, tapped = tapped_capture(steps, isn, keep_payload)
+        view = capture.columns()
+        records = sorted((record_from_segment(t, segment, keep_payload)
+                          for t, segment in tapped),
+                         key=lambda r: r.timestamp)
+        assert capture.records == records
+        assert [view.flow_table[f] for f in view.flow_ids.tolist()] == \
+            [r.flow_key() for r in records]
+        assert view.timestamps.tolist() == [r.timestamp for r in records]
+        assert view.seqs.tolist() == [r.seq for r in records]
+        assert view.flags.tolist() == [r.flags for r in records]
+        assert view.payload_lens.tolist() == [r.payload_len for r in records]
+        assert view.windows.tolist() == [r.window for r in records]
+        assert view.payloads == {row: r.payload
+                                 for row, r in enumerate(records)
+                                 if r.payload is not None}
+        # flow ids number flows in tap order there, in time order here
+        again = CaptureColumns.from_records(records)
+        assert [again.flow_table[f] for f in again.flow_ids.tolist()] == \
+            [r.flow_key() for r in records]
+        assert again.flow_ids.dtype == view.flow_ids.dtype
+        assert again.payloads == view.payloads
+        for name in ("timestamps", "seqs", "flags", "payload_lens",
+                     "windows"):
+            got, want = getattr(again, name), getattr(view, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+class TestNativeTypes:
+    """The analysis computes in numpy but hands out Python scalars: a
+    leaked ``np.float64`` reprs differently in numpy 2 and a leaked
+    ``np.int64`` is rejected by ``json.dumps``, so either would change
+    reports and exports."""
+
+    def test_analysis_outputs_are_python_scalars(self):
+        import json
+
+        from repro.analysis import analyze_session
+        from repro.analysis.ackclock import first_rtt_bytes
+        from repro.obs.flows import flow_records
+        from repro.simnet import RESEARCH
+        from repro.streaming import (Application, Container, Service,
+                                     SessionConfig, run_session)
+        from repro.workloads import MBPS, Video
+
+        result = run_session(
+            Video(video_id="v-types", duration=300.0,
+                  encoding_rate_bps=MBPS, resolution="360p",
+                  container="flv"),
+            SessionConfig(profile=RESEARCH, service=Service.YOUTUBE,
+                          application=Application.FIREFOX,
+                          container=Container.FLASH, capture_duration=60.0,
+                          seed=3))
+        analysis = analyze_session(result)
+        trace = analysis.trace
+        optional_float, optional_int = (float, type(None)), (int, type(None))
+
+        assert type(trace.capture_start) is float
+        assert type(trace.capture_end) is float
+        for flow in trace.flows.values():
+            for name in ("syn_time", "synack_time", "handshake_rtt",
+                         "first_data_time", "last_data_time"):
+                assert type(getattr(flow, name)) in optional_float, name
+            assert type(flow.base_seq) in optional_int
+            for name in ("max_seq_seen", "unique_bytes",
+                         "total_payload_bytes", "retransmitted_bytes",
+                         "packet_count"):
+                assert type(getattr(flow, name)) is int, name
+        for series in (trace.window_series, trace.cumulative_series()):
+            assert {type(v) for v in series.times} == {float}
+            assert {type(v) for v in series.values} == {float}
+
+        onoff = analysis.onoff
+        assert onoff.on_periods and onoff.off_periods
+        for period in onoff.on_periods:
+            assert (type(period.start), type(period.end),
+                    type(period.bytes)) == (float, float, int)
+        for period in onoff.off_periods:
+            assert (type(period.start), type(period.end)) == (float, float)
+
+        samples = [sample for flow in trace.flows.values()
+                   for sample in first_rtt_bytes(flow)]
+        assert samples
+        for sample in samples:
+            assert (type(sample.on_start), type(sample.bytes_first_rtt),
+                    type(sample.rtt)) == (float, int, float)
+        assert {type(v) for v in analysis.ackclock} == {int}
+
+        records = result.capture.records
+        field_types = {"timestamp": (float,), "src_ip": (str,),
+                       "dst_ip": (str,), "payload": (bytes, type(None))}
+        for record in records:
+            for name, value in vars(record).items():
+                assert type(value) in field_types.get(name, (int,)), name
+        json.dumps(flow_records(result, "s0"))

@@ -1,7 +1,7 @@
 """Unit tests for the analysis pipeline pieces (synthetic inputs)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
@@ -17,6 +17,7 @@ from repro.analysis import (
     split_phases_rate_knee,
     variance,
 )
+from repro.analysis.flowtable import EventLog
 from repro.streaming import StreamingStrategy
 
 KB = 1024
@@ -115,6 +116,69 @@ class TestDetectOnOff:
         events = onoff_trace(64 * KB, 0.5, count=10)
         profile = detect_onoff(events)
         assert profile.mean_cycle_duration() == pytest.approx(0.5, rel=0.1)
+
+
+def reference_onoff(events, gap_threshold, min_on_bytes, stream_end):
+    """ON/OFF detection as one loop over the ``(time, advance)`` pairs:
+    a gap above the threshold closes the current group."""
+    if not events:
+        return [], []
+    groups = []
+    start, end, moved = events[0][0], events[0][0], events[0][1]
+    for t, advance in events[1:]:
+        if t - end > gap_threshold:
+            groups.append((start, end, moved))
+            start, moved = t, 0
+        end = t
+        moved += advance
+    groups.append((start, end, moved))
+    significant = [g for g in groups if g[2] >= min_on_bytes]
+    if not significant:
+        significant = [max(groups, key=lambda g: g[2])]
+    offs = [(a[1], b[0]) for a, b in zip(significant, significant[1:])]
+    if stream_end is not None and stream_end - significant[-1][1] \
+            > gap_threshold:
+        offs.append((significant[-1][1], stream_end))
+    return significant, offs
+
+
+# Times on a 1/1024 s grid: a step can equal the gap threshold exactly.
+onoff_steps = st.lists(
+    st.tuples(st.sampled_from([0, 0, 1, 3, 153, 154, 155, 400]),
+              st.sampled_from([0, 0, 1, 1460, 4095, 4096, 65536])),
+    max_size=80)
+
+
+class TestDetectOnOffOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(steps=onoff_steps,
+           gap_ticks=st.sampled_from([154, 0, 400]),
+           min_on_bytes=st.sampled_from([0, 4096, 10**9]),
+           tail_ticks=st.sampled_from([None, 0, 154, 155, 2000]))
+    def test_matches_group_loop(self, steps, gap_ticks, min_on_bytes,
+                                tail_ticks):
+        tick, t, events = 1 / 1024, 1.0, []
+        for dt, advance in steps:
+            t += dt * tick
+            events.append((t, advance))
+        gap = gap_ticks * tick
+        stream_end = None if tail_ticks is None else t + tail_ticks * tick
+        log = EventLog()
+        log.activity.extend(t for t, _ in events)
+        log.advances.extend(a for _, a in events)
+        ons, offs = reference_onoff(events, gap, min_on_bytes, stream_end)
+        for source in (events, log):
+            profile = detect_onoff(source, gap_threshold=gap,
+                                   min_on_bytes=min_on_bytes,
+                                   stream_end=stream_end)
+            got = [(p.start, p.end, p.bytes) for p in profile.on_periods]
+            assert got == ons
+            assert [(p.start, p.end) for p in profile.off_periods] == offs
+            assert all(type(p.start) is float and type(p.end) is float
+                       and type(p.bytes) is int
+                       for p in profile.on_periods)
+            assert all(type(p.start) is float and type(p.end) is float
+                       for p in profile.off_periods)
 
 
 class TestSplitPhases:

@@ -135,6 +135,48 @@ class TestTraceCapture:
         capture.tap(1.0, seg)
         assert len(capture) == 1
 
+    def test_columns_snapshot_survives_later_taps(self):
+        """A view taken mid-session copies the tap's buffers: tapping on
+        must neither raise ``BufferError`` (as appending to an exported
+        ``array`` would) nor change the earlier views."""
+        from repro.tcp import TcpSegment
+        capture = TraceCapture()
+        taps = []
+
+        def tap(t, seq, payload=None):
+            taps.append((t, seq))
+            capture.tap(t, TcpSegment(
+                "192.0.2.1", 80, "10.0.0.1", 5000, seq=seq, window=70_000,
+                payload_len=len(payload) if payload else 100,
+                payload=payload))
+
+        columns = ("timestamps", "flow_ids", "seqs", "flags",
+                   "payload_lens", "windows")
+        tap(0.0, 0, b"head")
+        tap(0.1, 4)
+        in_order = capture.columns()
+        before = {name: getattr(in_order, name).copy() for name in columns}
+        timestamps = in_order.timestamps[1:]   # a view into the snapshot
+        for i in range(1, 2000):
+            # ten packets per timestamp, then one stamped in the past
+            tap(0.2 + (i // 10) * 1e-3, 4 + 100 * i,
+                b"x" * 100 if i == 5 else None)
+        tap(0.05, 1 << 33)
+        shuffled = capture.columns()
+        tap(0.3, 7)
+        assert len(capture.columns()) == 2003
+        for name in columns:
+            assert getattr(in_order, name).tobytes() == \
+                before[name].tobytes()
+        assert timestamps.tolist() == [0.1]
+        assert in_order.payloads == {0: b"head"}
+        # a stable sort: ties keep tap order
+        ordered = sorted(taps[:2002], key=lambda tap: tap[0])
+        assert shuffled.timestamps.tolist() == [t for t, _ in ordered]
+        assert shuffled.seqs.tolist() == [seq & 0xFFFFFFFF
+                                          for _, seq in ordered]
+        assert shuffled.payloads == {0: b"head", 7: b"x" * 100}
+
     def test_syn_and_fin_present(self):
         records = captured_transfer().records
         assert any(r.is_syn for r in records)
