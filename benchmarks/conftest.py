@@ -11,19 +11,14 @@ memoizes completed sessions on disk — useful to iterate on an analysis
 change without re-simulating, but note that a warm cache makes *timing*
 numbers meaningless for the simulation itself.
 
-``--repro-bench-out FILE`` records each benchmark's wall time into the
-same schema-versioned bench file ``repro bench`` writes
-(``repro-bench/v1``), so pytest-benchmark runs and CLI bench snapshots
-feed one comparable trajectory: ``repro bench --compare`` diffs either
-kind against either kind.
+Timings come from pytest-benchmark itself: ``--benchmark-save`` stores a
+run, ``--benchmark-compare --benchmark-compare-fail=min:100%`` gates a
+later one against it.
 """
-
-import time
 
 import pytest
 
 from repro.experiments import SCALES, engine_options
-from repro.obs import BenchWriter
 
 
 def pytest_addoption(parser):
@@ -47,31 +42,6 @@ def pytest_addoption(parser):
         default=None,
         help="memoize completed sessions under this directory",
     )
-    parser.addoption(
-        "--repro-bench-out",
-        action="store",
-        default=None,
-        metavar="FILE",
-        help="record per-test wall times into a repro-bench/v1 JSON file "
-             "(comparable with `repro bench --compare`)",
-    )
-
-
-def pytest_configure(config):
-    out = config.getoption("--repro-bench-out")
-    if out:
-        config._repro_bench_writer = BenchWriter(
-            "pytest benchmarks",
-            config.getoption("--repro-scale"),
-            jobs=config.getoption("--repro-jobs"),
-        )
-
-
-def pytest_unconfigure(config):
-    writer = getattr(config, "_repro_bench_writer", None)
-    if writer is not None and writer.entries:
-        path = writer.write(config.getoption("--repro-bench-out"))
-        print(f"\nbench written: {path}")
 
 
 @pytest.fixture(autouse=True)
@@ -82,33 +52,6 @@ def engine(request):
         cache=request.config.getoption("--repro-cache-dir"),
     ) as options:
         yield options
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_makereport(item, call):
-    outcome = yield
-    report = outcome.get_result()
-    if report.when == "call":
-        item._repro_bench_passed = report.passed
-
-
-@pytest.fixture(autouse=True)
-def bench_record(request):
-    """Record this test's wall time into the shared bench file (if any).
-
-    Failed benchmarks are *not* recorded: a partial timing from a test
-    that blew up mid-run would poison the compare trajectory with a
-    number that measures nothing.
-    """
-    writer = getattr(request.config, "_repro_bench_writer", None)
-    if writer is None:
-        yield
-        return
-    started = time.perf_counter()
-    yield
-    if getattr(request.node, "_repro_bench_passed", False):
-        writer.add(request.node.name, time.perf_counter() - started,
-                   scale=request.config.getoption("--repro-scale"))
 
 
 @pytest.fixture

@@ -1,8 +1,7 @@
 """Microbenchmarks for the simulation fast path (PR 5 + PR 8 tentpoles).
 
-Five probes of the allocation-lean core, wired into the shared
-``--repro-bench-out`` BenchWriter schema so ``repro bench --compare``
-gates regressions:
+Five probes of the allocation-lean core; CI gates HEAD against its
+parent on them with pytest-benchmark's ``--benchmark-compare-fail``:
 
 * **scheduler churn** — raw event-loop throughput: tuple-entry posts,
   argument-carrying callbacks, handle cancellation and lazy deletion.

@@ -32,11 +32,6 @@ Commands:
   worker-health events) into a self-contained markdown or HTML report:
   timeline, per-worker utilization, unit latency percentiles, failures
   and health suspicions.
-* ``bench`` — run a named experiment suite at a chosen scale and write a
-  schema-versioned ``BENCH_<gitsha>.json`` perf snapshot (wall time,
-  sessions/sec, peak RSS, cache hits/misses, telemetry span totals);
-  ``bench --compare A.json B.json`` diffs two snapshots and exits
-  non-zero on wall-time regressions beyond ``--threshold``.
 * ``list`` — show the available experiments (title and paper reference
   from the registry), applications and networks; ``--json`` emits the
   experiment registry as machine-readable JSON.
@@ -303,10 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="FILE",
         help="write the report here (.html/.htm renders HTML, anything "
              "else markdown); default: print markdown to stdout")
-    p_report.add_argument(
-        "--bench", nargs="?", const=".", default=None, metavar="DIR",
-        help="append the BENCH_*.json perf trajectory found under DIR "
-             "(default: the cwd)")
 
     p_prof = sub.add_parser(
         "profile",
@@ -339,50 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=0, metavar="N",
         help="also print the N hottest span paths ranked by cumulative "
              "time (a flat hot-span table, not the indented tree)")
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="run a perf snapshot suite and write BENCH_<gitsha>.json, "
-             "or --compare two snapshots")
-    p_bench.add_argument(
-        "suite", nargs="*", metavar="NAME",
-        help="experiment names to benchmark (default: the quick suite)")
-    _add_scale_seed(p_bench)
-    p_bench.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes while benchmarking (recorded in the file)")
-    p_bench.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="run against this result cache (hit/miss counts are recorded)")
-    p_bench.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the result cache even if $REPRO_CACHE_DIR is set")
-    p_bench.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="output path (default: BENCH_<gitsha>.json in the cwd)")
-    p_bench.add_argument(
-        "--compare", nargs=2, metavar=("BASE", "NEW"), default=None,
-        help="diff two bench files instead of running; exits 1 on "
-             "regressions beyond --threshold")
-    p_bench.add_argument(
-        "--threshold", type=float, default=0.25, metavar="FRAC",
-        help="relative wall-time slowdown tolerated by --compare "
-             "(default 0.25 = +25%%)")
-    p_bench.add_argument(
-        "--report-only", action="store_true",
-        help="with --compare: print the diff but always exit 0")
-    p_bench.add_argument(
-        "--history", nargs="?", const=".", default=None, metavar="DIR",
-        help="print the per-benchmark trajectory across every committed "
-             "BENCH_*.json under DIR (default: the cwd) instead of running")
-    p_bench.add_argument(
-        "--dist", action="store_true",
-        help="also record a dist_campaign entry: the same sharded "
-             "model_validation campaign through the distributed fabric "
-             "at workers=1 and workers=4, over throwaway queues/stores")
-    p_bench.add_argument(
-        "--dist-sessions", type=int, default=6000, metavar="M",
-        help="campaign size for the --dist entry (default 6000)")
 
     p_list = sub.add_parser(
         "list", help="show experiments, applications, networks, campaigns")
@@ -874,10 +821,10 @@ def _cmd_report(args) -> int:
         print(f"repro report: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        write_report(view, args.out, bench_dir=args.bench)
+        write_report(view, args.out)
         print(f"report written : {args.out}")
     else:
-        print(render_report(view, bench_dir=args.bench), end="")
+        print(render_report(view), end="")
     return 0
 
 
@@ -920,69 +867,6 @@ def _cmd_profile(args) -> int:
         n = write_chrome_trace(rec, args.trace_chrome)
         print(f"\nchrome trace       : {args.trace_chrome} ({n} events; "
               f"open in chrome://tracing or Perfetto)")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    from .obs import bench as obs_bench
-
-    if args.history is not None:
-        payloads = obs_bench.load_history(args.history)
-        if not payloads:
-            print(f"bench history: no BENCH_*.json under {args.history}",
-                  file=sys.stderr)
-            return 2
-        print(obs_bench.format_history(payloads))
-        return 0
-
-    if args.compare:
-        base_path, new_path = args.compare
-        try:
-            baseline = obs_bench.load_bench(base_path)
-            candidate = obs_bench.load_bench(new_path)
-        except (OSError, ValueError) as exc:
-            print(f"bench compare: {exc}", file=sys.stderr)
-            return 2
-        regressions = obs_bench.compare(baseline, candidate,
-                                        threshold=args.threshold)
-        print(obs_bench.format_comparison(baseline, candidate,
-                                          regressions, args.threshold))
-        if regressions and not args.report_only:
-            return 1
-        return 0
-
-    from .experiments import REGISTRY
-
-    names = list(args.suite) or list(obs_bench.QUICK_SUITE)
-    unknown = [n for n in names if n not in REGISTRY]
-    if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}; "
-              f"know {', '.join(REGISTRY)}", file=sys.stderr)
-        return 2
-    cache = _resolve_cache(args)
-    writer = obs_bench.BenchWriter("repro bench", args.scale,
-                                   jobs=args.jobs, seed=args.seed)
-    entries, _ = obs_bench.run_suite(names, args.scale, seed=args.seed,
-                                     jobs=args.jobs, cache=cache)
-    for name, entry in entries.items():
-        writer.add(name, entry.pop("wall_s"), **entry)
-    if args.dist:
-        entry = obs_bench.run_dist_bench(args.scale, seed=args.seed,
-                                         sessions=args.dist_sessions)
-        writer.add("dist_campaign", entry.pop("wall_s"), **entry)
-        print(f"dist_campaign  : workers "
-              f"{'/'.join(str(w) for w in entry['workers'])}, "
-              f"speedup {entry['speedup']:.2f}x")
-    if cache is not None:
-        stats = cache.stats()
-        print(f"cache          : {stats['entries']} entries, "
-              f"{stats['bytes']} bytes")
-    path = writer.write(args.out)
-    for name, entry in sorted(writer.entries.items()):
-        print(f"{name:<20} {entry['wall_s']:8.3f}s  "
-              f"{entry.get('units_per_sec', 0):8.1f} units/s  "
-              f"hits {entry.get('cache_hits', 0)}")
-    print(f"bench written  : {path}")
     return 0
 
 
@@ -1056,8 +940,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_report(args)
     if args.command == "profile":
         return _cmd_profile(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "list":
         return _cmd_list(args)
     return 2  # pragma: no cover - argparse enforces the choices

@@ -36,7 +36,9 @@ from ..streaming.params import (
     BULK_SERVER,
     FLASH_SERVER,
 )
+from ..streaming.session import record_sim_counters
 from ..tcp import TcpConfig
+from ..telemetry import current_recorder
 from ..workloads import MBPS, Video
 from .common import MB, SMALL, Scale, run_tasks
 
@@ -156,6 +158,10 @@ def _run_cohort(strategy: StreamingStrategy, n_sessions: int,
         players.append(player)
 
     net.run_until(capture)
+    rec = current_recorder()
+    if rec.enabled:
+        record_sim_counters(rec, net.scheduler, server.connections
+                            + [c for p in players for c in p.connections])
     stats = path.forward.stats
     offered = stats.packets_in
     drops = stats.packets_dropped_queue

@@ -1,4 +1,4 @@
-"""Campaign observability: exporters, live progress, and the repro bench.
+"""Campaign observability: exporters, live progress, and engine health.
 
 The layers below this one *compute*; ``repro.obs`` *watches*.  It sits at
 the top of the stack (above analysis, streaming and the runner) and
@@ -15,10 +15,6 @@ a result, an analysis, or a cache fingerprint.  Three pillars:
   observer keeping one ``\\r``-rewritten status line on stderr
   (done/total, rate, ETA, cache-hit/fault/retry counts).  Default-off
   behind the same single-guard pattern as the telemetry layer.
-* **Bench** (:mod:`~repro.obs.bench`) — the ``repro bench``
-  perf-regression tracker: run a suite, write a schema-versioned
-  ``BENCH_<gitsha>.json``, and ``--compare`` two of them with a
-  configurable regression threshold.
 * **Engine health** (:mod:`~repro.obs.health`, :mod:`~repro.obs.dash`,
   :mod:`~repro.obs.report`) — the campaign control plane: per-worker
   heartbeats and straggler detection (:class:`HealthMonitor`), the live
@@ -31,20 +27,6 @@ a result, an analysis, or a cache fingerprint.  Three pillars:
 See ``docs/OBSERVABILITY.md`` for formats and workflows.
 """
 
-from .bench import (
-    BENCH_SCHEMA,
-    BenchWriter,
-    QUICK_SUITE,
-    Regression,
-    compare,
-    format_comparison,
-    format_history,
-    git_sha,
-    load_bench,
-    load_history,
-    peak_rss_kb,
-    run_suite,
-)
 from .collect import (
     AGGREGATE_FIELDS,
     CampaignCollector,
@@ -79,8 +61,6 @@ from .report import render_html, render_report, write_report
 
 __all__ = [
     "AGGREGATE_FIELDS",
-    "BENCH_SCHEMA",
-    "BenchWriter",
     "CampaignCollector",
     "CampaignSnapshot",
     "DashboardReporter",
@@ -92,27 +72,17 @@ __all__ = [
     "LedgerView",
     "METRIC_FIELDS",
     "ProgressReporter",
-    "QUICK_SUITE",
-    "Regression",
     "RunLedger",
     "Suspicion",
     "WorkerLane",
-    "compare",
     "export_records",
     "flow_records",
-    "format_comparison",
-    "format_history",
-    "git_sha",
     "ledger_path",
-    "load_bench",
-    "load_history",
     "load_ledger",
     "metric_samples",
-    "peak_rss_kb",
     "prometheus_lines",
     "render_html",
     "render_report",
-    "run_suite",
     "write_csv",
     "write_jsonl",
     "write_prometheus",

@@ -8,8 +8,7 @@ utilization, unit latency percentiles (via the same
 retry / quarantine tallies, failure attribution and health suspicions —
 plus, for distributed campaigns, the fabric's story (queue, shards
 published vs prefilled, every re-leased shard with who lost it and who
-finished it) and, optionally, the ``BENCH_*.json`` perf trajectory of
-the repository the campaign ran in.
+finished it).
 
 Markdown is the primary rendering (readable in a terminal, a gist, or
 a CI artifact); :func:`render_html` wraps the same content in one
@@ -64,15 +63,9 @@ def _clip(text: str, width: int = 60) -> str:
     return text if len(text) <= width else text[:width - 3] + "..."
 
 
-def render_report(view: LedgerView, *, bench_dir=None,
+def render_report(view: LedgerView, *,
                   title: Optional[str] = None) -> str:
-    """The campaign report for one loaded ledger, as markdown.
-
-    ``bench_dir`` (optional) appends the ``BENCH_*.json`` trajectory
-    found under that directory (see
-    :func:`~repro.obs.bench.load_history`) so a campaign report and the
-    repository's perf history travel as one document.
-    """
+    """The campaign report for one loaded ledger, as markdown."""
     meta = view.meta
     counts = view.counts()
     span = view.span()
@@ -200,15 +193,6 @@ def render_report(view: LedgerView, *, bench_dir=None,
         lines += _table(("kind", "worker", "unit", "age", "detail"), rows)
         lines.append("")
 
-    # -- bench history (optional) --------------------------------------------
-    if bench_dir is not None:
-        from .bench import format_history, load_history
-
-        history = load_history(bench_dir)
-        if history:
-            lines += ["## Bench history", "", "```",
-                      format_history(history), "```", ""]
-
     return "\n".join(lines).rstrip() + "\n"
 
 
@@ -216,11 +200,10 @@ def render_html(markdown: str, title: str = "Campaign report") -> str:
     """Wrap a markdown report in one self-contained HTML document.
 
     A tiny renderer for exactly the subset :func:`render_report` emits —
-    headings, pipe tables, bullet lists, fenced code blocks, paragraphs
-    — with no external assets, so the file travels whole.
+    headings, pipe tables, bullet lists, paragraphs — with no external
+    assets, so the file travels whole.
     """
     body: List[str] = []
-    in_code = False
     in_table = False
     in_list = False
 
@@ -235,14 +218,6 @@ def render_html(markdown: str, title: str = "Campaign report") -> str:
 
     for raw in markdown.splitlines():
         line = raw.rstrip()
-        if line.startswith("```"):
-            close_blocks()
-            body.append("<pre>" if not in_code else "</pre>")
-            in_code = not in_code
-            continue
-        if in_code:
-            body.append(html.escape(raw))
-            continue
         if not line:
             close_blocks()
             continue
@@ -271,26 +246,23 @@ def render_html(markdown: str, title: str = "Campaign report") -> str:
         else:
             close_blocks()
             body.append(f"<p>{html.escape(line)}</p>")
-    if in_code:
-        body.append("</pre>")
     close_blocks()
     styles = ("body{font-family:sans-serif;max-width:60em;margin:2em auto;"
               "padding:0 1em}table{border-collapse:collapse}"
               "td,th{border:1px solid #999;padding:.25em .6em;"
-              "text-align:left}pre{background:#f4f4f4;padding:1em;"
-              "overflow-x:auto}")
+              "text-align:left}")
     return ("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">"
             f"<title>{html.escape(title)}</title>"
             f"<style>{styles}</style></head>\n<body>\n"
             + "\n".join(body) + "\n</body></html>\n")
 
 
-def write_report(view: LedgerView, path, *, bench_dir=None,
+def write_report(view: LedgerView, path, *,
                  title: Optional[str] = None) -> str:
     """Render ``view`` to ``path`` — HTML when the suffix says so
     (``.html``/``.htm``), markdown otherwise.  Returns the rendered
     markdown either way (the CLI prints it when no path is given)."""
-    markdown = render_report(view, bench_dir=bench_dir, title=title)
+    markdown = render_report(view, title=title)
     target = Path(path)
     if target.suffix.lower() in (".html", ".htm"):
         first = markdown.splitlines()[0].lstrip("# ").strip()

@@ -53,7 +53,6 @@ import itertools
 import os
 from typing import Any, Callable, List, Optional, Tuple
 
-from ..telemetry import current_recorder
 from .clock import SimClock
 from .errors import SchedulingError
 
@@ -140,11 +139,6 @@ class EventScheduler:
         # Horizon of the innermost run_until(); batched components must
         # not process work scheduled past it (run() lifts it to +inf).
         self._horizon = 0.0
-        # Captured once: a scheduler lives inside exactly one session (or
-        # test), so the recorder in effect at construction is the right
-        # one for its whole lifetime, and the hot loops below pay only an
-        # ``enabled`` check when telemetry is off.
-        self._telemetry = current_recorder()
 
     # -- scheduling ---------------------------------------------------------
 
@@ -343,8 +337,6 @@ class EventScheduler:
                 fired += 1
         if self.clock.now() < t:
             self.clock.advance_to(t)
-        if fired and self._telemetry.enabled:
-            self._telemetry.inc("scheduler.events", fired)
         return fired
 
     def run(self, max_events: Optional[int] = None) -> int:
@@ -355,8 +347,6 @@ class EventScheduler:
             fired += 1
             if max_events is not None and fired >= max_events:
                 break
-        if fired and self._telemetry.enabled:
-            self._telemetry.inc("scheduler.events", fired)
         return fired
 
     def run_while(self, predicate: Callable[[], bool], horizon: float) -> int:

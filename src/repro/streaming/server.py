@@ -101,10 +101,9 @@ class VideoServer:
         self.responses_503 = 0
         self.connections_accepted = 0
         self.connections_aborted = 0
-        #: Per-connection cwnd traces in accept order; populated only when
-        #: the server's ``tcp_config`` sets ``trace_cwnd`` (the traces keep
-        #: growing after a connection closes out of ``_open_conns``).
-        self.cwnd_traces: List[TimeSeries] = []
+        #: Every accepted connection in accept order, closed ones included
+        #: (``_open_conns`` holds only the live ones).
+        self.connections: List[TcpConnection] = []
         self._unavailable_until: Optional[float] = None
         self._open_conns: List[TcpConnection] = []
         self._listener = TcpListener(
@@ -113,6 +112,13 @@ class VideoServer:
 
     def close(self) -> None:
         self._listener.close()
+
+    @property
+    def cwnd_traces(self) -> List[TimeSeries]:
+        """Per-connection cwnd traces in accept order; populated only when
+        the server's ``tcp_config`` sets ``trace_cwnd``."""
+        return [conn.cwnd_series for conn in self.connections
+                if conn.cwnd_series is not None]
 
     # -- fault injection hooks ---------------------------------------------------
 
@@ -146,8 +152,7 @@ class VideoServer:
     def _on_accept(self, conn: TcpConnection) -> None:
         self.connections_accepted += 1
         self._open_conns.append(conn)
-        if conn.cwnd_series is not None:
-            self.cwnd_traces.append(conn.cwnd_series)
+        self.connections.append(conn)
         state = {"buf": b"", "job": None}
         conn.on_data = lambda c: self._on_request_bytes(c, state)
         conn.on_closed = lambda c, reason: self._on_conn_closed(c, state)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..pcap import PacketRecord, TraceCapture
 from ..simnet import (
@@ -24,8 +24,10 @@ from ..simnet import (
     build_client_server,
 )
 from ..simnet.rng import derive_seed
-from ..tcp import TcpConfig
+from ..simnet.scheduler import EventScheduler
+from ..tcp import TcpConfig, TcpConnection
 from ..telemetry import (
+    NullRecorder,
     Recorder,
     SessionTelemetry,
     current_recorder,
@@ -175,6 +177,34 @@ def _make_player(
     return player
 
 
+def record_sim_counters(rec: NullRecorder, scheduler: EventScheduler,
+                        connections: Iterable[TcpConnection]) -> None:
+    """Fold a finished simulation's TCP and scheduler counters into ``rec``.
+
+    The TCP and scheduler layers keep plain counters (:class:`TcpStats`,
+    :attr:`EventScheduler.fired`, the fast-forward tallies) and never
+    touch telemetry, so recording cannot change the code path they take;
+    this reads the counters once, after the run.  Zero totals are not
+    recorded.
+    """
+    totals = {
+        "scheduler.events": scheduler.fired,
+        "scheduler.ff_jumps": scheduler.fast_forward_jumps,
+        "scheduler.ff_refusals": scheduler.fast_forward_refusals,
+        "tcp.segments_sent": 0,
+        "tcp.bytes_sent": 0,
+        "tcp.retransmits": 0,
+    }
+    for conn in connections:
+        stats = conn.stats
+        totals["tcp.segments_sent"] += stats.segments_sent
+        totals["tcp.bytes_sent"] += stats.bytes_sent
+        totals["tcp.retransmits"] += stats.retransmitted_segments
+    for name, value in totals.items():
+        if value:
+            rec.inc(name, value)
+
+
 def run_session(video: Video, config: SessionConfig) -> SessionResult:
     """Stream ``video`` once under ``config`` and capture the traffic.
 
@@ -278,6 +308,8 @@ def _run_session_impl(video: Video, config: SessionConfig) -> SessionResult:
         rec.inc("sessions.completed")
         rec.inc("tcp.connections_opened", player.connections_opened)
         rec.inc("pcap.packets", len(capture))
+        record_sim_counters(rec, net.scheduler,
+                            player.connections + server.connections)
         rec.observe("session.sim_seconds", net.now())
         rec.observe("session.downloaded_bytes", player.downloaded)
         rec.event("session.end", t=net.now(), video=video.video_id,

@@ -21,7 +21,6 @@ from typing import Callable, Optional
 
 from ..simnet.node import Host
 from ..simnet.scheduler import EventHandle, EventScheduler
-from ..telemetry import current_recorder
 from .congestion import NewRenoCongestion
 from .constants import (
     ACK,
@@ -143,9 +142,6 @@ class TcpConnection:
 
         self.state = CLOSED
         self.stats = TcpStats()
-        # Recorder captured once per connection: `_emit` runs per segment,
-        # so the disabled path must cost a single attribute check.
-        self._telemetry = current_recorder()
         # Clock alias for the per-segment paths: reading ``_clock._now``
         # is two attribute loads instead of a bound-method call.
         self._clock = scheduler.clock
@@ -462,13 +458,6 @@ class TcpConnection:
                 stats.retransmitted_bytes += plen
         elif seg.flags == ACK:  # pure ACK
             stats.acks_sent += 1
-        telemetry = self._telemetry
-        if telemetry.enabled:
-            telemetry.inc("tcp.segments_sent")
-            if plen:
-                telemetry.inc("tcp.bytes_sent", plen)
-                if seg.retransmission:
-                    telemetry.inc("tcp.retransmits")
         self._last_activity = self._clock._now
         if self.cwnd_series is not None and (
             not self.cwnd_series.values
@@ -580,7 +569,7 @@ class TcpConnection:
         """
         if off < self._high_water_off:
             return False  # retransmissions take the scalar path
-        if self._telemetry.enabled or self.cwnd_series is not None:
+        if self.cwnd_series is not None:
             return False
         transmit_train = self._transmit_train
         if transmit_train is None:
@@ -889,7 +878,7 @@ class TcpConnection:
             return False
         if self._persist_timer is not None or self._persist_backoff != 1.0:
             return False
-        if self._telemetry.enabled or self.cwnd_series is not None:
+        if self.cwnd_series is not None:
             return False
         transmit = self._transmit
         if transmit is None:

@@ -1,10 +1,13 @@
 """Telemetry: span tracing, metrics and structured events for the engine.
 
 The paper's own method is phase-level traffic instrumentation; this
-package applies the same idea to the reproduction itself.  Hot paths —
-the worker pool, ``run_session``, the TCP endpoints, the event scheduler,
-the players — emit spans (wall-clock timed regions), counters/gauges/
-histograms and structured events into an ambient :class:`Recorder`.
+package applies the same idea to the reproduction itself.  The worker
+pool, the result cache, ``run_session`` and the players emit spans
+(wall-clock timed regions), counters/gauges/histograms and structured
+events into an ambient :class:`Recorder`.  The per-packet layers (the
+TCP endpoints, the event scheduler) never touch it: ``run_session``
+reads their plain counters once, after the session, so recording
+cannot change the code path a session takes.
 
 Three properties define the design (see ``docs/ARCHITECTURE.md``):
 

@@ -8,7 +8,7 @@ directions:
   :data:`NULL`, a :class:`NullRecorder` whose ``enabled`` attribute is
   ``False`` and whose methods are no-ops.  Instrumented code holds a
   reference captured once (at object construction or scope entry) and
-  guards per-packet work with a single ``if rec.enabled:`` check — no
+  guards its work with a single ``if rec.enabled:`` check — no
   context-variable lookup, no dict update, no allocation on the
   disabled path.
 * **Determinism under parallelism.**  Counters, histograms and events
@@ -188,7 +188,7 @@ class NullRecorder:
     """The disabled recorder: every operation is a no-op.
 
     Instrumented code checks ``rec.enabled`` once per scope (per span,
-    per connection, per scheduler run) and skips all bookkeeping when it
+    per session, per player event) and skips all bookkeeping when it
     is ``False``; the methods still exist so un-guarded call sites stay
     correct, just slightly less fast.
     """
@@ -362,9 +362,9 @@ _RECORDER: contextvars.ContextVar[NullRecorder] = contextvars.ContextVar(
 def current_recorder() -> NullRecorder:
     """The recorder in effect for this context (:data:`NULL` when disabled).
 
-    Hot paths call this once per long-lived object (a TCP connection, a
-    scheduler, a session) and keep the reference; they must not cache it
-    across sessions.
+    Instrumented code calls this once per long-lived object (a player, a
+    session) and keeps the reference; it must not cache it across
+    sessions.
     """
     return _RECORDER.get()
 

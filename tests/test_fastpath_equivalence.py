@@ -9,7 +9,9 @@ family, lossy links, and scripted faults — with each optimization layer
 (fast-forward, vectorized dispatch, train batching) toggled
 independently, and assert the MD5 digest over every export — packet
 records, flow records, metric samples, QoE — is identical to the
-everything-off reference run.
+everything-off reference run.  A live telemetry recorder must not change
+the path either: the recorded all-on run fires the same scheduler events
+and fast-forward jumps as the unrecorded one.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ import pytest
 
 import repro.simnet.link as link_mod
 import repro.simnet.scheduler as sched_mod
+import repro.streaming.session as session_mod
 from repro.obs.flows import flow_records
 from repro.obs.metrics import metric_samples
 from repro.simnet.faults import FaultSchedule
@@ -26,6 +29,7 @@ from repro.streaming import Application, Service
 from repro.streaming.session import SessionConfig, run_session
 from repro.tcp.constants import ACK, header_overhead
 from repro.tcp.segment import TcpSegment
+from repro.telemetry import recording
 from repro.workloads import MBPS, Video
 
 # The seven equivalence scenarios.  Together they cover every access
@@ -51,20 +55,44 @@ SCENARIOS = {
         faults=FaultSchedule().outage(8.0, 3.0).degrade(15.0, 6.0, 0.4)),
 }
 
-# (fast_forward, vector, batching) — the everything-off triple is the
-# reference; each optimization is also dropped individually so a digest
-# mismatch pins the offending layer.
+# The everything-off row is the reference; each optimization is also
+# dropped individually so a digest mismatch pins the offending layer, and
+# "recorded" is all-on under a live telemetry recorder.
+_ON = dict(fast_forward=True, vector=True, batching=True)
 TOGGLES = {
-    "all-on": (True, True, True),
-    "no-fast-forward": (False, True, True),
-    "no-vector": (True, False, True),
-    "all-off": (False, False, False),
+    "all-on": _ON,
+    "no-fast-forward": dict(_ON, fast_forward=False),
+    "no-vector": dict(_ON, vector=False),
+    "recorded": dict(_ON, recorded=True),
+    "all-off": dict(fast_forward=False, vector=False, batching=False),
 }
 
 
+@pytest.fixture
+def schedulers(monkeypatch):
+    """Every session's scheduler, in run order, captured as its network
+    is built."""
+    built = []
+    build_client_server = session_mod.build_client_server
+
+    def build(*args, **kwargs):
+        parts = build_client_server(*args, **kwargs)
+        built.append(parts[0].scheduler)
+        return parts
+
+    monkeypatch.setattr(session_mod, "build_client_server", build)
+    return built
+
+
+def _sched_counts(sched):
+    return (sched.fired, sched.fast_forward_jumps,
+            sched.fast_forward_refusals)
+
+
 def _run(scenario: dict, *, fast_forward: bool, vector: bool,
-         batching: bool):
-    """One short session with each fast-path layer forced on or off."""
+         batching: bool, recorded: bool = False):
+    """One short session with each fast-path layer forced on or off,
+    under a live telemetry recorder when ``recorded``."""
     old = (sched_mod.FAST_FORWARD, link_mod.VECTOR_TRAINS,
            link_mod.BATCH_DELIVERIES)
     sched_mod.FAST_FORWARD = fast_forward
@@ -80,7 +108,10 @@ def _run(scenario: dict, *, fast_forward: bool, vector: bool,
                                capture_duration=30.0,
                                seed=scenario["seed"],
                                faults=scenario.get("faults"))
-        return run_session(video, config)
+        if not recorded:
+            return run_session(video, config)
+        with recording():
+            return run_session(video, config)
     finally:
         (sched_mod.FAST_FORWARD, link_mod.VECTOR_TRAINS,
          link_mod.BATCH_DELIVERIES) = old
@@ -117,24 +148,32 @@ def _digest(exports) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_exports_byte_identical_across_fastpath_toggles(name):
+def test_exports_byte_identical_across_fastpath_toggles(name, schedulers):
     """The non-negotiable contract: for each scenario, every toggle
-    combination hashes to the same MD5 as the everything-off reference."""
+    combination hashes to the same MD5 as the everything-off reference,
+    and recording takes exactly the unrecorded all-on path."""
     scenario = SCENARIOS[name]
-    reference = _exports(_run(scenario, fast_forward=False, vector=False,
-                              batching=False))
+    reference = _exports(_run(scenario, **TOGGLES["all-off"]))
     ref_digest = _digest(reference)
-    for label, (ff, vec, batch) in TOGGLES.items():
+    counts = {}
+    for label, toggles in TOGGLES.items():
         if label == "all-off":
             continue
-        got = _exports(_run(scenario, fast_forward=ff, vector=vec,
-                            batching=batch))
+        result = _run(scenario, **toggles)
+        counts[label] = _sched_counts(schedulers[-1])
+        if label == "recorded":
+            recorded = result.telemetry.counters
+        got = _exports(result)
         if _digest(got) != ref_digest:
             # digest differs: diff the structured exports for a real
             # failure message instead of two opaque hashes
             assert got == reference, f"{name}/{label} diverged from all-off"
             pytest.fail(f"{name}/{label}: digest mismatch with equal "
                         "exports (repr instability)")
+    assert counts["recorded"] == counts["all-on"]
+    assert tuple(recorded.get(key, 0) for key in (
+        "scheduler.events", "scheduler.ff_jumps",
+        "scheduler.ff_refusals")) == counts["recorded"]
 
 
 def test_fastpath_actually_engaged():
@@ -144,6 +183,10 @@ def test_fastpath_actually_engaged():
     result = _run(SCENARIOS["residence-short-onoff"], fast_forward=True,
                   vector=True, batching=True)
     assert len(result.capture) > 10_000  # the run really streamed
+    # 30 s on Residence is all buffering phase (the link never idles), so
+    # the OFF periods come from the clean 100 Mbps profile
+    result = _run(SCENARIOS["research-clean"], **TOGGLES["recorded"])
+    assert result.telemetry.counters["scheduler.ff_jumps"] > 0
 
 
 def test_fault_scenario_actually_faulted():

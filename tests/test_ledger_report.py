@@ -169,16 +169,6 @@ class TestRenderReport:
         markdown = render_report(LedgerView(LEDGER_SCHEMA, {}, []))
         assert "(empty ledger)" in markdown
 
-    def test_bench_history_section_is_optional(self, tmp_path):
-        no_bench = render_report(self._view(tmp_path), bench_dir=tmp_path)
-        assert "## Bench history" not in no_bench  # no BENCH_*.json there
-        (tmp_path / "BENCH_abc1234.json").write_text(json.dumps({
-            "schema": "repro-bench/v1", "git_sha": "abc1234",
-            "entries": {"fig2": {"wall_s": 1.5}}}))
-        with_bench = render_report(self._view(tmp_path), bench_dir=tmp_path)
-        assert "## Bench history" in with_bench
-        assert "abc1234" in with_bench
-
     def test_html_wraps_tables_and_escapes(self, tmp_path):
         markdown = render_report(self._view(tmp_path))
         html_doc = render_html(markdown, title='report <&> "x"')

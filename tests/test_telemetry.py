@@ -199,6 +199,28 @@ class TestSessionTelemetry:
         # ON-block boundaries: Flash short cycles mean many range requests
         assert names.count("player.request") == snap.counters["player.requests"]
 
+    def test_tcp_counters_sum_every_connection(self, monkeypatch):
+        """The folded TCP counters are sums of ``TcpStats`` over every
+        connection the session created, closed ones included."""
+        from repro.tcp import TcpConnection
+
+        conns = []
+        init = TcpConnection.__init__
+
+        def tracked_init(conn, *args, **kwargs):
+            init(conn, *args, **kwargs)
+            conns.append(conn)
+
+        monkeypatch.setattr(TcpConnection, "__init__", tracked_init)
+        with recording():
+            result = run_session(_video(), _config())
+        counters = result.telemetry.counters
+        assert len(conns) >= 2  # the client's and the server's ends
+        assert counters["tcp.segments_sent"] == sum(
+            c.stats.segments_sent for c in conns)
+        assert counters["tcp.bytes_sent"] == sum(
+            c.stats.bytes_sent for c in conns)
+
     def test_session_recorder_is_private(self):
         # a session must not leak its spans into the ambient recorder's
         # stack mid-flight; only the merged snapshot arrives
