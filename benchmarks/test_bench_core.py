@@ -11,11 +11,12 @@ parent on them with pytest-benchmark's ``--benchmark-compare-fail``:
   throttling).
 * **fast-path gate session** — the PR 8 CI gate workload: the same
   throttled ON/OFF shape on the clean 100 Mbps Research profile, where
-  fast-forward + vectorized dispatch + train batching carry the run
-  (this is the workload ``.github/workflows/ci.yml`` times A/B).
+  fast-forward, batched train delivery and TCP's steady-state receive
+  branch carry the run (this is the workload ``tools/fastpath_gate.py``
+  times against its reference path).
 * **bulk train session** — the no-ON/OFF bulk-transfer strategy (HTML5
-  webm over Firefox), where ``transmit_train`` and the vectorized
-  delivery loop dominate.
+  webm over Firefox), where burst sends (``transmit_train``) and the
+  batched delivery loop dominate.
 * **64-session campaign** — many short sessions back to back, the shape
   of the ROADMAP's campaign engine.
 

@@ -229,6 +229,9 @@ class TraceCapture:
         self._flow_table: List[Tuple[str, int, str, int]] = []
         self._flow_index: Dict[Tuple[str, int, str, int], int] = {}
         self._stopped = False
+        # The link tap lists attach() joined; stop() leaves them, so a
+        # finished capture is not kept alive by the network graph.
+        self._joined: List[List] = []
         self._records_cache: Optional[List[PacketRecord]] = None
         # The tap runs once per captured packet; prebinding the column
         # append methods keeps it to one call per field.
@@ -273,14 +276,18 @@ class TraceCapture:
         """
         for link in links:
             if hasattr(link, "add_client_side_tap"):
-                link.add_client_side_tap(self.tap)
+                self._joined.extend(link.add_client_side_tap(self.tap))
             else:
-                link.add_tap(self.tap)
+                self._joined.append(link.add_tap(self.tap))
         return self
 
     def stop(self) -> None:
-        """Stop recording (the 180-second capture cutoff of Section 4.2)."""
+        """Stop recording (the 180-second capture cutoff of Section 4.2)
+        and detach from every link joined."""
         self._stopped = True
+        for taps in self._joined:
+            taps.remove(self.tap)
+        self._joined.clear()
 
     # -- access -------------------------------------------------------------
 

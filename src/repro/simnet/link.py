@@ -16,29 +16,17 @@ bytes at time ``t`` is exactly ``(busy_until - t) * rate / 8``; a small
 per-packet deque prices the backlog at each packet's *enqueue-time* rate
 when a mid-flight :meth:`set_rate` would otherwise misprice it.
 
-Packet-train batching
----------------------
+Packet trains
+-------------
 
-Back-to-back deliveries of an uninterrupted train are held in a deque
-and only the head occupies the scheduler heap; each delivery posts the
-next entry with a sequence number *reserved at transmit time*
-(:meth:`EventScheduler.reserve_seq`), so the heap pops in bit-identical
-order to scheduling every delivery individually — results stay
-byte-identical while the heap stays shallow.  Loss models compose with
-batching because drop decisions are made at transmit time in both
-paths: a dropped packet simply never joins the train, consuming neither
-a scheduler event nor a sequence number, exactly like the unbatched
-path.  Fault injectors flip ``up``/``rate`` but never touch scheduled
-deliveries, so they are safe with batching too.  The module-level
-:data:`BATCH_DELIVERIES` switch turns the fast path off globally, which
-the equivalence tests use to prove the two paths agree.
-
-Vectorized packet trains
-------------------------
-
-Two further fast paths build on the train, both toggled by
-:data:`VECTOR_TRAINS` (env ``REPRO_VECTOR_TRAINS``) and both covered by
-the same byte-identity equivalence suite:
+Every surviving packet joins the link's delivery *train*, a deque of
+``(deliver_at, reserved_seq, packet)``; only the head occupies the
+scheduler heap.  The delivery's tie-break seq is reserved at transmit
+time (:meth:`EventScheduler.reserve_seq`), so the heap pops in
+bit-identical order to scheduling every delivery individually.  Loss
+draws are made at transmit time: a dropped packet never joins the train
+and consumes no sequence number.  Fault injectors flip ``up``/``rate``
+but never touch scheduled deliveries.
 
 * **Burst enqueue** — :meth:`Link.transmit_train` accepts a whole burst
   of equal-size segments and computes their serialization finish times
@@ -47,48 +35,33 @@ the same byte-identity equivalence suite:
   stay per-packet scalar calls so the RNG stream is untouched, and any
   burst that could hit the drop-tail check or a mixed-rate queue falls
   back to per-packet :meth:`transmit`.
-* **Batched delivery** — :meth:`Link._deliver_train` processes a prefix
-  of the train under a single scheduler event instead of re-posting one
-  event per packet.  The batch stops strictly before the earliest *live
-  cancellable* event in the heap (timers, monitor ticks, pacing pushes —
-  their callbacks may observe state the batch mutates) and before the
-  ``run_until`` horizon; plain tuple events are exclusively link
+* **Batched delivery** — :meth:`Link._deliver_train` delivers a prefix
+  of the train under a single scheduler event.  The batch stops strictly
+  before the scheduler's cancellable-event mark
+  (:meth:`EventScheduler.seed_mark`): the earliest live timer, monitor
+  tick or pacing push, whose callbacks may observe state the batch
+  mutates, and the ``run_until`` horizon.  Timers armed *by* a delivery
+  lower the mark as :meth:`EventScheduler.at` posts them, so the batch
+  never needs to know who armed what.  Plain tuple events are link
   deliveries, whose processing commutes with the batch.  Each delivery
-  inside the batch runs at its exact reserved ``(time, seq)`` with the
-  clock pinned to its timestamp, so captures and protocol state are
-  byte-identical to one-event-per-packet stepping.
+  runs at its exact reserved ``(time, seq)`` with the clock pinned to
+  its timestamp, so captures and protocol state are byte-identical to
+  one-event-per-packet stepping.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from itertools import accumulate, repeat
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from .errors import ConfigurationError
 from .loss import LossModel, NoLoss
-from .scheduler import EventScheduler, _HANDLE
+from .scheduler import EventScheduler
 
 # A wire packet is anything exposing its on-the-wire size in bytes.
 DeliverFn = Callable[[Any], None]
 TapFn = Callable[[float, Any], None]
-
-#: Global default for the packet-train delivery fast path.  Tests flip
-#: this to prove batched and unbatched runs are byte-identical, and the
-#: CI fast-path gate disables it (``REPRO_BATCH_DELIVERIES=0``) to time
-#: the scalar event-per-packet reference path; there is no reason to
-#: disable it otherwise.
-BATCH_DELIVERIES = os.environ.get("REPRO_BATCH_DELIVERIES", "1").lower() not in (
-    "0", "false", "off")
-
-#: Global default for the vectorized packet-train paths (burst enqueue
-#: and batched delivery).  Overridable through the
-#: ``REPRO_VECTOR_TRAINS`` environment variable; the equivalence tests
-#: flip it per run to prove byte-identity against the scalar paths.
-VECTOR_TRAINS = os.environ.get("REPRO_VECTOR_TRAINS", "1").lower() not in (
-    "0", "false", "off")
-
 
 class LinkStats:
     """Counters kept by each link."""
@@ -159,21 +132,10 @@ class Link:
         # Delivery train: (deliver_at, reserved_seq, packet).  Only the
         # head entry occupies the scheduler heap.
         self._train: Deque[Tuple[float, int, Any]] = deque()
-        self._batch = BATCH_DELIVERIES
-        self._vector = VECTOR_TRAINS
         # True while _deliver_train() is draining the train: a transmit
         # re-entering this link then must not post a head event (the
         # batch posts exactly one for whatever remains when it ends).
         self._in_batch = False
-        # Monomorphic receiver cache for the inline fast paths: the last
-        # flow key seen and its connection's _fast_inorder_data /
-        # _fast_pure_ack (None when the receiver has no fast path).  A
-        # stale entry is harmless — the fast paths' own guards reject
-        # closed connections and the generic demux then takes over.
-        self._fast_key = None
-        self._fast_data_fn = None
-        self._fast_ack_fn = None
-        self._fast_conn = None
         scheduler.add_quiescence_probe(self.quiescent)
 
     # -- fault state --------------------------------------------------------
@@ -206,10 +168,6 @@ class Link:
         self._rate_epoch += 1
         self._train.clear()
         self._in_batch = False
-        self._fast_key = None
-        self._fast_data_fn = None
-        self._fast_ack_fn = None
-        self._fast_conn = None
 
     # -- wiring -------------------------------------------------------------
 
@@ -217,17 +175,21 @@ class Link:
         """Set the far-end delivery callback."""
         self.deliver = deliver
 
-    def add_tap(self, tap: TapFn) -> None:
+    def add_tap(self, tap: TapFn) -> List[TapFn]:
         """Register a sender-side sniffer: ``tap(send_time, packet)`` fires
         for every packet that survives the queue, including ones later lost
-        downstream (what a capture box at the transmitter sees)."""
+        downstream (what a capture box at the transmitter sees).  Returns
+        the tap list joined; removing ``tap`` from it detaches the tap."""
         self._taps.append(tap)
+        return self._taps
 
-    def add_delivery_tap(self, tap: TapFn) -> None:
+    def add_delivery_tap(self, tap: TapFn) -> List[TapFn]:
         """Register a receiver-side sniffer: ``tap(arrival_time, packet)``
         fires only for packets actually delivered (what tcpdump at the far
-        end of the link sees — lost packets never appear)."""
+        end of the link sees — lost packets never appear).  Returns the
+        tap list joined, as :meth:`add_tap` does."""
         self._delivery_taps.append(tap)
+        return self._delivery_taps
 
     # -- quiescence ---------------------------------------------------------
 
@@ -328,25 +290,16 @@ class Link:
             send_time = finish  # moment the last bit leaves the sender
             for tap in self._taps:
                 tap(send_time, packet)
-        if self._batch:
-            # Drop decisions are made here, at transmit time, exactly as
-            # the unbatched path does — RNG draw order, the drop set and
-            # the surviving packets' reserved seqs are all unchanged.
-            loss_model = self.loss_model
-            if type(loss_model) is not NoLoss and loss_model.should_drop():
-                stats.packets_lost += 1
-                return True  # consumed link capacity, vanished downstream
-            # Reserve the delivery's tie-break seq now, but only keep the
-            # train's head in the scheduler heap.
-            train = self._train
-            train.append((finish + self.prop_delay, scheduler.reserve_seq(), packet))
-            if len(train) == 1 and not self._in_batch:
-                scheduler.post(train[0][0], train[0][1], self._deliver_next)
-            return True
-        if self.loss_model.should_drop():
+        loss_model = self.loss_model
+        if type(loss_model) is not NoLoss and loss_model.should_drop():
             stats.packets_lost += 1
             return True  # consumed link capacity, then vanished downstream
-        scheduler.call_at(finish + self.prop_delay, self._deliver, packet)
+        # Reserve the delivery's tie-break seq now, but only keep the
+        # train's head in the scheduler heap.
+        train = self._train
+        train.append((finish + self.prop_delay, scheduler.reserve_seq(), packet))
+        if len(train) == 1 and not self._in_batch:
+            scheduler.post(train[0][0], train[0][1], self._deliver_train)
         return True
 
     def transmit_train(self, packets: List[Any]) -> None:
@@ -401,7 +354,6 @@ class Link:
         taps = self._taps
         loss_model = self.loss_model
         draw = None if type(loss_model) is NoLoss else loss_model.should_drop
-        batch = self._batch
         train = self._train
         tappend = train.append
         reserve = scheduler.reserve_seq
@@ -416,140 +368,34 @@ class Link:
             if draw is not None and draw():
                 stats.packets_lost += 1
                 continue
-            if batch:
-                tappend((finish + prop, reserve(), packet))
-                if len(train) == 1 and not self._in_batch:
-                    scheduler.post(train[0][0], train[0][1], self._deliver_next)
-            else:
-                scheduler.call_at(finish + prop, self._deliver, packet)
-
-    def _resolve_fast(self, packet: Any) -> None:
-        """(Re)fill the monomorphic receiver cache for ``packet``'s flow.
-
-        Resolves the registered handler exactly like
-        :meth:`Host.deliver_segment` and caches the owning connection's
-        ``_fast_inorder_data`` / ``_fast_pure_ack`` (or ``None`` for
-        receivers without them).
-        """
-        key = (packet.dst_port, packet.src_ip, packet.src_port)
-        conns = getattr(getattr(self.deliver, "__self__", None),
-                        "_connections", None)
-        conn = None
-        data_fn = None
-        ack_fn = None
-        if conns is not None:
-            handler = conns.get(key)
-            if handler is None:
-                # Flow not registered (yet) — a SYN racing its
-                # connection's registration, say.  Don't cache the
-                # negative: the very next packet may find it.
-                self._fast_key = None
-                self._fast_data_fn = None
-                self._fast_ack_fn = None
-                self._fast_conn = None
-                return
-            conn = getattr(handler, "__self__", None)
-            data_fn = getattr(conn, "_fast_inorder_data", None)
-            ack_fn = getattr(conn, "_fast_pure_ack", None)
-        self._fast_key = key
-        self._fast_data_fn = data_fn
-        self._fast_ack_fn = ack_fn
-        self._fast_conn = conn
-
-    def _deliver_next(self) -> None:
-        """Deliver the train's head and re-post the next reserved entry.
-
-        The body of :meth:`_deliver` is inlined here — this runs once per
-        delivered packet on the loss-free fast path.  With
-        :data:`VECTOR_TRAINS` on, multi-entry trains are drained in one
-        event by :meth:`_deliver_train`, and even single deliveries try
-        the receiver's inline in-order fast path — pure inlining of the
-        demux + receive chain, with no event reordering involved.
-        """
-        train = self._train
-        if self._vector and len(train) > 1:
-            self._deliver_train()
-            return
-        _t, _seq, packet = train.popleft()
-        if train:
-            nxt = train[0]
-            self.scheduler.post(nxt[0], nxt[1], self._deliver_next)
-        stats = self.stats
-        stats.packets_delivered += 1
-        stats.bytes_delivered += packet.wire_size
-        if self._delivery_taps:
-            now = self.scheduler.clock._now
-            for tap in self._delivery_taps:
-                tap(now, packet)
-        if self._vector:
-            # duck-typed: only TCP-segment-shaped packets (flow 4-tuple
-            # plus payload length) can take the inline receive path
-            try:
-                key = (packet.dst_port, packet.src_ip, packet.src_port)
-                plen = packet.payload_len
-            except AttributeError:
-                key = None
-            if key is not None:
-                if key != self._fast_key:
-                    self._resolve_fast(packet)
-                fn = self._fast_data_fn if plen else self._fast_ack_fn
-                if fn is not None and fn(packet):
-                    packet.release()
-                    return
-        self.deliver(packet)
-        # The receiver is done with the segment (processing is synchronous
-        # and the columnar taps copy fields out); pooled segments can be
-        # recycled for the sender's next build.
-        if getattr(packet, "poolable", False):
-            packet.release()
+            tappend((finish + prop, reserve(), packet))
+            if len(train) == 1 and not self._in_batch:
+                scheduler.post(train[0][0], train[0][1], self._deliver_train)
 
     def _deliver_train(self) -> None:
         """Deliver a train prefix under the single already-fired head event.
 
         Each entry runs at its exact reserved ``(time, seq)`` with the
         clock pinned to its timestamp, so everything it computes or
-        records is bit-equal to one-event-per-packet stepping.  The
-        batch must stop strictly before the earliest *live cancellable*
-        heap event — timers, monitor ticks and pacing pushes may observe
-        state (player bytes, delivery counters) the batch mutates —
-        and before the ``run_until`` horizon.  Plain tuple events are
-        exclusively link-delivery posts, whose processing commutes with
-        the batch: the segments they carry were fully built at transmit
-        time and the states they touch are disjoint.  Delayed-ACK timers
-        armed *by* the batch tighten the bound as they appear; a
-        delivery that needs the generic receive path ends the batch (its
-        processing may arm arbitrary timers).  Afterwards the clock is
-        restored to the head event's time: the remaining heap events
-        re-pin it as they fire, and restoring keeps it below every
-        remaining entry so strict-monotonic stepping stays valid.
+        records is bit-equal to one-event-per-packet stepping.  The batch
+        stops strictly before the scheduler's cancellable-event mark,
+        seeded here and lowered by every timer a delivery arms (see the
+        module docstring).  Afterwards the clock is restored to the head
+        event's time: the remaining heap events re-pin it as they fire,
+        and restoring keeps it below every remaining entry so
+        strict-monotonic stepping stays valid.
         """
         scheduler = self.scheduler
         train = self._train
         t0 = train[0][0]
-        bound_t = scheduler._horizon
-        if bound_t < t0:
-            bound_t = t0
-        bound_seq = float("inf")  # horizon bound is time-only
-        for entry in scheduler._heap:
-            if entry[3] is _HANDLE and entry[2].callback is not None:
-                if entry[0] < bound_t or (
-                    entry[0] == bound_t and entry[1] < bound_seq
-                ):
-                    bound_t = entry[0]
-                    bound_seq = entry[1]
+        scheduler.seed_mark(t0)
         clock = scheduler.clock
         stats = self.stats
         taps = self._delivery_taps
         tap1 = taps[0] if len(taps) == 1 else None
         deliver = self.deliver
-        # Flow key and fast fns unpacked into locals: the loop below runs
-        # once per delivered packet, and comparing fields beats building
-        # a tuple per packet.  Delivery counters accumulate in locals and
-        # flush after the batch — nothing inside a batch reads link stats.
-        key = self._fast_key
-        key0, key1, key2 = key if key is not None else (None, None, None)
-        data_fn = self._fast_data_fn
-        ack_fn = self._fast_ack_fn
+        # Delivery counters accumulate in locals and flush after the
+        # batch — nothing inside a batch reads link stats.
         n_delivered = 0
         n_bytes = 0
         self._in_batch = True
@@ -564,57 +410,18 @@ class Link:
                 elif taps:
                     for tap in taps:
                         tap(t, packet)
-                try:
-                    dst_port = packet.dst_port
-                    src_ip = packet.src_ip
-                    src_port = packet.src_port
-                    plen = packet.payload_len
-                except AttributeError:
-                    # not TCP-segment-shaped: no inline path for it
-                    deliver(packet)
-                    if getattr(packet, "poolable", False):
-                        packet.release()
-                    break
-                if (dst_port != key0 or src_ip != key1
-                        or src_port != key2):
-                    self._resolve_fast(packet)
-                    key = self._fast_key
-                    key0, key1, key2 = key if key is not None else (
-                        None, None, None)
-                    data_fn = self._fast_data_fn
-                    ack_fn = self._fast_ack_fn
-                fn = data_fn if plen else ack_fn
-                if fn is None:
-                    handled = 0
-                else:
-                    handled = fn(packet)
-                if not handled:
-                    deliver(packet)
-                    if getattr(packet, "poolable", False):
-                        packet.release()
-                    break  # generic processing may have armed arbitrary timers
-                packet.release()
-                if handled == 2:
-                    # A timer armed *by* the fast delivery tightens the
-                    # bound: the data path can arm only the delayed-ACK
-                    # timer, the pure-ACK path only the retransmit and
-                    # persist timers (via the _try_send it triggers).
-                    conn = self._fast_conn
-                    if plen:
-                        timers = (conn._delack_timer,)
-                    else:
-                        timers = (conn._rexmit_timer, conn._persist_timer)
-                    for timer in timers:
-                        if timer is not None and timer.callback is not None:
-                            if timer.time < bound_t or (
-                                timer.time == bound_t and timer.seq < bound_seq
-                            ):
-                                bound_t = timer.time
-                                bound_seq = timer.seq
+                deliver(packet)
+                # The receiver is done with the segment (processing is
+                # synchronous and the columnar taps copy fields out);
+                # pooled segments can be recycled for the next build.
+                if getattr(packet, "poolable", False):
+                    packet.release()
                 if not train:
                     break
                 nxt = train[0]
-                if nxt[0] > bound_t or (nxt[0] == bound_t and nxt[1] >= bound_seq):
+                mark_time = scheduler.mark_time
+                if nxt[0] > mark_time or (nxt[0] == mark_time
+                                          and nxt[1] >= scheduler.mark_seq):
                     break
         finally:
             self._in_batch = False
@@ -622,20 +429,8 @@ class Link:
             stats.bytes_delivered += n_bytes
         if train:
             nxt = train[0]
-            scheduler.post(nxt[0], nxt[1], self._deliver_next)
+            scheduler.post(nxt[0], nxt[1], self._deliver_train)
         clock._now = t0
-
-    def _deliver(self, packet: Any) -> None:
-        stats = self.stats
-        stats.packets_delivered += 1
-        stats.bytes_delivered += int(packet.wire_size)
-        if self._delivery_taps:
-            now = self.scheduler.clock.now()
-            for tap in self._delivery_taps:
-                tap(now, packet)
-        self.deliver(packet)
-        if getattr(packet, "poolable", False):
-            packet.release()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

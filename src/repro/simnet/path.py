@@ -71,15 +71,15 @@ class Path:
         self.forward.add_tap(tap)
         self.reverse.add_tap(tap)
 
-    def add_client_side_tap(self, tap) -> None:
+    def add_client_side_tap(self, tap) -> list:
         """Attach a sniffer with the vantage point of endpoint ``b`` (the
         client in :func:`~repro.simnet.profiles.build_client_server`):
         downstream (a->b) packets are seen on *arrival*, upstream (b->a)
         packets when *sent*.  This reproduces the timestamps a tcpdump on
         the client machine records — in particular the SYN -> SYN-ACK gap
-        measures the full round-trip time."""
-        self.forward.add_delivery_tap(tap)
-        self.reverse.add_tap(tap)
+        measures the full round-trip time.  Returns the tap lists joined
+        (see :meth:`Link.add_tap`)."""
+        return [self.forward.add_delivery_tap(tap), self.reverse.add_tap(tap)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Path(name={self.name!r}, fwd={self.forward!r}, rev={self.reverse!r})"

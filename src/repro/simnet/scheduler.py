@@ -32,38 +32,38 @@ OFF-period fast-forward
 
 During the long OFF periods of the paper's ON/OFF cycles nothing moves:
 no packet is in flight on any link and no TCP timer is armed earlier
-than the next scheduled event.  :meth:`EventScheduler.try_fast_forward`
+than the next scheduled event.  :meth:`EventScheduler.fast_forward_to`
 proves such a window quiescent by polling registered *quiescence probes*
 (:meth:`add_quiescence_probe`; links and connections register
 themselves) and, when every probe agrees, accounts the jump.  Because
 the event loop already advances the clock by direct assignment between
 events, the fast-forward is an *audited verification* of the jump the
-loop performs anyway — it cannot perturb a timestamp, which is why the
-byte-identity equivalence suite holds with :data:`FAST_FORWARD` on or
-off.  Components may additionally consult
-:attr:`EventScheduler.fast_forward` to replace dense idle polling with
-analytic reschedules (the streaming monitor does); those are the actual
-speedup and are covered by the same equivalence contract.
+loop performs anyway — it cannot perturb a timestamp.  The streaming
+monitor replaces dense idle polling with analytic reschedules on the
+same grid; the equivalence suite proves both against dense stepping.
+
+Cancellable-event mark
+----------------------
+
+:attr:`EventScheduler.mark_time` / :attr:`EventScheduler.mark_seq` hold
+a ``(time, seq)`` bound that :meth:`at` lowers whenever it posts an
+earlier cancellable event.  A batching component seeds it with
+:meth:`seed_mark` (the earliest live cancellable event in the heap,
+capped at the ``run_until`` horizon) and re-reads it after each unit of
+work, so it stops before any timer its own work armed without knowing
+which component armed it.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from typing import Any, Callable, List, Optional, Tuple
 
 from .clock import SimClock
 from .errors import SchedulingError
 
 Callback = Callable[[], None]
-
-#: Global default for the OFF-period fast-forward.  Overridable through
-#: the ``REPRO_FAST_FORWARD`` environment variable (``0``/``false``/
-#: ``off`` disable it); the equivalence tests flip the per-scheduler
-#: :attr:`EventScheduler.fast_forward` attribute instead.
-FAST_FORWARD = os.environ.get("REPRO_FAST_FORWARD", "1").lower() not in (
-    "0", "false", "off")
 
 #: Gaps shorter than this are not worth proving quiescent: the jump is
 #: performed by the event loop either way, and probing has a cost.  Set
@@ -128,17 +128,17 @@ class EventScheduler:
         self._counter = itertools.count()
         self._live = 0
         self._fired = 0
-        #: Per-scheduler fast-forward switch, captured from the module
-        #: default at construction (tests and A/B runs flip it freely).
-        self.fast_forward = FAST_FORWARD
         self._quiescence_probes: List[QuiescenceProbe] = []
-        #: Accounting for :meth:`try_fast_forward`.
+        #: Accounting for :meth:`fast_forward_to`.
         self.fast_forwarded_s = 0.0
         self.fast_forward_jumps = 0
         self.fast_forward_refusals = 0
         # Horizon of the innermost run_until(); batched components must
         # not process work scheduled past it (run() lifts it to +inf).
         self._horizon = 0.0
+        #: The cancellable-event mark (see the module docstring).
+        self.mark_time = float("inf")
+        self.mark_seq = float("inf")
 
     # -- scheduling ---------------------------------------------------------
 
@@ -147,9 +147,14 @@ class EventScheduler:
         now = self.clock.now()
         if time < now:
             raise SchedulingError(f"cannot schedule at {time!r}; now is {now!r}")
-        handle = EventHandle(time, next(self._counter), callback, label, self)
-        heapq.heappush(self._heap, (time, handle.seq, handle, _HANDLE))
+        seq = next(self._counter)
+        handle = EventHandle(time, seq, callback, label, self)
+        heapq.heappush(self._heap, (time, seq, handle, _HANDLE))
         self._live += 1
+        if time < self.mark_time or (time == self.mark_time
+                                     and seq < self.mark_seq):
+            self.mark_time = time
+            self.mark_seq = seq
         return handle
 
     def after(self, delay: float, callback: Callback, label: str = "") -> EventHandle:
@@ -184,10 +189,9 @@ class EventScheduler:
         """Consume and return the next insertion-order sequence number.
 
         Lets a caller fix an event's tie-break position *now* while
-        posting the event later via :meth:`post` — the packet-train
-        batching in :class:`~repro.simnet.link.Link` uses this to keep
-        heap ordering bit-identical to scheduling every delivery up
-        front.
+        posting the event later via :meth:`post` — the packet train in
+        :class:`~repro.simnet.link.Link` uses this to keep heap ordering
+        bit-identical to scheduling every delivery up front.
         """
         return next(self._counter)
 
@@ -201,10 +205,34 @@ class EventScheduler:
         heapq.heappush(self._heap, (time, seq, callback, arg))
         self._live += 1
 
+    def seed_mark(self, floor: float) -> None:
+        """Set the mark to the earliest live cancellable heap event.
+
+        The mark starts at the ``run_until`` horizon, a time-only bound
+        (events exactly at the horizon stay below it), raised to
+        ``floor`` when an event is stepped past a finished horizon.
+        Plain tuple events (:meth:`call_at`, :meth:`post`) do not lower
+        it: they carry link deliveries, whose processing commutes with a
+        batch.
+        """
+        mark_time = self._horizon
+        if mark_time < floor:
+            mark_time = floor
+        mark_seq = float("inf")
+        for entry in self._heap:
+            if entry[3] is _HANDLE and entry[2].callback is not None:
+                if entry[0] < mark_time or (
+                    entry[0] == mark_time and entry[1] < mark_seq
+                ):
+                    mark_time = entry[0]
+                    mark_seq = entry[1]
+        self.mark_time = mark_time
+        self.mark_seq = mark_seq
+
     # -- fast-forward -------------------------------------------------------
 
     def add_quiescence_probe(self, probe: QuiescenceProbe) -> None:
-        """Register ``probe(until) -> bool`` for :meth:`try_fast_forward`.
+        """Register ``probe(until) -> bool`` for :meth:`fast_forward_to`.
 
         Links and TCP connections register themselves at construction;
         a probe must return ``True`` only when its component provably
@@ -213,7 +241,7 @@ class EventScheduler:
         """
         self._quiescence_probes.append(probe)
 
-    def try_fast_forward(self, t: float) -> bool:
+    def fast_forward_to(self, t: float) -> bool:
         """Prove the window ``(now, t)`` quiescent and account the jump.
 
         Every registered probe must agree; on success the clock is moved
@@ -300,14 +328,13 @@ class EventScheduler:
             heap = self._heap
             clock = self.clock
             heappop = heapq.heappop
-            fast_forward = self.fast_forward
             while heap:
                 entry = heap[0]
                 time_ = entry[0]
                 if time_ > t:
                     break
-                if fast_forward and time_ - clock._now > FAST_FORWARD_MIN_GAP_S:
-                    self.try_fast_forward(time_)
+                if time_ - clock._now > FAST_FORWARD_MIN_GAP_S:
+                    self.fast_forward_to(time_)
                 heappop(heap)
                 cb = entry[2]
                 arg = entry[3]

@@ -281,18 +281,16 @@ class PlayerBase:
     def _monitor_delay(self, now: float) -> float:
         """Delay to the next monitor tick, skipping provably idle ones.
 
-        With the scheduler's fast-forward enabled, dense quarter-second
-        ticks are replaced by a jump to the earliest *grid* instant at
-        which the player buffer could possibly run dry — the stall-start
-        formula in :meth:`_track_stalls` is tick-independent, ``downloaded``
-        only grows, and every skipped tick provably mutates nothing, so
-        stall detection lands on exactly the tick dense polling would
-        have used.  The watchdog (``retry_policy``) and an open stall
-        both need real polling and force the dense cadence.
+        Dense quarter-second ticks are replaced by a jump to the earliest
+        *grid* instant at which the player buffer could possibly run dry
+        — the stall-start formula in :meth:`_track_stalls` is
+        tick-independent, ``downloaded`` only grows, and every skipped
+        tick provably mutates nothing, so stall detection lands on
+        exactly the tick dense polling would have used.  The watchdog
+        (``retry_policy``) and an open stall both need real polling and
+        force the dense cadence.
         """
-        if (not self.scheduler.fast_forward
-                or self.retry_policy is not None
-                or self._stall_since is not None):
+        if self.retry_policy is not None or self._stall_since is not None:
             return MONITOR_INTERVAL_S
         if self.playback_started_at is None:
             # playback needs PLAYBACK_START_S of media buffered before it
@@ -437,7 +435,7 @@ class PlayerBase:
         stream.on_complete = lambda resp: self._on_job_complete(conn, job)
 
     def _job_on_data(self, conn: TcpConnection) -> None:
-        stream: HttpResponseStream = conn.http_stream  # type: ignore[attr-defined]
+        stream: HttpResponseStream = conn.http_stream
         job: Optional[TransferJob] = getattr(conn, "_job", None)
         if job is not None and job.on_data is not None:
             job.on_data(conn, stream)
@@ -482,13 +480,9 @@ class PlayerBase:
             config=config,
         )
         stream = HttpResponseStream(on_body_bytes=lambda n: None)
-        conn.http_stream = stream  # type: ignore[attr-defined]
+        conn.http_stream = stream
         self._attach_job(conn, stream, job)
         conn.on_data = self._job_on_data
-        # The greedy drain chain above is exactly what the batched-
-        # delivery fast path replicates inline; mark the connection
-        # eligible (per-job throttling is re-checked per segment).
-        conn._fast_app = True
         conn.on_closed = self._on_conn_closed
 
         def send_request(c: TcpConnection) -> None:
@@ -526,7 +520,7 @@ class PlayerBase:
                           on_data=on_data, on_complete=on_complete)
         if conn is None or conn.fully_closed:
             return self._open_connection(path, job=job)
-        stream: HttpResponseStream = conn.http_stream  # type: ignore[attr-defined]
+        stream: HttpResponseStream = conn.http_stream
         self._attach_job(conn, stream, job)
         request = (
             f"GET {path} HTTP/1.1\r\nHost: video.example\r\n"
@@ -546,7 +540,7 @@ class PlayerBase:
             return
         # salvage in-order bytes still sitting in the receive buffer —
         # they advance the resume offset (conn.recv works after teardown)
-        stream: HttpResponseStream = conn.http_stream  # type: ignore[attr-defined]
+        stream: HttpResponseStream = conn.http_stream
         stream.take(conn, 1 << 62)
         if job.done or getattr(conn, "_job", None) is None:
             return  # the drain completed the response after all
@@ -676,7 +670,7 @@ class PullPlayer(PlayerBase):
                 self._budget = self.policy.pull_quantum
                 self._pulls += 1
             if self._budget > 0 and self._conn is not None:
-                stream = self._conn.http_stream  # type: ignore[attr-defined]
+                stream = self._conn.http_stream
                 consumed = stream.take(self._conn, self._budget)
                 self._budget -= consumed
         self._schedule(self.policy.check_interval, self._check, "pull:check")

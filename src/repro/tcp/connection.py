@@ -203,9 +203,6 @@ class TcpConnection:
         # in place by faults (rate/up flips), never swapped, so the bound
         # method stays valid for the connection's lifetime.
         self._transmit = None
-        # Resolved lazily by _burst_send: the link's bound transmit_train
-        # when its vectorized path is enabled, False when unavailable.
-        self._transmit_train = None
 
         # optional congestion-window trace
         self.cwnd_series = None
@@ -214,10 +211,11 @@ class TcpConnection:
 
             self.cwnd_series = TimeSeries(f"{self.name}:cwnd")
 
-        # Set by the streaming client on connections whose application
-        # chain (HttpResponseStream -> player accounting) is eligible for
-        # the batched-delivery in-order fast path (_fast_inorder_data).
-        self._fast_app = False
+        # Set by the streaming client: the HTTP response parser its
+        # on_data callback drains into, and the transfer it serves.  A
+        # connection with an http_stream is eligible for the in-order
+        # steady-state branch of on_segment (_fast_inorder_data).
+        self.http_stream = None
         self._job = None
 
         # OFF-period fast-forward: the lazy deadline-based timers below
@@ -571,21 +569,9 @@ class TcpConnection:
             return False  # retransmissions take the scalar path
         if self.cwnd_series is not None:
             return False
-        transmit_train = self._transmit_train
-        if transmit_train is None:
-            transmit = self._transmit
-            if transmit is None:
-                return False
-            link = getattr(transmit, "__self__", None)
-            if link is None or not getattr(link, "_vector", False):
-                self._transmit_train = False
-                return False
-            transmit_train = getattr(link, "transmit_train", None)
-            if transmit_train is None:
-                transmit_train = False
-            self._transmit_train = transmit_train
-        if transmit_train is False:
-            return False
+        transmit = self._transmit
+        if transmit is None:
+            return False  # no emitted segment yet resolved the link
         stream = self.stream
         mss = self.config.mss
         end = off + k * mss
@@ -636,7 +622,7 @@ class TcpConnection:
         self._high_water_off = end
         if self._rtt_probe is None:
             self._rtt_probe = (off + mss, now)
-        transmit_train(segs)
+        transmit.__self__.transmit_train(segs)
         return True
 
     # ---------------------------------------------------------- retransmit
@@ -833,37 +819,28 @@ class TcpConnection:
         elif window - last >= self._wupdate_threshold:
             self._ack_now()
 
-    # ------------------------------------------- batched-delivery fast path
+    # ------------------------------------------------ steady-state branch
+    #
+    # on_segment tries these two guard-first helpers before the generic
+    # state machine.  Each handles exactly one steady-state case and
+    # replicates the generic path's writes in their exact order, so the
+    # results (every ACK's timing, window and the advertised-window
+    # bookkeeping included) are bit-equal.  Every guard is a pure read:
+    # returning False leaves no trace and on_segment takes the generic
+    # path.
 
-    def _fast_inorder_data(self, seg: TcpSegment) -> int:
-        """Steady-state receive path for batched train deliveries.
-
-        Called by :meth:`~repro.simnet.link.Link._deliver_train` instead
-        of the generic demux.  Handles exactly one case — an in-order
-        data segment with a no-op ACK arriving mid-body on an idle-send
-        connection whose application drains greedily — and replicates
-        the generic path's writes in their exact order, so the results
-        (including every ACK's timing, window and the advertised-window
-        bookkeeping) are bit-equal.  Every guard below is a pure read:
-        returning ``False`` leaves no trace and the caller re-dispatches
-        through the generic :meth:`on_segment` path.
-
-        Returns ``0`` (refused), ``1`` (handled), or ``2`` (handled and
-        a *new* timer event entered the scheduler heap — the batching
-        caller must re-tighten its delivery bound; see
-        :meth:`~repro.simnet.link.Link._deliver_train`).
-        """
+    def _fast_inorder_data(self, seg: TcpSegment) -> bool:
+        """An in-order data segment with a no-op ACK arriving mid-body on
+        an idle-send connection whose application drains greedily."""
         # -- guards (reads only) ------------------------------------------
-        if not self._fast_app or self.state != ESTABLISHED:
+        hs = self.http_stream
+        if hs is None or self.state != ESTABLISHED:
             return False
         job = self._job
         if job is not None and job.on_data is not None:
             return False  # throttled reader (PullPlayer): generic drain
         flags = seg.flags
         if flags != ACK and flags != ACK | PSH:
-            return False
-        plen = seg.payload_len
-        if plen == 0:
             return False
         rb = self.recvbuf
         if rb._ooo or rb._unread or self._peer_fin_off is not None:
@@ -880,24 +857,20 @@ class TcpConnection:
             return False
         if self.cwnd_series is not None:
             return False
-        transmit = self._transmit
-        if transmit is None:
-            return False  # no emitted segment yet resolved the link
         # window acceptance, mirroring ReceiveBuffer.offer's in-order path
+        plen = seg.payload_len
         window_end = off + rb.capacity - rb._ooo_bytes  # _unread == 0
         if window_end < rb._right_edge:
             window_end = rb._right_edge
         if off + plen > window_end:
             return False  # would be trimmed: generic path handles it
-        hs = self.http_stream
         if hs._response is None or hs._headbuf:
             return False  # parsing a head: generic drain
         if hs._body_expected - hs._body_received <= plen:
             return False  # response completes: generic drain + callbacks
         # -- commit (the generic path's writes, in order) -----------------
-        now = self._clock._now
         self.stats.segments_received += 1
-        self._last_activity = now
+        self._last_activity = self._clock._now
         # _process_ack reduces to window bookkeeping: the ACK duplicates
         # snd_una with nothing in flight, persist is idle and nothing is
         # queued, so no other branch can be taken.
@@ -911,103 +884,33 @@ class TcpConnection:
         rb._unread = plen
         rb.rcv_nxt = off + plen
         rb.total_delivered += plen
-        # every-2nd-segment ACK policy of _segment_in_open_states
-        new_timer = False
+        # every-2nd-segment ACK policy of _segment_in_open_states; the
+        # ACK advertises the still-undrained chunk, as the generic
+        # ordering has it
         n = self._segs_since_ack + 1
         if n >= 2:
-            # _ack_now inlined: build the pooled pure ACK with the
-            # window/ack fields _build_segment would compute (the
-            # receive buffer still holds the undrained chunk, so the
-            # advertised window reflects _unread == plen exactly as the
-            # generic ordering has it) and emit through the cached link
-            # transmit.
-            self._delack_deadline = None
-            self._segs_since_ack = 0
-            rcv_nxt = rb.rcv_nxt
-            edge = rcv_nxt + rb.capacity - plen - rb._ooo_bytes
-            if edge > rb._right_edge:
-                rb._right_edge = edge
-            window = rb._right_edge - rcv_nxt
-            self._adv_window_last = window
-            stats = self.stats
-            stats.segments_sent += 1
-            stats.acks_sent += 1
-            self._last_activity = now
-            transmit(TcpSegment.acquire(
-                self.local_ip, self.local_port,
-                self.remote_ip, self.remote_port,
-                seq=self.iss + 1 + una,
-                ack=self.irs + 1 + rcv_nxt,
-                flags=ACK,
-                window=window,
-                payload_len=0,
-                sent_at=now,
-            ))
+            self._ack_now()
         else:
             self._segs_since_ack = n
-            new_timer = self._delack_timer
             self._schedule_delack()
-            new_timer = self._delack_timer is not new_timer
         # application drain: HttpResponseStream.take consuming the single
         # in-order chunk mid-body — read_discard, then _after_app_read,
         # then _account_body, exactly as the generic chain orders them.
         rb._inorder.clear()
         rb._unread = 0
-        rcv_nxt = rb.rcv_nxt
-        edge = rcv_nxt + rb.capacity - rb._ooo_bytes
-        if edge > rb._right_edge:
-            rb._right_edge = edge
-        window = rb._right_edge - rcv_nxt
-        last = self._adv_window_last
-        mss = self.config.mss
-        if (last < mss and window >= mss) or (
-            window - last >= self._wupdate_threshold
-        ):
-            # _ack_now inlined, as above; the window update advertises
-            # the freshly drained buffer (_unread is 0 again, matching
-            # the recompute _build_segment would do).
-            self._delack_deadline = None
-            self._segs_since_ack = 0
-            self._adv_window_last = window
-            stats = self.stats
-            stats.segments_sent += 1
-            stats.acks_sent += 1
-            self._last_activity = now
-            transmit(TcpSegment.acquire(
-                self.local_ip, self.local_port,
-                self.remote_ip, self.remote_port,
-                seq=self.iss + 1 + una,
-                ack=self.irs + 1 + rcv_nxt,
-                flags=ACK,
-                window=window,
-                payload_len=0,
-                sent_at=now,
-            ))
+        self._after_app_read()
         hs._body_received += plen
         hs.total_body_bytes += plen
         hs.on_body_bytes(plen)
-        return 2 if new_timer else 1
+        return True
 
-    def _fast_pure_ack(self, seg: TcpSegment) -> int:
-        """Steady-state sender-side path for a cumulative pure ACK.
-
-        The mirror image of :meth:`_fast_inorder_data`: called by the
-        link's batched delivery for zero-payload segments, it handles
-        exactly one case — a pure ACK that advances ``snd_una`` on an
-        ESTABLISHED connection outside recovery, with persist idle and
-        no FIN in either direction — and replicates the
-        ``on_segment`` -> ``_process_ack`` writes in their exact order.
-        ``_try_send`` stays a real call (transmitting the window the ACK
-        opened is the actual work); only the dispatch and bookkeeping
-        around it are inlined.  Every guard is a pure read, so a
-        ``False`` return leaves no trace.
-
-        Returns ``0``/``1``/``2`` with the same meaning as
-        :meth:`_fast_inorder_data`: ``2`` flags a newly created
-        retransmit or persist timer the batching caller must respect.
-        """
+    def _fast_pure_ack(self, seg: TcpSegment) -> bool:
+        """A pure ACK that advances ``snd_una`` on an ESTABLISHED
+        connection outside recovery, with persist idle and no FIN in
+        either direction.  ``_try_send`` stays a real call (transmitting
+        the window the ACK opened is the actual work)."""
         # -- guards (reads only) ------------------------------------------
-        if self.state != ESTABLISHED or seg.flags != ACK or seg.payload_len:
+        if self.state != ESTABLISHED or seg.flags != ACK:
             return False
         ack_off = seg.ack - self.iss - 1
         una = self.snd_una_off
@@ -1048,21 +951,23 @@ class TcpConnection:
                 cc.cwnd += newly if newly < mss else mss
             else:
                 cc.cwnd += max(1, mss * mss // cc.cwnd)
-        rexmit_before = self._rexmit_timer
         if snd_nxt > ack_off:
             self._restart_rexmit_timer()
         else:
             self._rexmit_deadline = None  # inlined _cancel_rexmit_timer
         if self.stream._length > snd_nxt:
             self._try_send()
-        if self._rexmit_timer is not rexmit_before or self._persist_timer is not None:
-            return 2
-        return 1
+        return True
 
     # ----------------------------------------------------- segment arrival
 
     def on_segment(self, seg: TcpSegment) -> None:
         """Entry point for segments delivered by the host."""
+        if seg.payload_len:
+            if self._fast_inorder_data(seg):
+                return
+        elif self._fast_pure_ack(seg):
+            return
         self.stats.segments_received += 1
         self._last_activity = self._clock._now
         if seg.flags & RST:

@@ -1,25 +1,26 @@
-"""The fast-path optimizations must be invisible in results.
+"""The shipped hot path must be invisible in results.
 
-PR 5 rebuilt the hot path (tuple heap entries, packet-train batching,
-pooled segments, columnar capture); PR 8 added the analytic OFF-period
-fast-forward and the vectorized packet-train path.  All of it lives under
-one invariant: **byte-identical results**.  These tests run full sessions
-across seven scenarios — every access profile, every ON/OFF strategy
-family, lossy links, and scripted faults — with each optimization layer
-(fast-forward, vectorized dispatch, train batching) toggled
-independently, and assert the MD5 digest over every export — packet
-records, flow records, metric samples, QoE — is identical to the
-everything-off reference run.  A live telemetry recorder must not change
-the path either: the recorded all-on run fires the same scheduler events
+The simulator ships one delivery path — the link's packet train, drained
+in batches bounded by the scheduler's cancellable-event mark — plus
+TCP's guard-first steady-state receive branch, burst sends, and the
+OFF-period fast-forward with the analytic player monitor.  All of it
+lives under one invariant: **byte-identical results**.  These tests run
+full sessions across seven scenarios — every access profile, every
+ON/OFF strategy family, lossy links, and scripted faults — and assert
+the MD5 digest over every export — packet records, flow records, metric
+samples, QoE — equals the scalar reference path that
+``tools/fastpath_gate.py``'s :func:`reference_path` rebuilds, with all
+of its patches and with each alone.  A live telemetry recorder must not
+change the path either: the recorded run fires the same scheduler events
 and fast-forward jumps as the unrecorded one.
 """
 
 import hashlib
+import pathlib
+import sys
 
 import pytest
 
-import repro.simnet.link as link_mod
-import repro.simnet.scheduler as sched_mod
 import repro.streaming.session as session_mod
 from repro.obs.flows import flow_records
 from repro.obs.metrics import metric_samples
@@ -27,10 +28,16 @@ from repro.simnet.faults import FaultSchedule
 from repro.simnet.profiles import ACADEMIC, HOME, RESEARCH, RESIDENCE
 from repro.streaming import Application, Service
 from repro.streaming.session import SessionConfig, run_session
+from repro.tcp.connection import TcpConnection
 from repro.tcp.constants import ACK, header_overhead
 from repro.tcp.segment import TcpSegment
 from repro.telemetry import recording
 from repro.workloads import MBPS, Video
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+from fastpath_gate import REFERENCE_PATCHES, reference_path  # noqa: E402
 
 # The seven equivalence scenarios.  Together they cover every access
 # profile, loss model (Bernoulli, bursty Gilbert-Elliott, near-clean),
@@ -55,29 +62,17 @@ SCENARIOS = {
         faults=FaultSchedule().outage(8.0, 3.0).degrade(15.0, 6.0, 0.4)),
 }
 
-# The everything-off row is the reference; each optimization is also
-# dropped individually so a digest mismatch pins the offending layer, and
-# "recorded" is all-on under a live telemetry recorder.
-_ON = dict(fast_forward=True, vector=True, batching=True)
-TOGGLES = {
-    "all-on": _ON,
-    "no-fast-forward": dict(_ON, fast_forward=False),
-    "no-vector": dict(_ON, vector=False),
-    "recorded": dict(_ON, recorded=True),
-    "all-off": dict(fast_forward=False, vector=False, batching=False),
-}
-
 
 @pytest.fixture
-def schedulers(monkeypatch):
-    """Every session's scheduler, in run order, captured as its network
-    is built."""
+def sessions(monkeypatch):
+    """Every session's ``(scheduler, path)``, in run order, captured as
+    its network is built."""
     built = []
     build_client_server = session_mod.build_client_server
 
     def build(*args, **kwargs):
         parts = build_client_server(*args, **kwargs)
-        built.append(parts[0].scheduler)
+        built.append((parts[0].scheduler, parts[3]))
         return parts
 
     monkeypatch.setattr(session_mod, "build_client_server", build)
@@ -89,32 +84,33 @@ def _sched_counts(sched):
             sched.fast_forward_refusals)
 
 
-def _run(scenario: dict, *, fast_forward: bool, vector: bool,
-         batching: bool, recorded: bool = False):
-    """One short session with each fast-path layer forced on or off,
-    under a live telemetry recorder when ``recorded``."""
-    old = (sched_mod.FAST_FORWARD, link_mod.VECTOR_TRAINS,
-           link_mod.BATCH_DELIVERIES)
-    sched_mod.FAST_FORWARD = fast_forward
-    link_mod.VECTOR_TRAINS = vector
-    link_mod.BATCH_DELIVERIES = batching
-    try:
-        video = Video(video_id="equiv", duration=120.0,
-                      encoding_rate_bps=2 * MBPS,
-                      resolution="360p", container=scenario["container"])
-        config = SessionConfig(profile=scenario["profile"],
-                               service=Service.YOUTUBE,
-                               application=scenario["app"],
-                               capture_duration=30.0,
-                               seed=scenario["seed"],
-                               faults=scenario.get("faults"))
-        if not recorded:
-            return run_session(video, config)
-        with recording():
-            return run_session(video, config)
-    finally:
-        (sched_mod.FAST_FORWARD, link_mod.VECTOR_TRAINS,
-         link_mod.BATCH_DELIVERIES) = old
+def _assert_links_conserve(path) -> None:
+    """Every packet handed to a link is delivered, lost, dropped at the
+    queue, blackholed, or still riding the delivery train."""
+    for link in (path.forward, path.reverse):
+        stats = link.stats
+        assert stats.packets_in == (
+            stats.packets_delivered + stats.packets_lost
+            + stats.packets_dropped_queue + stats.packets_blackholed
+            + len(link._train)), link.name
+
+
+def _run(scenario: dict, *, recorded: bool = False):
+    """One short session, under a live telemetry recorder when
+    ``recorded``."""
+    video = Video(video_id="equiv", duration=120.0,
+                  encoding_rate_bps=2 * MBPS,
+                  resolution="360p", container=scenario["container"])
+    config = SessionConfig(profile=scenario["profile"],
+                           service=Service.YOUTUBE,
+                           application=scenario["app"],
+                           capture_duration=30.0,
+                           seed=scenario["seed"],
+                           faults=scenario.get("faults"))
+    if not recorded:
+        return run_session(video, config)
+    with recording():
+        return run_session(video, config)
 
 
 def _record_tuples(result):
@@ -148,52 +144,101 @@ def _digest(exports) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_exports_byte_identical_across_fastpath_toggles(name, schedulers):
-    """The non-negotiable contract: for each scenario, every toggle
-    combination hashes to the same MD5 as the everything-off reference,
-    and recording takes exactly the unrecorded all-on path."""
+def test_exports_byte_identical_across_fastpath_toggles(name, sessions):
+    """The non-negotiable contract: for each scenario the shipped run,
+    the recorded run and each reference patch alone hash to the same MD5
+    as the full reference path, recording takes exactly the unrecorded
+    path, and every link conserves its packets."""
     scenario = SCENARIOS[name]
-    reference = _exports(_run(scenario, **TOGGLES["all-off"]))
+    with reference_path():
+        reference = _exports(_run(scenario))
     ref_digest = _digest(reference)
     counts = {}
-    for label, toggles in TOGGLES.items():
-        if label == "all-off":
-            continue
-        result = _run(scenario, **toggles)
-        counts[label] = _sched_counts(schedulers[-1])
+    for label in ("shipped", "recorded") + REFERENCE_PATCHES:
+        if label in REFERENCE_PATCHES:
+            with reference_path(label):
+                result = _run(scenario)
+        else:
+            result = _run(scenario, recorded=label == "recorded")
+        counts[label] = _sched_counts(sessions[-1][0])
         if label == "recorded":
             recorded = result.telemetry.counters
         got = _exports(result)
         if _digest(got) != ref_digest:
             # digest differs: diff the structured exports for a real
             # failure message instead of two opaque hashes
-            assert got == reference, f"{name}/{label} diverged from all-off"
+            assert got == reference, f"{name}/{label} diverged from reference"
             pytest.fail(f"{name}/{label}: digest mismatch with equal "
                         "exports (repr instability)")
-    assert counts["recorded"] == counts["all-on"]
+    assert counts["recorded"] == counts["shipped"]
     assert tuple(recorded.get(key, 0) for key in (
         "scheduler.events", "scheduler.ff_jumps",
         "scheduler.ff_refusals")) == counts["recorded"]
+    assert len(sessions) == 3 + len(REFERENCE_PATCHES)  # every run above
+    for _sched, path in sessions:
+        _assert_links_conserve(path)
 
 
 def test_fastpath_actually_engaged():
     """Guard against the fast path silently disabling itself: the lossy
     Residence scenario must really stream, and a fast-forwarding session
     must log analytic jumps over its OFF periods."""
-    result = _run(SCENARIOS["residence-short-onoff"], fast_forward=True,
-                  vector=True, batching=True)
+    result = _run(SCENARIOS["residence-short-onoff"])
     assert len(result.capture) > 10_000  # the run really streamed
     # 30 s on Residence is all buffering phase (the link never idles), so
     # the OFF periods come from the clean 100 Mbps profile
-    result = _run(SCENARIOS["research-clean"], **TOGGLES["recorded"])
+    result = _run(SCENARIOS["research-clean"], recorded=True)
     assert result.telemetry.counters["scheduler.ff_jumps"] > 0
+
+
+def _engagement_session(container: str, app: Application, sessions,
+                        monkeypatch):
+    """A 180 s Research session of a 900 s, 2 Mbps, 360p video (seed
+    7), counting TCP's generic open-state receive calls with a spy.
+    Returns ``(events fired, captured packets, generic calls)``."""
+    generic = TcpConnection._segment_in_open_states
+    calls = []
+
+    def spy(conn, seg):
+        calls.append(None)
+        return generic(conn, seg)
+
+    monkeypatch.setattr(TcpConnection, "_segment_in_open_states", spy)
+    video = Video(video_id="gate", duration=900.0,
+                  encoding_rate_bps=2 * MBPS,
+                  resolution="360p", container=container)
+    config = SessionConfig(profile=RESEARCH, service=Service.YOUTUBE,
+                           application=app, capture_duration=180.0, seed=7)
+    result = run_session(video, config)
+    return sessions[-1][0].fired, len(result.capture), len(calls)
+
+
+def test_gate_session_stays_on_the_batched_steady_state(sessions,
+                                                        monkeypatch):
+    """The fast-path gate's workload (Research, flv, Firefox): deliveries
+    batch into few scheduler events, and nearly every segment takes the
+    steady-state receive branch instead of the generic state machine."""
+    fired, packets, generic = _engagement_session(
+        "flv", Application.FIREFOX, sessions, monkeypatch)
+    assert packets > 50_000
+    assert fired <= 0.10 * packets
+    assert generic <= 0.01 * packets
+
+
+def test_client_throttled_session_batches_deliveries(sessions, monkeypatch):
+    """The long ON/OFF strategy (Chrome pulling from its receive buffer):
+    every data segment takes TCP's generic path, and the link's batches
+    must carry on through those deliveries instead of ending at each."""
+    fired, packets, _generic = _engagement_session(
+        "webm", Application.CHROME, sessions, monkeypatch)
+    assert packets > 50_000
+    assert fired <= 0.10 * packets
 
 
 def test_fault_scenario_actually_faulted():
     """The faults scenario must arm and fire its outage + degradation
     inside the captured window, or it proves nothing."""
-    result = _run(SCENARIOS["faults-outage-degrade"], fast_forward=True,
-                  vector=True, batching=True)
+    result = _run(SCENARIOS["faults-outage-degrade"])
     assert result.fault_log is not None
     kinds = {e.kind for e in result.fault_log.entries}
     assert "outage-start" in kinds
@@ -379,8 +424,7 @@ def test_capture_columns_and_pcap_records_analyze_identically(name, tmp_path):
     from repro.analysis import analyze_records, analyze_session
     from repro.pcap import records_from_pcap
 
-    result = _run(SCENARIOS[name], fast_forward=True, vector=True,
-                  batching=True)
+    result = _run(SCENARIOS[name])
     direct = analyze_session(result)
     path = str(tmp_path / "session.pcap")
     result.capture.write_pcap(path)

@@ -1,6 +1,8 @@
 """Tests for pcap files and capture round trips."""
 
+import gc
 import io
+import weakref
 
 import pytest
 
@@ -176,6 +178,42 @@ class TestTraceCapture:
         assert shuffled.seqs.tolist() == [seq & 0xFFFFFFFF
                                           for _, seq in ordered]
         assert shuffled.payloads == {0: b"head", 7: b"x" * 100}
+
+    def test_stop_detaches_from_the_links(self):
+        from repro.simnet import build_client_server
+        _net, _client, _server, path = build_client_server(CLEAN)
+        capture = TraceCapture().attach(path)
+        links = (path.forward, path.reverse)
+        assert [len(l._taps) + len(l._delivery_taps) for l in links] == [1, 1]
+        capture.stop()
+        capture.stop()                       # idempotent
+        assert [len(l._taps) + len(l._delivery_taps) for l in links] == [0, 0]
+
+    def test_finished_session_capture_freed_by_refcount(self):
+        """Once the session result is dropped, its capture dies without
+        waiting for a cyclic GC pass: the network graph (a cycle) must
+        not keep the finished capture reachable through its link taps."""
+        from repro.simnet.profiles import RESEARCH
+        from repro.streaming import Application, Service
+        from repro.streaming.session import SessionConfig, run_session
+        from repro.workloads import MBPS, Video
+
+        video = Video(video_id="lifetime", duration=60.0,
+                      encoding_rate_bps=2 * MBPS, resolution="360p",
+                      container="flv")
+        config = SessionConfig(profile=RESEARCH, service=Service.YOUTUBE,
+                               application=Application.FIREFOX,
+                               capture_duration=5.0, seed=1)
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_session(video, config)
+            ref = weakref.ref(result.capture)
+            assert len(result.capture) > 0
+            del result
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_syn_and_fin_present(self):
         records = captured_transfer().records

@@ -53,6 +53,39 @@ class TestLink:
         sched.run()
         assert delivered[0][0] == pytest.approx(0.011)
 
+    def test_train_delivers_in_one_event(self):
+        sched, link, delivered = self.make_link()
+        for _ in range(3):
+            link.transmit(FakePacket(1000))
+        sched.run()
+        assert [t for t, _ in delivered] == pytest.approx(
+            [0.011, 0.012, 0.013])
+        assert sched.fired == 1
+        assert link.stats.packets_delivered == 3
+
+    def test_batch_stops_before_a_timer_a_delivery_arms(self):
+        """A timer armed by one delivery, due before the next packet,
+        fires in between: the batch re-reads the scheduler's mark."""
+        sched = EventScheduler()
+        link = Link(sched, 8e6, 0.01)
+        order = []
+
+        def deliver(packet):
+            order.append(("packet", sched.clock.now()))
+            if len(order) == 1:
+                sched.at(0.0115, lambda: order.append(
+                    ("timer", sched.clock.now())))
+
+        link.connect(deliver)
+        for _ in range(3):
+            link.transmit(FakePacket(1000))
+        sched.run()
+        assert [kind for kind, _ in order] == [
+            "packet", "timer", "packet", "packet"]
+        assert [t for _, t in order] == pytest.approx(
+            [0.011, 0.0115, 0.012, 0.013])
+        assert sched.fired == 3
+
     def test_back_to_back_packets_queue(self):
         sched, link, delivered = self.make_link()
         link.transmit(FakePacket(1000))

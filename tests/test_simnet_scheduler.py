@@ -240,6 +240,33 @@ class TestFastPathEdgeCases:
         assert got == [marker, marker]
         assert got[0] is marker
 
+    def test_seed_mark_takes_earliest_live_cancellable_event(self):
+        """Cancelled handles and plain tuple events do not bound a batch;
+        the earliest live handle does."""
+        sched = EventScheduler()
+        later = sched.at(2.0, lambda: None)
+        sched.at(1.0, lambda: None).cancel()
+        sched.call_at(0.5, lambda: None)
+        sched.seed_mark(10.0)
+        assert (sched.mark_time, sched.mark_seq) == (2.0, later.seq)
+
+    def test_seed_mark_caps_at_horizon_time_only(self):
+        sched = EventScheduler()
+        sched.run_until(3.0)
+        sched.at(5.0, lambda: None)
+        sched.seed_mark(0.0)
+        assert (sched.mark_time, sched.mark_seq) == (3.0, float("inf"))
+
+    def test_at_lowers_the_mark_only_for_earlier_events(self):
+        sched = EventScheduler()
+        sched.seed_mark(4.0)
+        sched.at(6.0, lambda: None)
+        assert sched.mark_time == 4.0
+        early = sched.at(1.5, lambda: None)
+        assert (sched.mark_time, sched.mark_seq) == (1.5, early.seq)
+        sched.at(1.5, lambda: None)         # same time, later seq
+        assert sched.mark_seq == early.seq
+
     def test_run_while_respects_horizon(self):
         sched = EventScheduler()
         fired = []
@@ -277,7 +304,7 @@ class TestFastPathEdgeCases:
 class TestFastForwardQuiescence:
     """The analytic OFF-period fast-forward (PR 8 tentpole).
 
-    ``try_fast_forward`` may move the clock only through a window every
+    ``fast_forward_to`` may move the clock only through a window every
     registered quiescence probe vouches for; links refuse while a
     delivery train is in flight or the transmitter is serializing, TCP
     connections refuse while an armed timer deadline falls inside the
@@ -288,7 +315,7 @@ class TestFastForwardQuiescence:
 
     def test_jump_lands_exactly_on_target_and_is_accounted(self):
         sched = EventScheduler()
-        assert sched.try_fast_forward(10.0) is True
+        assert sched.fast_forward_to(10.0) is True
         assert sched.clock.now() == 10.0
         assert sched.fast_forward_jumps == 1
         assert sched.fast_forwarded_s == 10.0
@@ -297,16 +324,16 @@ class TestFastForwardQuiescence:
     def test_jump_to_now_or_past_is_a_noop(self):
         sched = EventScheduler()
         sched.clock.advance_to(5.0)
-        assert sched.try_fast_forward(5.0) is True
-        assert sched.try_fast_forward(1.0) is True
+        assert sched.fast_forward_to(5.0) is True
+        assert sched.fast_forward_to(1.0) is True
         assert sched.fast_forward_jumps == 0
         assert sched.fast_forwarded_s == 0.0
 
     def test_refusing_probe_blocks_the_jump_and_is_counted(self):
         sched = EventScheduler()
         sched.add_quiescence_probe(lambda until: until <= 3.0)
-        assert sched.try_fast_forward(3.0) is True
-        assert sched.try_fast_forward(8.0) is False
+        assert sched.fast_forward_to(3.0) is True
+        assert sched.fast_forward_to(8.0) is False
         assert sched.clock.now() == 3.0        # refusal leaves the clock
         assert sched.fast_forward_jumps == 1
         assert sched.fast_forward_refusals == 1
@@ -316,14 +343,13 @@ class TestFastForwardQuiescence:
         polled = []
         sched.add_quiescence_probe(lambda until: polled.append("a") or True)
         sched.add_quiescence_probe(lambda until: False)
-        assert sched.try_fast_forward(1.0) is False
+        assert sched.fast_forward_to(1.0) is False
         assert polled == ["a"]                 # probes polled in order
 
     def test_run_until_jumps_exactly_onto_event_times(self):
         """With fast-forward on, events still fire at exactly their
         scheduled times: the jump target is always the next event."""
         sched = EventScheduler()
-        sched.fast_forward = True
         seen = []
         for t in (0.001, 2.0, 7.5):
             sched.at(t, lambda t=t: seen.append((t, sched.clock.now())))
@@ -350,12 +376,12 @@ class TestFastForwardQuiescence:
                          sent_at=0.0)
         assert link.transmit(seg)
         # delivery train pending + transmitter busy: both reasons refuse
-        assert sched.try_fast_forward(1.0) is False
+        assert sched.fast_forward_to(1.0) is False
         assert sched.fast_forward_refusals == 1
         sched.run_until(1.0)
         assert delivered
         # drained and idle: the same jump is now provable
-        assert sched.try_fast_forward(2.0) is True
+        assert sched.fast_forward_to(2.0) is True
 
     def test_link_refuses_while_transmitter_busy(self):
         from repro.simnet.link import Link
@@ -366,7 +392,7 @@ class TestFastForwardQuiescence:
         assert link.quiescent(5.0) is True
         link._busy_until = 0.5                 # mid-serialization
         assert link.quiescent(5.0) is False
-        assert sched.try_fast_forward(5.0) is False
+        assert sched.fast_forward_to(5.0) is False
 
     def test_connection_refuses_armed_timer_inside_window(self):
         from tests.test_tcp_connection import make_pair
@@ -380,7 +406,7 @@ class TestFastForwardQuiescence:
 
         client._rexmit_deadline = now + 0.5
         assert client.quiescent(now + 1.0) is False
-        assert sched.try_fast_forward(now + 1.0) is False
+        assert sched.fast_forward_to(now + 1.0) is False
         assert sched.fast_forward_refusals == refusals + 1
         # a deadline at-or-past the window edge does not block it
         assert client.quiescent(now + 0.5) is True
@@ -413,7 +439,6 @@ class TestFastForwardQuiescence:
         from tests.test_tcp_connection import CLEAN, make_pair
 
         net, client, state, path, _ = make_pair(CLEAN)
-        net.scheduler.fast_forward = True
         log = FaultSchedule().outage(8.0, 3.0).apply(net.scheduler, path)
         client.connect()
         net.run_until(30.0)
