@@ -545,9 +545,7 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
     from .analysis import format_table
     from .experiments import REGISTRY, SCALES
     from .runner import (
-        NULL_OBSERVER,
         CampaignAborted,
-        CompositeRunObserver,
         FailureReport,
         RunLedger,
         RunStats,
@@ -597,22 +595,18 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
         except ValueError as exc:
             print(f"--distributed: {exc}", file=sys.stderr)
             return 2
-    # the observatory: progress + collection ride the engine observer
-    # hook; with neither flag the observer stays NULL_OBSERVER and the
-    # engine takes its zero-cost path
-    observers = []
+    # the observatory: progress and collection subscribe to each
+    # experiment's ledger, which streams the same events either way
     progress = None
     collector = None
     if dashboard:
         from .obs import DashboardReporter
 
         progress = DashboardReporter(label="units")
-        observers.append(progress)
     elif args.progress:
         from .obs import ProgressReporter
 
         progress = ProgressReporter()
-        observers.append(progress)
     if args.flows or args.metrics or args.failures or args.aggregate:
         from .obs import CampaignCollector
 
@@ -620,27 +614,15 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
         # stay inside the shard workers, the parent only sees (and
         # merges) shard snapshots — which is all --aggregate needs
         collector = CampaignCollector()
-        observers.append(collector)
-    elif health_on and sharding is not None:
-        from .obs import CampaignCollector
-
-        # no exports asked for, but the ledger still wants one `merged`
-        # event per shard; streaming mode folds-and-drops, and on a
-        # sharded campaign the parent only ever sees shard snapshots
-        collector = CampaignCollector(streaming=True)
-        observers.append(collector)
-    observer = (CompositeRunObserver(*observers) if observers
-                else NULL_OBSERVER)
     summary = []
     reports = []
     aborted = False
     try:
-        with engine_options(observer=observer, supervision=supervision):
+        with engine_options(supervision=supervision):
             for name in names:
                 spec = REGISTRY[name]
                 stats = RunStats()
                 failures = FailureReport()
-                ledger = None
                 if cache is not None:
                     # the write-ahead ledger: fresh unless resuming, so a
                     # stale log never misreports a new campaign
@@ -654,14 +636,19 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
                               f"{counts['failed']} failed, "
                               f"{counts['quarantined']} quarantined",
                               file=sys.stderr)
-                    ledger.event("campaign-started", experiment=name,
-                                 jobs=args.jobs, shards=args.shards,
-                                 sessions=args.sessions,
-                                 shard_size=args.shard_size,
-                                 resume=True if args.resume else None,
-                                 distributed=True if dist else None,
-                                 workers=(args.workers
-                                          if dist is not None else None))
+                else:
+                    ledger = RunLedger()
+                for subscriber in (progress, collector):
+                    if subscriber is not None:
+                        ledger.subscribe(subscriber)
+                ledger.event("campaign-started", experiment=name,
+                             jobs=args.jobs, shards=args.shards,
+                             sessions=args.sessions,
+                             shard_size=args.shard_size,
+                             resume=True if args.resume else None,
+                             distributed=True if dist else None,
+                             workers=(args.workers
+                                      if dist is not None else None))
                 monitor = None
                 if health_on:
                     from .obs import HealthMonitor, HealthPolicy
@@ -669,9 +656,7 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
                     beat = getattr(args, "beat_interval", None)
                     policy = (HealthPolicy(interval=beat)
                               if beat is not None else None)
-                    monitor = HealthMonitor(policy)
-                if collector is not None:
-                    collector.ledger = ledger
+                    monitor = HealthMonitor(policy, ledger=ledger)
                 started = time.perf_counter()
                 try:
                     result = spec.run(scale, seed=args.seed, jobs=args.jobs,
@@ -709,12 +694,10 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
                     summary.append((spec, elapsed, stats))
                     continue
                 finally:
-                    if ledger is not None:
-                        ledger.event(
-                            "campaign-finished", experiment=name,
-                            elapsed_s=round(
-                                time.perf_counter() - started, 3))
-                        ledger.close()
+                    ledger.event(
+                        "campaign-finished", experiment=name,
+                        elapsed_s=round(time.perf_counter() - started, 3))
+                    ledger.close()
                 elapsed = time.perf_counter() - started
                 report = result.report()
                 if not failures.ok:

@@ -128,9 +128,10 @@ def _sharded_moments(catalog, lam: float, peak: float, scale: Scale,
             merged[name].merge(result.value)
         else:
             # deep-copied, never adopted: the accumulator must not alias
-            # result.value — observers (the --aggregate collector) read
-            # the shard values *after* this streaming fold on the
-            # distributed path, and must see pristine per-shard moments
+            # result.value — ledger subscribers (the --aggregate
+            # collector) read the shard values *after* this streaming
+            # fold on the distributed path, and must see pristine
+            # per-shard moments
             merged[name] = copy.deepcopy(result.value)
 
     run_shards(_moment_shard, units, on_result=fold)

@@ -3,26 +3,30 @@
 The layers below this one *compute*; ``repro.obs`` *watches*.  It sits at
 the top of the stack (above analysis, streaming and the runner) and
 never feeds anything back down — enabling any part of it cannot change
-a result, an analysis, or a cache fingerprint.  Three pillars:
+a result, an analysis, a cache fingerprint, or the persisted run
+ledger.  Everything here reads one channel: the campaign's event
+stream, :class:`RunLedger` (re-exported from :mod:`repro.runner.ledger`,
+where the engine reports each lifecycle fact once).  A consumer is a
+subscriber ``fn(record, value)`` on it.  Three pillars:
 
 * **Exporters** (:mod:`~repro.obs.flows`, :mod:`~repro.obs.metrics`,
   :mod:`~repro.obs.exporters`, :mod:`~repro.obs.collect`) — turn each
   session into NetFlow/IPFIX-style flow records and metric time-series
   and serialize them to JSONL, CSV, or Prometheus text exposition.
   Exports are deterministic: byte-identical for any ``--jobs`` value and
-  with telemetry recording on or off.
-* **Live progress** (:mod:`~repro.obs.progress`) — an opt-in engine
-  observer keeping one ``\\r``-rewritten status line on stderr
-  (done/total, rate, ETA, cache-hit/fault/retry counts).  Default-off
-  behind the same single-guard pattern as the telemetry layer.
+  with telemetry recording on or off.  :class:`CampaignCollector` is
+  the subscriber that gathers the sessions.
+* **Live progress** (:mod:`~repro.obs.progress`) — an opt-in subscriber
+  keeping one ``\\r``-rewritten status line on stderr (done/total,
+  rate, ETA, cache-hit/fault/retry counts).
 * **Engine health** (:mod:`~repro.obs.health`, :mod:`~repro.obs.dash`,
   :mod:`~repro.obs.report`) — the campaign control plane: per-worker
-  heartbeats and straggler detection (:class:`HealthMonitor`), the live
-  ``repro dash`` worker-lane dashboard, and the post-hoc ``repro
-  report`` renderer over the campaign's run ledger (:class:`RunLedger`,
-  re-exported from :mod:`repro.runner.ledger`, where the engine writes
-  it).  All of it observes the supervised engine through the same
-  default-off hook — health on or off, exports stay byte-identical.
+  heartbeats and straggler detection (:class:`HealthMonitor`, which
+  writes its ``started`` / ``suspect`` / ``heartbeat-summary`` events
+  and live ``beat`` lanes onto the stream), the live ``repro dash``
+  worker-lane dashboard (a subscriber), and the post-hoc ``repro
+  report`` renderer over the ledger file.  Health on or off, exports
+  stay byte-identical.
 
 See ``docs/OBSERVABILITY.md`` for formats and workflows.
 """

@@ -1,9 +1,9 @@
-"""The campaign collector: engine observer that gathers session results.
+"""The campaign collector: the ledger subscriber that gathers session results.
 
 Experiments consume :class:`SessionResult` objects and throw them away
 once analyzed; the collector is how the observability layer gets hold of
-them without touching any experiment.  Installed as the ambient engine
-observer (:func:`repro.runner.engine_options`), it receives every
+them without touching any experiment.  Subscribed to the campaign's
+ledger (:meth:`repro.runner.RunLedger.subscribe`), it receives every
 ``run_sessions`` batch **in plan order** and assigns each session a
 sequential id — batches themselves run sequentially inside an
 experiment, so ids, and therefore exports, are identical for any
@@ -27,22 +27,22 @@ tallies and histogram bins bit-for-bit; mean/variance to float-rounding
 tolerance (~1e-9 relative; see ``tests/test_sharding.py``).  The
 collector recognizes :class:`~repro.runner.sharding.ShardResult` values
 in ``batch_finished`` and merges their snapshots automatically, so the
-same observer wiring covers per-session and per-shard campaigns.
+same subscription covers per-session and per-shard campaigns.
 
 Results coming back from ``run_tasks`` that are neither sessions nor
 shard snapshots (Monte-Carlo batches, cohort aggregates) are ignored, as
 are the :class:`~repro.runner.FailedUnit` placeholders a degraded
 campaign leaves in quarantined slots — those are collected separately
-through the ``unit_failed`` hook and exported by :meth:`write_failures`,
-so a partial campaign's exports say exactly what is missing and why.
+from the ledger's ``quarantined`` events and exported by
+:meth:`write_failures`, so a partial campaign's exports say exactly
+what is missing and why.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..runner.pool import NullRunObserver
 from ..runner.sharding import ShardResult
 from ..runner.supervise import UnitFailure
 from ..stats import HistogramSketch, MomentAccumulator
@@ -283,13 +283,15 @@ class CampaignSnapshot:
         return "\n".join(lines)
 
 
-class CampaignCollector(NullRunObserver):
+class CampaignCollector:
     """Collect a campaign's sessions — retained or streamingly reduced.
 
     Usage::
 
         collector = CampaignCollector()
-        with engine_options(observer=collector):
+        ledger = RunLedger()
+        ledger.subscribe(collector)
+        with engine_options(ledger=ledger):
             spec.run(scale, seed=0)
         collector.write_flows("flows.jsonl")
         collector.write_metrics("metrics.prom")
@@ -298,18 +300,10 @@ class CampaignCollector(NullRunObserver):
     With ``streaming=True`` sessions are folded into the aggregate
     snapshot and dropped, so memory stays constant; per-session exports
     (flows/metrics) then raise, because the data they need is gone.
-
-    ``ledger`` (a :class:`~repro.runner.ledger.RunLedger`) records one
-    ``merged`` event per shard snapshot folded into the streaming
-    reduction — attribution for the reduce side of a sharded campaign.
-    Write-only, like everything else here: the collector never reads it.
     """
 
-    enabled = True
-
-    def __init__(self, streaming: bool = False, ledger=None) -> None:
+    def __init__(self, streaming: bool = False) -> None:
         self.streaming = streaming
-        self.ledger = ledger
         self.sessions: List[Tuple[str, SessionResult]] = []
         self.failures: List[UnitFailure] = []
         self._aggregate = CampaignSnapshot()
@@ -342,7 +336,18 @@ class CampaignCollector(NullRunObserver):
         snap.failures += len(self.failures)
         return snap
 
-    # -- observer callbacks --------------------------------------------------
+    # -- the subscriber --------------------------------------------------------
+
+    def __call__(self, record: dict, value: Any) -> None:
+        """Adopt what the ledger reports: each batch's plan-ordered
+        values, and the failure of every quarantined unit (retried
+        attempts are the progress line's business, not the campaign
+        record's)."""
+        kind = record["event"]
+        if kind == "batch-finished":
+            self.batch_finished(value)
+        elif kind == "quarantined":
+            self.failures.append(value)
 
     def batch_finished(self, values) -> None:
         """Adopt the batch's session results (plan order) and merge any
@@ -353,11 +358,6 @@ class CampaignCollector(NullRunObserver):
                 self.collect(value)
             elif isinstance(value, ShardResult):
                 payload = value.value
-                if self.ledger is not None:
-                    self.ledger.event(
-                        "merged", campaign=value.shard.campaign,
-                        shard=value.shard.index, of=value.shard.of,
-                        units=value.shard.units)
                 if isinstance(payload, CampaignSnapshot):
                     self._aggregate.merge(payload)
                 elif (hasattr(payload, "moments")
@@ -370,12 +370,6 @@ class CampaignCollector(NullRunObserver):
                     self._aggregate.fold_moments(
                         name, payload.moments, payload.sketch,
                         sessions=getattr(payload, "sessions", 0))
-
-    def unit_failed(self, failure: UnitFailure) -> None:
-        """Adopt a quarantined unit's failure (retried attempts are the
-        progress reporter's business, not the campaign record's)."""
-        if failure.final:
-            self.failures.append(failure)
 
     # -- exports -------------------------------------------------------------
 

@@ -16,45 +16,40 @@ dashboard degrades to the progress reporter's discipline — one plain
 summary line every ``plain_interval`` seconds, plus an immediate line
 per suspicion — so CI logs stay readable.
 
-Worker lanes arrive through the engine observer hook: the
-:class:`~repro.obs.health.HealthMonitor` forwards ``worker_beat`` /
-``worker_suspect`` / ``unit_started`` callbacks, so the dashboard needs
-health monitoring on (the ``repro dash`` command wires both).  Like
-every observer it only watches — closing it mid-campaign changes
-nothing but the terminal.
+Everything arrives as events on the campaign's ledger stream, to which
+the dashboard subscribes: the unit counters it shares with the progress
+line (:class:`~repro.obs.progress.UnitCounts`), plus the health plane's
+``started`` / ``suspect`` events and live ``beat`` lanes, so the
+dashboard needs health monitoring on (the ``repro dash`` command wires
+both).  Like every subscriber it only watches — closing it mid-campaign
+changes nothing but the terminal.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import Any, Dict, Optional, Sequence, TextIO
+from typing import Any, Dict, Optional, TextIO
 
-from ..runner.pool import NullRunObserver
+from .progress import UnitCounts
 
 __all__ = [
     "DashboardReporter",
 ]
 
 
-class DashboardReporter(NullRunObserver):
+class DashboardReporter(UnitCounts):
     """Render engine + worker-health state as a live multi-line block."""
-
-    enabled = True
 
     def __init__(self, stream: Optional[TextIO] = None,
                  label: str = "units",
                  min_interval: float = 0.2,
                  plain_interval: float = 5.0) -> None:
+        super().__init__()
         self.stream = stream if stream is not None else sys.stderr
         self.label = label
         self.min_interval = min_interval
         self.plain_interval = plain_interval
-        self.total = 0
-        self.done = 0
-        self.cache_hits = 0
-        self.retries = 0
-        self.failed = 0
         self.lanes: Dict[str, Any] = {}     # worker -> live WorkerLane
         self.flags: Dict[str, str] = {}     # worker -> latest suspicion kind
         self._units: Dict[str, str] = {}    # worker -> current unit label
@@ -67,50 +62,37 @@ class DashboardReporter(NullRunObserver):
         except (AttributeError, ValueError, OSError):
             self._tty = False
 
-    # -- observer callbacks --------------------------------------------------
-
-    def batch_started(self, units: int, cache_hits: int) -> None:
-        self.total += units
-        self.done += cache_hits
-        self.cache_hits += cache_hits
-        self._render(force=True)
-
-    def unit_started(self, index: int, label: str, worker: str) -> None:
-        self._units[worker] = label
-        self._render()
-
-    def unit_finished(self, value: Any) -> None:
-        self.done += 1
-        self._render()
-
-    def unit_failed(self, failure: Any) -> None:
-        if failure.final:
-            self.failed += 1
-            self.done += 1
-        else:
-            self.retries += 1
-        if not self._tty:
-            where = f" on {failure.worker}" if failure.worker else ""
-            outcome = "quarantined" if failure.final else "retrying"
-            self._plain_line(f"{outcome}: {failure.label}{where} "
-                             f"[{failure.kind}] {failure.error}")
-        self._render(force=True)
-
-    def worker_beat(self, lane: Any) -> None:
-        self.lanes[lane.worker] = lane
-        self.flags.pop(lane.worker, None)  # a beat clears the flag
-        self._render()
-
-    def worker_suspect(self, suspicion: Any) -> None:
-        self.flags[suspicion.worker] = suspicion.kind
-        if not self._tty:
-            self._plain_line(
-                f"suspect [{suspicion.kind}] {suspicion.worker} "
-                f"pid {suspicion.pid}: {suspicion.detail}")
-        self._render(force=True)
-
-    def batch_finished(self, values: Sequence[Any]) -> None:
-        self._render(force=True)
+    def __call__(self, record: dict, value: Any) -> None:
+        """Fold one ledger event into the board (the subscriber)."""
+        self.fold(record)
+        kind = record["event"]
+        if kind == "started":
+            self._units[record["worker"]] = record["label"]
+            self._render()
+        elif kind == "done":
+            if not record.get("cached"):
+                self._render()
+        elif kind in ("retried", "quarantined"):
+            if not self._tty:
+                where = f" on {value.worker}" if value.worker else ""
+                outcome = "quarantined" if value.final else "retrying"
+                self._plain_line(f"{outcome}: {value.label}{where} "
+                                 f"[{value.kind}] {value.error}")
+            self._render(force=True)
+        elif kind == "beat":
+            self.lanes[value.worker] = value
+            self.flags.pop(value.worker, None)  # a beat clears the flag
+            self._render()
+        elif kind == "suspect":
+            worker = record["worker"]
+            self.flags[worker] = record["kind"]
+            if not self._tty:
+                self._plain_line(
+                    f"suspect [{record['kind']}] {worker} "
+                    f"pid {record['pid']}: {record['detail']}")
+            self._render(force=True)
+        elif kind in ("scheduled", "batch-finished"):
+            self._render(force=True)
 
     # -- rendering -----------------------------------------------------------
 

@@ -17,12 +17,13 @@ last-beat age, units/s EWMA, RSS watermark, current unit — and raises
 * **worker-lost** — the supervisor settled a crashed/killed/timed-out
   worker (attribution for the retry that follows).
 
-Suspicion is *reported*, never acted on: the monitor forwards it to the
-engine observer hook (``worker_suspect``) and the run ledger, and the
-supervisor's retry/quarantine behavior is byte-for-byte unchanged
-whether monitoring is on or off.  The monitor holds no reference into
-the engine — the engine calls it, guarded by ``if health is not None``,
-and all of it is default-off (``EngineOptions.health = None``).
+Suspicion is *reported*, never acted on: the monitor writes it onto the
+campaign's event stream (:class:`~repro.runner.ledger.RunLedger`) as a
+``suspect`` event, and the supervisor's retry/quarantine behavior is
+byte-for-byte unchanged whether monitoring is on or off.  The monitor
+holds no reference into the engine — the engine calls it, guarded by
+``if health is not None``, and all of it is default-off
+(``EngineOptions.health = None``).
 
 Every timestamp the monitor keeps comes from its injectable ``clock``
 (monotonic by default), so thresholds, EWMA values and straggler flags
@@ -36,6 +37,8 @@ import time
 from dataclasses import dataclass
 from statistics import median
 from typing import Any, Callable, Dict, List, Optional
+
+from ..runner.ledger import RunLedger
 
 __all__ = [
     "HealthMonitor",
@@ -100,7 +103,7 @@ class WorkerLane:
     retries: int = 0
     rate: float = 0.0            # units/s EWMA over completed units
     rss_kb: int = 0              # worker-reported RSS watermark
-    unit: Optional[int] = None   # batch index currently running
+    unit: Optional[int] = None   # plan index currently running
     label: str = ""
     unit_started_at: Optional[float] = None
     missing: bool = False        # currently under missed-beat suspicion
@@ -130,7 +133,7 @@ class Suspicion:
     kind: str                  # "missed-beat" | "straggler" | "worker-lost"
     worker: str                # lane id ("w0", ...)
     pid: int
-    unit: Optional[int]        # batch index involved, when one was
+    unit: Optional[int]        # plan index involved, when one was
     label: str                 # unit description, when one was running
     age_s: float               # beat age / unit elapsed at flag time
     detail: str                # human-readable cause
@@ -140,25 +143,20 @@ class HealthMonitor:
     """Fold worker heartbeats and supervisor events into health state.
 
     The supervisor drives it through the hook methods (``beat``,
-    ``worker_started`` ... ``poll``); the monitor fans observations out
-    to the engine observer (``worker_beat`` / ``worker_suspect`` /
-    ``unit_started`` callbacks) and, when the engine attaches one, the
-    campaign's :class:`~repro.runner.ledger.RunLedger`: ``started``,
-    ``heartbeat-summary`` and ``suspect`` events (unit settlements are
-    the engine's to write).  It never steers: the supervisor consults
-    nothing here.
+    ``worker_started`` ... ``poll``); the monitor writes what it sees
+    onto ``ledger``, when given: ``started``, ``heartbeat-summary`` and
+    ``suspect`` events, plus a live ``beat`` per heartbeat whose value
+    is the lane (unit settlements are the engine's to report).  It
+    never steers: the supervisor consults nothing here.
     """
 
     def __init__(self, policy: Optional[HealthPolicy] = None, *,
+                 ledger: Optional[RunLedger] = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.policy = policy or HealthPolicy()
         self.clock = clock
-        self.observer: Optional[Any] = None
-        self.ledger: Optional[Any] = None
+        self.ledger = ledger
         self.suspicions: List[Suspicion] = []
-        self.units_scheduled = 0
-        self.cache_hits = 0
-        self.units_done = 0
         self.parent_rss_kb = 0
         self._lanes: Dict[str, WorkerLane] = {}
         self._latencies: List[float] = []
@@ -170,18 +168,7 @@ class HealthMonitor:
         this when spawning worker processes)."""
         return self.policy.interval
 
-    def attach(self, observer: Any, ledger: Optional[Any] = None) -> None:
-        """Forward subsequent observations to an engine observer and,
-        when the campaign has one, its run ledger."""
-        self.observer = observer
-        self.ledger = ledger
-
     # -- engine hooks (called by pool/supervise, never the reverse) ----------
-
-    def batch_started(self, units: int, cache_hits: int) -> None:
-        """An engine batch was scheduled (after cache lookup)."""
-        self.units_scheduled += units
-        self.cache_hits += cache_hits
 
     def worker_started(self, worker: str, pid: Optional[int]) -> None:
         """A worker process spawned (or respawned) on lane ``worker``."""
@@ -217,8 +204,6 @@ class HealthMonitor:
         if self.ledger is not None:
             self.ledger.event("started", unit=index, label=lane.label,
                               worker=worker, key=key)
-        if self.observer is not None and self.observer.enabled:
-            self.observer.unit_started(index, lane.label, worker)
 
     def unit_finished(self, worker: str, index: int) -> None:
         """A unit completed on its worker; credit the lane's rate."""
@@ -228,7 +213,6 @@ class HealthMonitor:
                    if lane.unit_started_at is not None else 0.0)
         lane.units_done += 1
         lane.busy_s += latency
-        self.units_done += 1
         if latency > 0:
             sample = 1.0 / latency
             alpha = self.policy.ewma_alpha
@@ -263,8 +247,8 @@ class HealthMonitor:
             lane.pid = pid
         lane.rss_kb = max(lane.rss_kb, int(rss_kb))
         lane.missing = False  # a beat clears the suspicion
-        if self.observer is not None and self.observer.enabled:
-            self.observer.worker_beat(lane)
+        if self.ledger is not None:
+            self.ledger.event("beat", lane, worker=worker)
 
     def poll(self) -> List[Suspicion]:
         """Periodic check: raise fresh suspicions, pace ledger summaries.
@@ -305,13 +289,9 @@ class HealthMonitor:
                                 f"({p50:.2f}s)")))
         for suspicion in fresh:
             self._suspect(suspicion)
-        if self.ledger is not None and (
-                self._last_summary is None
+        if (self._last_summary is None
                 or now - self._last_summary >= policy.summary_every):
-            self._last_summary = now
-            self.ledger.event(
-                "heartbeat-summary", parent_rss_kb=self.parent_rss_kb,
-                workers=[lane.snapshot(now) for lane in self.lanes()])
+            self._summarize(now)
         return fresh
 
     def finish(self) -> None:
@@ -321,13 +301,14 @@ class HealthMonitor:
         writes before any beat arrives, and the report never sees the
         workers' RSS watermarks or final beat counts.
         """
-        if self.ledger is None:
-            return
-        now = self.clock()
+        self._summarize(self.clock())
+
+    def _summarize(self, now: float) -> None:
         self._last_summary = now
-        self.ledger.event(
-            "heartbeat-summary", parent_rss_kb=self.parent_rss_kb,
-            workers=[lane.snapshot(now) for lane in self.lanes()])
+        if self.ledger is not None:
+            self.ledger.event(
+                "heartbeat-summary", parent_rss_kb=self.parent_rss_kb,
+                workers=[lane.snapshot(now) for lane in self.lanes()])
 
     # -- queries -------------------------------------------------------------
 
@@ -354,9 +335,7 @@ class HealthMonitor:
         self.suspicions.append(suspicion)
         if self.ledger is not None:
             self.ledger.event(
-                "suspect", kind=suspicion.kind, worker=suspicion.worker,
-                pid=suspicion.pid, unit=suspicion.unit,
-                label=suspicion.label or None,
+                "suspect", suspicion, kind=suspicion.kind,
+                worker=suspicion.worker, pid=suspicion.pid,
+                unit=suspicion.unit, label=suspicion.label or None,
                 age_s=round(suspicion.age_s, 3), detail=suspicion.detail)
-        if self.observer is not None and self.observer.enabled:
-            self.observer.worker_suspect(suspicion)

@@ -1,18 +1,18 @@
-"""Live run progress: a single updating stderr line over the engine hook.
+"""Live run progress: a single updating stderr line over the ledger stream.
 
 Multi-minute campaigns (`repro experiment all --jobs 8`) previously ran
 silent until the first report printed.  :class:`ProgressReporter` is a
-run observer (see :class:`repro.runner.NullRunObserver`) that keeps one
+subscriber on the campaign's event stream
+(:meth:`repro.runner.RunLedger.subscribe`) that keeps one
 ``\\r``-rewritten status line on stderr::
 
     sessions 37/96  3.1/s  eta 19s  cache 12/37  retries 2  faults 0
 
-Default-off and zero-cost when off: the engine's observer defaults to
-the disabled ``NULL_OBSERVER`` and every call site guards with a single
-``if observer.enabled:`` check — the same pattern as the telemetry
-layer's ``NullRecorder``.  The reporter only *observes* completions; it
-never changes what the engine computes, so enabling it cannot perturb
-results.
+It only *reads* the events the engine reports anyway — the ledger
+records the same events whether or not anyone subscribes — so enabling
+it cannot perturb results or the persisted record.  :class:`UnitCounts`
+is the fold it shares with the ``repro dash`` board
+(:mod:`repro.obs.dash`).
 
 Two terminal realities it respects:
 
@@ -34,25 +34,57 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Any, Optional, Sequence, TextIO
+from typing import Any, Optional, TextIO
 
-from ..runner.pool import NullRunObserver
 from ..runner.sharding import ShardResult
 
 __all__ = [
     "ProgressReporter",
+    "UnitCounts",
 ]
 
 
-class ProgressReporter(NullRunObserver):
-    """Render engine progress as one updating stderr line."""
+class UnitCounts:
+    """The unit counters the live displays fold from the ledger stream.
 
-    enabled = True
+    ``total`` grows by each ``scheduled`` batch, whose cache hits count
+    as done at once; a quarantined unit counts as settled too, so the
+    display converges even when a unit never finishes.
+    """
+
+    def __init__(self) -> None:
+        self.total = 0
+        self.done = 0
+        self.cache_hits = 0
+        self.retries = 0
+        self.failed = 0
+
+    def fold(self, record: dict) -> None:
+        """Count one ledger record."""
+        kind = record["event"]
+        if kind == "scheduled":
+            hits = record["cache_hits"]
+            self.total += record["units"]
+            self.done += hits
+            self.cache_hits += hits
+        elif kind == "done":
+            if not record.get("cached"):
+                self.done += 1
+        elif kind == "retried":
+            self.retries += 1
+        elif kind == "quarantined":
+            self.failed += 1
+            self.done += 1
+
+
+class ProgressReporter(UnitCounts):
+    """Render engine progress as one updating stderr line."""
 
     def __init__(self, stream: Optional[TextIO] = None,
                  min_interval: float = 0.1,
                  label: str = "sessions",
                  plain_interval: float = 5.0) -> None:
+        super().__init__()
         self.stream = stream if stream is not None else sys.stderr
         self.min_interval = min_interval
         self.plain_interval = plain_interval
@@ -66,15 +98,9 @@ class ProgressReporter(NullRunObserver):
         self.ewma_alpha = 0.3
         self._rate = 0.0
         self._last_done_at: Optional[float] = None
-        self.total = 0
-        self.done = 0
-        self.cache_hits = 0
-        self.retries = 0
         self.faults = 0
-        self.failed = 0
         self.shards_done = 0
         self.shards_total = 0
-        self._batch_live_shards = 0
         self._shard_campaigns: set = set()
         self._workers: set = set()
         self._started = time.monotonic()
@@ -90,81 +116,46 @@ class ProgressReporter(NullRunObserver):
         except (AttributeError, ValueError, OSError):
             self._tty = False
 
-    # -- observer callbacks --------------------------------------------------
-
-    def batch_started(self, units: int, cache_hits: int) -> None:
-        """Grow the known total; count cache hits as instantly done."""
-        self.total += units
-        self.done += cache_hits
-        self.cache_hits += cache_hits
-        self._batch_live_shards = 0
-        self._render(force=self._tty)
-
-    def _note_shard_campaign(self, spec) -> None:
-        # a campaign may fan out several shard groups (one per strategy,
-        # say); the displayed total sums each group's size once
-        if spec.campaign not in self._shard_campaigns:
-            self._shard_campaigns.add(spec.campaign)
-            self.shards_total += spec.of
-
-    def unit_finished(self, value: Any) -> None:
-        """One simulated unit completed."""
-        self.done += 1
-        now = time.monotonic()
-        if self._last_done_at is not None and now > self._last_done_at:
-            sample = 1.0 / (now - self._last_done_at)
-            self._rate = (sample if self._rate == 0.0
-                          else self.ewma_alpha * sample
-                          + (1 - self.ewma_alpha) * self._rate)
-        self._last_done_at = now
-        if isinstance(value, ShardResult):
-            self.shards_done += 1
-            self._batch_live_shards += 1
-            self._note_shard_campaign(value.shard)
-        self._render()
-
-    def worker_beat(self, lane) -> None:
-        """A worker lane beat (supervised pool or distributed fleet):
-        track the live fleet size for the ``workers`` segment.  A lane
-        reported missing (lease older than the TTL, heartbeat silent)
-        leaves the count until it beats again."""
-        worker = getattr(lane, "worker", None)
-        if worker is None:
-            return
-        if getattr(lane, "missing", False):
-            self._workers.discard(worker)
-        else:
-            self._workers.add(worker)
-        self._render()
-
-    def unit_failed(self, failure) -> None:
-        """A supervised attempt failed: count the retry or the quarantine."""
-        if failure.final:
-            self.failed += 1
-            # a quarantined unit will never reach unit_finished; count it
-            # as settled so the line (and the ETA) can still converge
-            self.done += 1
-        else:
-            self.retries += 1
-        self._render(force=self._tty)
-
-    def batch_finished(self, values: Sequence[Any]) -> None:
-        """Fold the batch's fault/retry counters into the status line."""
-        batch_shards = 0
-        for value in values:
-            self.retries += getattr(value, "retry_count", 0) or 0
-            fault_log = getattr(value, "fault_log", None)
-            if fault_log is not None:
-                self.faults += len(fault_log)
+    def __call__(self, record: dict, value: Any) -> None:
+        """Fold one ledger event into the line (the subscriber)."""
+        self.fold(record)
+        kind = record["event"]
+        if kind == "done":
             if isinstance(value, ShardResult):
-                batch_shards += 1
-                self._note_shard_campaign(value.shard)
-        if batch_shards:
-            # cache-hit shards never pass through unit_finished; credit
-            # whatever the live counter did not already see
-            self.shards_done += batch_shards - self._batch_live_shards
-            self._batch_live_shards = 0
-        self._render(force=self._tty)
+                self.shards_done += 1
+                # a campaign may fan out several shard groups (one per
+                # strategy, say); the total sums each group's size once
+                spec = value.shard
+                if spec.campaign not in self._shard_campaigns:
+                    self._shard_campaigns.add(spec.campaign)
+                    self.shards_total += spec.of
+            if not record.get("cached"):
+                now = time.monotonic()
+                last, self._last_done_at = self._last_done_at, now
+                if last is not None and now > last:
+                    sample = 1.0 / (now - last)
+                    self._rate = (sample if self._rate == 0.0
+                                  else self.ewma_alpha * sample
+                                  + (1 - self.ewma_alpha) * self._rate)
+                self._render()
+        elif kind == "beat":
+            # a worker lane beat (supervised pool or distributed fleet):
+            # a lane reported missing (lease older than the TTL,
+            # heartbeat silent) leaves the count until it beats again
+            if value.missing:
+                self._workers.discard(value.worker)
+            else:
+                self._workers.add(value.worker)
+            self._render()
+        elif kind == "batch-finished":
+            for result in value:
+                self.retries += getattr(result, "retry_count", 0) or 0
+                fault_log = getattr(result, "fault_log", None)
+                if fault_log is not None:
+                    self.faults += len(fault_log)
+            self._render(force=self._tty)
+        elif kind in ("scheduled", "retried", "quarantined"):
+            self._render(force=self._tty)
 
     # -- rendering -----------------------------------------------------------
 

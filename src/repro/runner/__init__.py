@@ -20,9 +20,6 @@ Public API:
 * :func:`engine_options`, :class:`EngineOptions`, :class:`RunStats`,
   :func:`current_options` — ambient configuration the CLI installs and
   experiments inherit.
-* :class:`NullRunObserver`, :class:`CompositeRunObserver`,
-  :data:`NULL_OBSERVER` — the engine's outward-facing observation hook;
-  :mod:`repro.obs` builds progress reporting and exporters on top.
 * :class:`SupervisionPolicy`, :class:`RetryBudget`,
   :class:`FailureReport`, :class:`CampaignAborted`, :class:`UnitFailure`,
   :class:`FailedUnit`, :func:`run_supervised` — the durability layer
@@ -31,9 +28,10 @@ Public API:
   quarantine of poison units under a policy.
 * :class:`RunLedger`, :func:`load_ledger`, :func:`ledger_path`,
   :func:`campaign_fingerprint`, :func:`list_campaigns` — the one
-  campaign log (:mod:`repro.runner.ledger`): the engine's write-ahead
-  record of every unit settlement, behind ``--resume``, ``repro list``
-  and ``repro report``.
+  campaign event stream (:mod:`repro.runner.ledger`): the engine's
+  write-ahead record of every unit settlement, behind ``--resume``,
+  ``repro list`` and ``repro report``, and the only channel
+  :mod:`repro.obs` subscribes its progress, dash and exporters to.
 * :class:`Sharding`, :class:`ShardSpec`, :class:`ShardResult`,
   :class:`ShardStore`, :func:`run_shards`, :func:`run_sharded_sessions`,
   :func:`shard_fingerprint` — the million-session campaign layer
@@ -72,10 +70,7 @@ from .ledger import (
 )
 from .pool import (
     CacheLike,
-    CompositeRunObserver,
     EngineOptions,
-    NULL_OBSERVER,
-    NullRunObserver,
     RunStats,
     SessionPlan,
     current_options,
@@ -109,14 +104,11 @@ __all__ = [
     "CacheLike",
     "CampaignAborted",
     "ChaosError",
-    "CompositeRunObserver",
     "DistPolicy",
     "EngineOptions",
     "FailedUnit",
     "FailureReport",
     "FileShardQueue",
-    "NULL_OBSERVER",
-    "NullRunObserver",
     "ResultCache",
     "RetryBudget",
     "RunLedger",

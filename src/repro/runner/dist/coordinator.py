@@ -28,9 +28,8 @@ The run ledger gains the distributed lifecycle: ``dist-published``,
 per-shard ``done`` events attributed to the worker that landed them,
 ``re-leased`` when an expired holder's shard moves, and ``worker-exit``
 when a local worker leaves.  Worker lanes are synthesized from queue
-lease state and fed through the ordinary ``worker_beat`` observer hook,
-so ``repro dash`` renders a distributed campaign with no code of its
-own.
+lease state and streamed as the ledger's live ``beat`` events, so
+``repro dash`` renders a distributed campaign with no code of its own.
 """
 
 from __future__ import annotations
@@ -218,7 +217,6 @@ def run_shards_distributed(
             "the coordinator see the same ShardStore")
     if queue is None:
         queue = make_queue(policy.queue, ttl=policy.ttl)
-    observer = options.observer
     ledger = options.ledger
     failures = options.failures
     stats = options.stats if stats is None else stats
@@ -237,9 +235,9 @@ def run_shards_distributed(
             settled[i] = True
             hits += 1
             if ledger is not None:
-                ledger.event("done", key=key, unit=i, cached=True)
-    if observer.enabled:
-        observer.batch_started(total, hits)
+                ledger.event("done", artifact, key=key, unit=i, cached=True)
+    if ledger is not None:
+        ledger.event("scheduled", units=total, cache_hits=hits)
 
     # 2. publish the misses, in plan order (claim order follows)
     published = 0
@@ -288,11 +286,9 @@ def run_shards_distributed(
                 ledger.event("re-leased", worker=worker,
                              previous=stolen_from, unit=i,
                              shard=_shard_label(shards[i][0]))
-            ledger.event("done", key=keys[i], unit=i, worker=worker,
-                         latency_s=record.get("wall_s"),
+            ledger.event("done", artifact, key=keys[i], unit=i,
+                         worker=worker, latency_s=record.get("wall_s"),
                          shard=_shard_label(shards[i][0]))
-        if observer.enabled:
-            observer.unit_finished(artifact)
         return True
 
     def quarantine(i: int, record: dict) -> None:
@@ -306,13 +302,11 @@ def run_shards_distributed(
         settled[i] = True
         quarantined.append(failure)
         if ledger is not None:
-            ledger.event("quarantined", key=failure.key, unit=i,
+            ledger.event("quarantined", failure, key=failure.key, unit=i,
                          worker=failure.worker, error=failure.error,
                          attempts=failure.attempts, shard=failure.label)
         if failures is not None:
             failures.add(failure)
-        if observer.enabled:
-            observer.unit_failed(failure)
 
     lanes: Dict[str, DistWorkerLane] = {}
     holder: Dict[str, str] = {}      # key -> worker last seen leasing it
@@ -352,8 +346,8 @@ def run_shards_distributed(
         for worker, lane in lanes.items():
             lane.units_done = done_by.get(worker, 0)
             lane.rate = lane.units_done / elapsed
-            if observer.enabled:
-                observer.worker_beat(lane)
+            if ledger is not None:
+                ledger.event("beat", lane, worker=worker)
 
     # the root workers receive must be the *cache* root, not the shard
     # namespace under it — ShardStore(cache_root) re-derives the latter
@@ -404,6 +398,6 @@ def run_shards_distributed(
             for failure in quarantined:
                 report.add(failure)
         raise CampaignAborted(report)
-    if observer.enabled:
-        observer.batch_finished(results)
+    if ledger is not None:
+        ledger.event("batch-finished", results)
     return results

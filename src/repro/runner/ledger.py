@@ -1,4 +1,15 @@
-"""The run ledger: the one append-only event log of a campaign.
+"""The run ledger: the one event stream of a campaign.
+
+The engine reports each lifecycle fact exactly once, through
+:meth:`RunLedger.event`.  The call builds one ``repro-ledger/v1`` record,
+appends it to the ledger file when the ledger has one, and hands it to
+every subscriber as ``fn(record, value)`` — ``value`` being the live
+object the record describes (a unit result, a
+:class:`~repro.runner.supervise.UnitFailure`, a worker lane, a batch's
+plan-ordered values), never serialized.  Live progress, ``repro dash``,
+the export collector and the health plane are all subscribers or
+writers here; none has a side channel of its own, so observing a run
+cannot change what the ledger records.
 
 Every campaign run with a result cache writes one JSONL file,
 ``<cache_root>/ledger/<experiment>-<fingerprint>.jsonl``: a
@@ -10,15 +21,23 @@ schema-versioned header, then one event per line::
     {"seq": 2, "ts": 1754554000.30, "event": "done", "key": "3f...",
      "unit": 0, "worker": "w0", "latency_s": 0.07}
 
+``RunLedger(path=None)`` keeps the same records in memory instead
+(:attr:`RunLedger.records`) — what a campaign without a cache directory
+streams through.
+
 Event kinds: ``campaign-started`` / ``campaign-finished`` (CLI scope),
 ``scheduled`` (one per engine batch, after cache lookup), the unit
 *settlements* ``done`` / ``retried`` / ``quarantined`` (written once
 each by the engine, keyed by the unit's cache ``key``; a cache hit
 replays as ``done`` with ``"cached": true``) and ``merged`` (one per
-shard folded into the streaming reduction).  The health plane
+shard result handed to the streaming reduction).  The health plane
 (:mod:`repro.obs.health`) adds ``started``, ``heartbeat-summary`` and
 ``suspect``; a distributed campaign adds ``dist-published``,
-``re-leased`` and ``worker-exit``.
+``re-leased`` and ``worker-exit``.  Every ``unit`` field is the unit's
+index in its batch's plan.  The kinds in :data:`LIVE_KINDS` reach the
+subscribers but are never written: a ``beat`` per worker heartbeat
+(value: the live lane) and ``batch-finished`` (value: the batch's
+plan-ordered results).
 
 The settlements are the write-ahead record behind ``--resume`` and
 ``repro list``: folded last-status-wins per key (``retried`` reads as
@@ -42,6 +61,7 @@ from .fingerprint import fingerprint
 
 __all__ = [
     "LEDGER_SCHEMA",
+    "LIVE_KINDS",
     "LedgerView",
     "RunLedger",
     "campaign_fingerprint",
@@ -55,6 +75,11 @@ LEDGER_SCHEMA = "repro-ledger/v1"
 
 #: Subdirectory of a cache root where run ledgers live.
 LEDGER_DIRNAME = "ledger"
+
+#: Kinds delivered to subscribers but never written: one per worker
+#: heartbeat (value: the live lane) and one per finished engine batch
+#: (value: its plan-ordered results).
+LIVE_KINDS = frozenset({"beat", "batch-finished"})
 
 #: Settlement events and the unit status each one leaves behind.
 SETTLEMENTS = {"done": "done", "retried": "failed",
@@ -87,23 +112,30 @@ def _count_statuses(units: Dict[str, str]) -> Dict[str, int]:
 
 
 class RunLedger:
-    """Append-only JSONL event log for one campaign.
+    """The campaign's event stream: an append-only log plus subscribers.
 
     Events are sequence-numbered and wall-clock timestamped at append
-    time; each is flushed immediately, so a killed campaign keeps every
-    event up to the kill.  ``clock`` is injectable for deterministic
-    tests.  ``units`` is the last settlement status per unit key, loaded
-    at open when appending to an existing log.
+    time.  With a ``path`` each is flushed to the JSONL file
+    immediately, so a killed campaign keeps every event up to the kill;
+    without one they collect in :attr:`records`.  ``clock`` is
+    injectable for deterministic tests.  ``units`` is the last
+    settlement status per unit key, loaded at open when appending to an
+    existing log.
     """
 
-    def __init__(self, path, *, meta: Optional[dict] = None,
+    def __init__(self, path=None, *, meta: Optional[dict] = None,
                  fresh: bool = False,
                  clock: Callable[[], float] = time.time) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.path = Path(path) if path is not None else None
         self.clock = clock
         self._seq = 0
         self.units: Dict[str, str] = {}
+        self.records: List[dict] = []
+        self._subscribers: List[Callable[[dict, Any], None]] = []
+        self._file = None
+        if self.path is None:
+            return
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         if fresh and self.path.exists():
             self.path.unlink()
         existed = self.path.exists() and self.path.stat().st_size > 0
@@ -135,27 +167,43 @@ class RunLedger:
                    meta=meta, fresh=fresh)
 
     def _append(self, record: dict) -> None:
+        if self._file is None:
+            self.records.append(record)
+            return
         self._file.write(json.dumps(record) + "\n")
         self._file.flush()
 
-    def event(self, event: str, **fields: Any) -> None:
-        """Append one lifecycle event (``None``-valued fields dropped).
+    def subscribe(self, fn: Callable[[dict, Any], None]) -> None:
+        """Call ``fn(record, value)`` for every subsequent event."""
+        self._subscribers.append(fn)
 
-        A keyed settlement updates :attr:`units`; a ``done`` for a unit
-        already done (a cache hit replayed on resume) is not rewritten.
+    def event(self, kind: str, value: Any = None, /, **fields: Any) -> None:
+        """Report one lifecycle event (``None``-valued fields dropped).
+
+        The record is written unless ``kind`` is in :data:`LIVE_KINDS`
+        or it is a ``done`` for a unit already done (a cache hit
+        replayed on resume); either way every subscriber then receives
+        ``(record, value)``.  A keyed settlement updates :attr:`units`.
         """
+        live = kind in LIVE_KINDS
+        if live and not self._subscribers:
+            return
+        write = not live
         key = fields.get("key")
-        status = SETTLEMENTS.get(event)
+        status = SETTLEMENTS.get(kind)
         if status is not None and key is not None:
             if status == "done" and self.units.get(key) == "done":
-                return
+                write = False
             self.units[key] = status
-        record: Dict[str, Any] = {"seq": self._seq,
-                                  "ts": round(self.clock(), 3),
-                                  "event": event}
+        record: Dict[str, Any] = {"seq": self._seq} if write else {}
+        record["ts"] = round(self.clock(), 3)
+        record["event"] = kind
         record.update((k, v) for k, v in fields.items() if v is not None)
-        self._seq += 1
-        self._append(record)
+        if write:
+            self._seq += 1
+            self._append(record)
+        for fn in self._subscribers:
+            fn(record, value)
 
     def unit_counts(self) -> Dict[str, int]:
         """Settled units per status: done / failed / quarantined."""
@@ -163,7 +211,7 @@ class RunLedger:
 
     def close(self) -> None:
         """Flush and close the underlying file (idempotent)."""
-        if not self._file.closed:
+        if self._file is not None and not self._file.closed:
             self._file.close()
 
     def __enter__(self) -> "RunLedger":

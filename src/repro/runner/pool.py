@@ -58,10 +58,7 @@ from .supervise import (
 
 __all__ = [
     "CacheLike",
-    "CompositeRunObserver",
     "EngineOptions",
-    "NULL_OBSERVER",
-    "NullRunObserver",
     "RunStats",
     "SessionPlan",
     "current_options",
@@ -70,99 +67,6 @@ __all__ = [
     "run_sessions",
     "run_tasks",
 ]
-
-
-class NullRunObserver:
-    """The disabled run observer: every callback is a no-op.
-
-    Observers are the engine's outward-facing hook — live progress
-    reporting and result collection (:mod:`repro.obs`) both plug in
-    here.  The pattern mirrors :class:`~repro.telemetry.NullRecorder`:
-    the ambient default is this disabled instance, call sites guard with
-    a single ``if observer.enabled:`` check, and the observing path can
-    never change what the engine computes — observers see results, they
-    do not produce them, so outputs stay byte-identical for any worker
-    count and cache keys never include observer state.
-    """
-
-    enabled = False
-
-    def batch_started(self, units: int, cache_hits: int) -> None:
-        """A ``run_sessions``/``run_tasks`` batch began (after cache lookup)."""
-
-    def unit_started(self, index: int, label: str, worker: str) -> None:
-        """A unit was handed to a supervised worker (health monitoring
-        only: the :class:`~repro.obs.health.HealthMonitor` forwards it)."""
-
-    def unit_finished(self, value: Any) -> None:
-        """One simulated unit completed (cache misses only, completion order)."""
-
-    def unit_failed(self, failure: UnitFailure) -> None:
-        """A supervised unit's attempt failed; ``failure.final`` marks
-        the attempt that quarantined it (only fires under supervision)."""
-
-    def worker_beat(self, lane: Any) -> None:
-        """A worker heartbeat arrived; ``lane`` is the live
-        :class:`~repro.obs.health.WorkerLane` (health monitoring only)."""
-
-    def worker_suspect(self, suspicion: Any) -> None:
-        """Health monitoring flagged a :class:`~repro.obs.health.Suspicion`
-        (missed-beat, straggler, worker-lost).  Report-only: supervision
-        retry behavior never consults it."""
-
-    def batch_finished(self, values: Sequence[Any]) -> None:
-        """A batch returned; ``values`` holds every result in plan order."""
-
-
-#: The process-wide disabled observer (ambient default).
-NULL_OBSERVER = NullRunObserver()
-
-
-class CompositeRunObserver(NullRunObserver):
-    """Fan every engine callback out to several observers.
-
-    ``enabled`` is true when any member is enabled, so a composite of
-    disabled observers still costs a single guard check.
-    """
-
-    def __init__(self, *observers: NullRunObserver) -> None:
-        self.observers = tuple(o for o in observers if o is not None)
-        self.enabled = any(o.enabled for o in self.observers)
-
-    def batch_started(self, units: int, cache_hits: int) -> None:
-        for observer in self.observers:
-            if observer.enabled:
-                observer.batch_started(units, cache_hits)
-
-    def unit_started(self, index: int, label: str, worker: str) -> None:
-        for observer in self.observers:
-            if observer.enabled:
-                observer.unit_started(index, label, worker)
-
-    def unit_finished(self, value: Any) -> None:
-        for observer in self.observers:
-            if observer.enabled:
-                observer.unit_finished(value)
-
-    def unit_failed(self, failure: UnitFailure) -> None:
-        for observer in self.observers:
-            if observer.enabled:
-                observer.unit_failed(failure)
-
-    def worker_beat(self, lane: Any) -> None:
-        for observer in self.observers:
-            if observer.enabled:
-                observer.worker_beat(lane)
-
-    def worker_suspect(self, suspicion: Any) -> None:
-        for observer in self.observers:
-            if observer.enabled:
-                observer.worker_suspect(suspicion)
-
-    def batch_finished(self, values: Sequence[Any]) -> None:
-        for observer in self.observers:
-            if observer.enabled:
-                observer.batch_finished(values)
 
 
 @dataclass(frozen=True)
@@ -205,17 +109,19 @@ class EngineOptions:
     a :class:`~repro.runner.supervise.SupervisionPolicy` routes cache
     misses through supervised worker processes (deadlines, retries,
     quarantine), a :class:`~repro.runner.ledger.RunLedger` receives
-    one write-ahead event as each unit settles, and a
-    :class:`~repro.runner.supervise.FailureReport` accumulates whatever
-    was quarantined.  ``sharding`` is the campaign-scaling layer: a
+    every lifecycle event — one write-ahead record as each unit
+    settles, streamed on to its subscribers (progress, dash, the export
+    collector) — and a :class:`~repro.runner.supervise.FailureReport`
+    accumulates whatever was quarantined.  ``sharding`` is the
+    campaign-scaling layer: a
     :class:`~repro.runner.sharding.Sharding` policy that sharding-aware
     call sites (:func:`~repro.runner.sharding.run_shards`, the
     ``model_validation`` experiment) consult to split one campaign into
-    deterministic, individually-cached shards.  ``health`` is the
-    observability side-channel: a
+    deterministic, individually-cached shards.  ``health`` is a
     :class:`~repro.obs.health.HealthMonitor` that receives worker
     heartbeats and unit lifecycle notifications from the supervised
-    path — report-only, never part of a cache fingerprint (typed
+    path and writes what it concludes onto its ledger — report-only,
+    never part of a cache fingerprint (typed
     ``Any`` because the runner must not import ``repro.obs``, which
     imports the runner).  ``dist`` is the horizontal-scaling layer: a
     :class:`~repro.runner.dist.DistPolicy` that re-routes
@@ -229,7 +135,6 @@ class EngineOptions:
     jobs: int = 1
     cache: Optional[ResultCache] = None
     stats: Optional[RunStats] = None
-    observer: NullRunObserver = NULL_OBSERVER
     supervision: Optional[SupervisionPolicy] = None
     ledger: Optional[RunLedger] = None
     failures: Optional[FailureReport] = None
@@ -295,8 +200,8 @@ def engine_options(**overrides):
 
     Keywords are the :class:`EngineOptions` fields — ``jobs``, ``cache``
     (a :class:`ResultCache`, a path, or ``None``), ``stats``,
-    ``observer``, ``supervision``, ``ledger``, ``failures``,
-    ``sharding``, ``health``, ``dist``.  ``None`` keeps the surrounding value, so nested
+    ``supervision``, ``ledger``, ``failures``, ``sharding``,
+    ``health``, ``dist``.  ``None`` keeps the surrounding value, so nested
     scopes compose: a test can pin ``jobs=1`` around an experiment the
     CLI configured with ``jobs=8``.
     """
@@ -351,6 +256,12 @@ class _TaskEnvelope:
     telemetry: Optional[SessionTelemetry] = None
 
 
+def _unwrap(value: Any) -> Any:
+    """A unit's result as its ledger subscribers see it: the task value,
+    not the telemetry envelope it may travel in."""
+    return value.value if isinstance(value, _TaskEnvelope) else value
+
+
 def _call_task(payload: Tuple[Callable[..., Any], tuple, bool]):
     fn, args, record = payload
     if record:
@@ -359,6 +270,14 @@ def _call_task(payload: Tuple[Callable[..., Any], tuple, bool]):
             value = fn(*args)
         return _TaskEnvelope(value, rec.snapshot())
     return fn(*args)
+
+
+def _keyed(cache: Optional[ResultCache],
+           ledger: Optional[RunLedger]) -> bool:
+    """Whether a batch needs unit keys: to address the cache, or to
+    settle its units in a ledger file ``--resume`` can read back."""
+    return cache is not None or (ledger is not None
+                                 and ledger.path is not None)
 
 
 def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
@@ -370,16 +289,16 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
 
     Every unit that completes is persisted (cache + ledger) *as it
     completes*, not after the batch — a campaign killed mid-batch keeps
-    everything already simulated.  Each settlement is written to the
-    ledger exactly once, here.  Cache misses run inline when the batch
-    asks for one job with neither a supervision policy nor a health
-    monitor; every other batch runs on
-    :func:`~repro.runner.supervise.run_supervised`'s worker processes —
-    with deadlines, retries and quarantine under a policy, fail-fast
-    without one — where a health monitor additionally receives worker
-    heartbeats and unit lifecycle notifications (report-only).
+    everything already simulated.  Each settlement is reported to the
+    ledger exactly once, here, with the unit's value for its
+    subscribers.  Cache misses run inline when the batch asks for one
+    job with neither a supervision policy nor a health monitor; every
+    other batch runs on :func:`~repro.runner.supervise.run_supervised`'s
+    worker processes — with deadlines, retries and quarantine under a
+    policy, fail-fast without one — where a health monitor additionally
+    receives worker heartbeats and unit lifecycle notifications
+    (report-only).
     """
-    observer = options.observer
     supervision = options.supervision
     ledger = options.ledger
     failures = options.failures
@@ -395,62 +314,52 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
             else:
                 results[i] = hit
                 if ledger is not None:
-                    ledger.event("done", key=key, unit=i, cached=True)
+                    ledger.event("done", _unwrap(hit), key=key, unit=i,
+                                 cached=True)
     hits = len(items) - len(pending)
     if ledger is not None:
         ledger.event("scheduled", units=len(items), cache_hits=hits)
-    if observer.enabled:
-        observer.batch_started(len(items), hits)
-    if health is not None:
-        health.attach(observer, ledger)
-        health.batch_started(len(items), hits)
     if rec.enabled:
         rec.inc("engine.units", len(items))
         rec.inc("engine.cache_hits", hits)
         rec.inc("engine.cache_misses", len(pending))
 
-    def on_done(local_index: int, value: Any, lane: Optional[str] = None,
+    def on_done(i: int, value: Any, lane: Optional[str] = None,
                 latency_s: Optional[float] = None) -> None:
-        i = pending[local_index]
         results[i] = value
-        if keys is not None:
-            if cache is not None:
-                cache.put(keys[i], value)
-            if ledger is not None:
-                ledger.event("done", key=keys[i], unit=i, worker=lane,
-                             latency_s=latency_s)
-        if observer.enabled:
-            observer.unit_finished(value)
+        key = keys[i] if keys is not None else None
+        if cache is not None and key is not None:
+            cache.put(key, value)
+        if ledger is not None:
+            ledger.event("done", _unwrap(value), key=key, unit=i,
+                         worker=lane, latency_s=latency_s)
 
     def on_failure(failure: UnitFailure) -> None:
-        # remap the supervisor's batch-local index to the plan index
-        failure.index = pending[failure.index]
-        if ledger is not None and failure.key is not None:
+        if ledger is not None:
             ledger.event(
-                "quarantined" if failure.final else "retried",
+                "quarantined" if failure.final else "retried", failure,
                 key=failure.key, unit=failure.index, label=failure.label,
                 worker=failure.worker, kind=failure.kind,
                 error=failure.error, attempts=failure.attempts)
         if failure.final and failures is not None:
             failures.add(failure)
-        if observer.enabled:
-            observer.unit_failed(failure)
 
-    pending_items = [items[i] for i in pending]
     quarantined: List[UnitFailure] = []
     retries = 0
     with rec.span("engine.execute"):
         if jobs == 1 and supervision is None and health is None:
             # inline: no process, no pickle round-trip, and an exception
             # propagates straight from the unit that raised it
-            for local_index, item in enumerate(pending_items):
-                on_done(local_index, worker(item))
+            for i in pending:
+                on_done(i, worker(items[i]))
         else:
             computed, quarantined, retries = run_supervised(
-                worker, pending_items, jobs=jobs, policy=supervision,
+                worker, [items[i] for i in pending], jobs=jobs,
+                policy=supervision,
                 describe=lambda li: describe(pending[li]),
                 keys=[keys[i] for i in pending] if keys is not None else None,
-                on_done=on_done, on_failure=on_failure, health=health)
+                on_done=on_done, on_failure=on_failure, health=health,
+                plan_index=pending)
             for i, result in zip(pending, computed):
                 results[i] = result  # FailedUnit placeholders land here too
     if stats is not None:
@@ -495,7 +404,7 @@ def run_sessions(plans: Iterable[PlanLike], *, jobs: Optional[int] = None,
     normalized = [p if isinstance(p, SessionPlan) else SessionPlan(*p)
                   for p in plans]
     keys = None
-    if cache is not None or options.ledger is not None:
+    if _keyed(cache, options.ledger):
         # The cache key is (video, config, code version) only — whether
         # telemetry is recording never changes what a session computes,
         # so it must not change where its result lives.
@@ -523,8 +432,8 @@ def run_sessions(plans: Iterable[PlanLike], *, jobs: Optional[int] = None,
                 telemetry = getattr(result, "telemetry", None)
                 if telemetry is not None:
                     rec.merge(telemetry)
-    if options.observer.enabled:
-        options.observer.batch_finished(results)
+    if options.ledger is not None:
+        options.ledger.event("batch-finished", results)
     return results
 
 
@@ -553,7 +462,7 @@ def run_tasks(fn: Callable[..., Any], argslist: Iterable[tuple], *,
         if len(keys) != len(items):
             raise ValueError(
                 f"run_tasks got {len(items)} tasks but {len(keys)} keys")
-    elif cache is not None or options.ledger is not None:
+    elif _keyed(cache, options.ledger):
         # Keyed on (function, args, code version); the record flag is
         # deliberately excluded, like everything telemetry-related.
         keys = [task_fingerprint(fn, args) for _fn, args, _record in items]
@@ -578,6 +487,6 @@ def run_tasks(fn: Callable[..., Any], argslist: Iterable[tuple], *,
                 unwrapped.append(result.value)
             else:
                 unwrapped.append(result)
-    if options.observer.enabled:
-        options.observer.batch_finished(unwrapped)
+    if options.ledger is not None:
+        options.ledger.event("batch-finished", unwrapped)
     return unwrapped

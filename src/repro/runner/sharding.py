@@ -17,8 +17,8 @@ that scale with three moves:
    through :func:`~repro.runner.pool.run_tasks` with explicit shard
    keys, so everything the engine already guarantees — plan-order
    results, ``jobs=N`` determinism, supervision retries/quarantine, the
-   campaign's run ledger, ambient observers — applies per *shard* with no
-   new machinery.  Shard artifacts land in a :class:`ShardStore` (the
+   campaign's run ledger and its subscribers — applies per *shard* with
+   no new machinery.  Shard artifacts land in a :class:`ShardStore` (the
    content-addressed cache, namespaced under ``<root>/shards``), so a
    re-run of a completed campaign re-simulates zero shards and a resumed
    one only the missing ones.
@@ -127,7 +127,7 @@ class ShardResult:
     """What a shard worker returns: its spec plus the reduced value.
 
     The wrapper travels through the pool, the artifact store and the
-    observer hooks, so a progress reporter can count shards and a
+    ledger's subscribers, so a progress reporter can count shards and a
     collector can merge ``value`` (a snapshot) without either knowing
     how the shard was produced.
     """
@@ -239,7 +239,7 @@ def run_shards(fn: Callable[..., Any],
     """Run ``fn(*args)`` for each ``(spec, args)`` shard, in shard order.
 
     The shard batch rides :func:`~repro.runner.pool.run_tasks` — ambient
-    jobs/supervision/ledger/observers all apply, each shard is one
+    jobs/supervision/ledger all apply, each shard is one
     supervised unit — but cache keys are :func:`shard_fingerprint`\\ s
     and artifacts land in the :class:`ShardStore` next to the ambient
     cache.  Returns the plan-ordered values (:class:`ShardResult`\\ s,
@@ -254,22 +254,32 @@ def run_shards(fn: Callable[..., Any],
     re-routes the whole batch through the shard queue and its worker
     fleet) streams it over the growing plan-order prefix while later
     shards are still simulating — same call order, same merge result,
-    reduction overlapped with execution.
+    reduction overlapped with execution.  Either way the ambient ledger
+    gets one ``merged`` event per shard result handed on, in plan order.
     """
     options = current_options()
+    ledger = options.ledger
+
+    def reduce(result: Any) -> None:
+        if ledger is not None and isinstance(result, ShardResult):
+            spec = result.shard
+            ledger.event("merged", campaign=spec.campaign,
+                         shard=spec.index, of=spec.of, units=spec.units)
+        if on_result is not None:
+            on_result(result)
+
     keys = [shard_fingerprint(spec, fn, args) for spec, args in shards]
     if options.dist is not None:
         from .dist.coordinator import run_shards_distributed
 
         return run_shards_distributed(fn, shards, keys, stats=stats,
-                                      on_result=on_result)
+                                      on_result=reduce)
     store = ShardStore.for_cache(options.cache)
     payloads = [((fn, spec, tuple(args)),) for spec, args in shards]
     results = run_tasks(_shard_call, payloads, jobs=jobs, cache=store,
                         stats=stats, keys=keys)
-    if on_result is not None:
-        for result in results:
-            on_result(result)
+    for result in results:
+        reduce(result)
     return results
 
 

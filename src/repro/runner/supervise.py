@@ -101,7 +101,7 @@ class SupervisionPolicy:
 class UnitFailure:
     """One unit's terminal (or transient) failure, fully attributed."""
 
-    index: int                 # position in the batch (plan order)
+    index: int                 # the unit's index in its batch's plan
     label: str                 # human-readable unit description
     key: Optional[str]         # cache fingerprint, when the batch has one
     kind: str                  # "exception" | "crash" | "timeout"
@@ -467,6 +467,7 @@ def run_supervised(
     on_done: Optional[Callable[[int, Any, str, float], None]] = None,
     on_failure: Optional[Callable[[UnitFailure], None]] = None,
     health: Optional[Any] = None,
+    plan_index: Optional[Sequence[int]] = None,
 ) -> Tuple[List[Any], List[UnitFailure], int]:
     """Run ``worker`` over ``items`` in ``jobs`` worker processes.
 
@@ -477,7 +478,11 @@ def run_supervised(
     latency_s)`` fires in *completion order* as units finish (the
     persistence hook), naming the worker lane and the unit's wall time;
     ``on_failure(failure)`` fires on every failed attempt, with
-    ``failure.final`` set on the quarantining one.
+    ``failure.final`` set on the quarantining one.  ``plan_index[i]``
+    is item ``i``'s position in the caller's plan (default: ``i``);
+    every index reported outward — ``on_done``, ``UnitFailure.index``
+    and the health notifications — is that plan index, so one batch's
+    events share one index space with the caller's.
 
     ``policy=None`` is the unsupervised contract: one attempt, no
     deadline, and the first failing unit ends the batch.  Its exception
@@ -503,6 +508,7 @@ def run_supervised(
     results: List[Any] = [None] * total
     if total == 0:
         return results, [], 0
+    where = plan_index if plan_index is not None else range(total)
     describe = describe or (lambda i: f"unit {i}")
     fail_fast = policy is None
     if policy is None:
@@ -527,11 +533,10 @@ def run_supervised(
         for slot, handle in enumerate(workers):
             health.worker_started(lanes[slot], handle.process.pid)
 
-    def _quarantine(failure: UnitFailure) -> None:
-        failure.final = True
+    def _quarantine(index: int, failure: UnitFailure) -> None:
         quarantined.append(failure)
-        results[failure.index] = FailedUnit(failure)
-        done[failure.index] = True
+        results[index] = FailedUnit(failure)
+        done[index] = True
         if on_failure is not None:
             on_failure(failure)
 
@@ -539,23 +544,19 @@ def run_supervised(
                         lane: str, exc: Optional[BaseException] = None) -> None:
         nonlocal retries_spent, retries_left, fatal
         attempts[index] += 1
-        failure = UnitFailure(
-            index=index, label=describe(index),
-            key=keys[index] if keys is not None else None,
-            kind=kind, error=error, traceback=tb,
-            attempts=attempts[index], worker=lane)
         out_of_budget = retries_left is not None and retries_left <= 0
         terminal = attempts[index] >= budget.max_attempts or out_of_budget
+        failure = UnitFailure(
+            index=where[index], label=describe(index),
+            key=keys[index] if keys is not None else None,
+            kind=kind, error=error, traceback=tb,
+            attempts=attempts[index], final=terminal, worker=lane)
         if health is not None:
-            # notified before on_failure: the caller's hook may remap
-            # failure.index to plan coordinates, the monitor's lanes
-            # speak batch-local ones
-            failure.final = terminal
             health.unit_failed(failure)
         if terminal:
             if fail_fast and not quarantined and exc is not None:
                 fatal = (exc, tb)
-            _quarantine(failure)
+            _quarantine(index, failure)
             return
         if on_failure is not None:
             on_failure(failure)
@@ -569,8 +570,9 @@ def run_supervised(
         """A worker died or blew its deadline: respawn, charge its unit."""
         handle = workers[slot]
         if health is not None:
-            health.worker_lost(lanes[slot], handle.process.pid,
-                               kind, error, handle.unit)
+            health.worker_lost(
+                lanes[slot], handle.process.pid, kind, error,
+                where[handle.unit] if handle.unit is not None else None)
         handle.kill()
         workers[slot] = _Worker(context, worker, beat_interval)
         if health is not None:
@@ -588,9 +590,9 @@ def run_supervised(
             done[index] = True
             results[index] = payload[0]
             if health is not None:
-                health.unit_finished(lanes[slot], index)
+                health.unit_finished(lanes[slot], where[index])
             if on_done is not None:
-                on_done(index, payload[0], lanes[slot],
+                on_done(where[index], payload[0], lanes[slot],
                         round(time.monotonic() - handle.started_at, 6))
         else:
             error, tb, exc = payload
@@ -649,7 +651,7 @@ def run_supervised(
                 handle.assign(index, items[index])
                 if health is not None:
                     health.unit_started(
-                        lanes[slot], index, describe(index),
+                        lanes[slot], where[index], describe(index),
                         keys[index] if keys is not None else None)
             connection.wait([w for handle in workers
                              for w in handle.waitables], _timeout(now))

@@ -578,6 +578,40 @@ class TestDistCli:
         store = ShardStore(tmp_path / "cache")
         assert all(store.get(key) is not None for key in keys)
 
+    def test_distributed_report_counts_units_like_the_local_pool(
+            self, tmp_path, capsys):
+        """`repro report` of a `--distributed` campaign shows the same
+        unit and merge counts as the same campaign on `--jobs 2`: the
+        coordinator writes its batch's `scheduled` event, and the shard
+        reduction writes one `merged` event per shard with no export
+        flag asked for."""
+        from repro.cli import main
+
+        base = ["experiment", "model_validation", "--scale", "small",
+                "--sessions", "24", "--shard-size", "8", "--seed", "3"]
+        dist_cache = str(tmp_path / "dist-cache")
+        local_cache = str(tmp_path / "local-cache")
+        assert main(base + ["--cache-dir", dist_cache,
+                            "--queue-dir", str(tmp_path / "q"),
+                            "--distributed", "--workers", "2",
+                            "--lease-ttl", "20"]) == 0
+        assert main(base + ["--cache-dir", local_cache, "--jobs", "2"]) == 0
+        capsys.readouterr()
+
+        def counts(cache: str) -> list:
+            assert main(["report", "model_validation", "--seed", "3",
+                         "--cache-dir", cache]) == 0
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith(("- Units:", "- Shards merged:"))]
+
+        local = counts(local_cache)
+        # 3 strategy campaigns × 3 shards, plus the one waste sample
+        assert local == [
+            "- Units: 10 scheduled (0 cache hits), 10 done, 0 retried, "
+            "0 quarantined",
+            "- Shards merged: 9"]
+        assert counts(dist_cache) == local
+
     def test_distributed_campaign_is_byte_identical_to_single_host(
             self, tmp_path, capsys):
         """Acceptance: `--distributed --workers 2` (real subprocess

@@ -259,13 +259,15 @@ class TestEngineDurability:
 
     def test_collector_exports_failures(self, tmp_path, monkeypatch):
         collector = CampaignCollector()
+        ledger = RunLedger()
+        ledger.subscribe(collector)
         policy = SupervisionPolicy(
             retry=RetryBudget(max_attempts=2, backoff_base=0.0),
             degrade=True)
         self._run(tmp_path, chaos="poison:0.5", monkeypatch=monkeypatch,
                   plans=_mixed_plans(n_clean=2, n_poisoned=1),
-                  supervision=policy, observer=collector)
-        assert len(collector.failures) == 1  # the quarantine reached the hook
+                  supervision=policy, ledger=ledger)
+        assert len(collector.failures) == 1  # the quarantine reached it
         path = tmp_path / "failures.jsonl"
         n = collector.write_failures(path)
         assert n == 1

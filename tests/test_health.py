@@ -26,7 +26,7 @@ from repro.obs import (
     load_ledger,
 )
 from repro.runner import (
-    NullRunObserver,
+    ResultCache,
     RetryBudget,
     RunStats,
     SupervisionPolicy,
@@ -54,29 +54,35 @@ class FakeClock:
         return self.now
 
 
-class Spy(NullRunObserver):
-    """Record every health-related observer callback."""
-
-    enabled = True
+class Spy:
+    """A ledger subscriber recording every health-related event."""
 
     def __init__(self):
         self.beats = []
         self.suspicions = []
         self.units = []
 
-    def unit_started(self, index, label, worker):
-        self.units.append((index, label, worker))
+    def __call__(self, record, value):
+        kind = record["event"]
+        if kind == "started":
+            self.units.append((record["unit"], record["label"],
+                               record["worker"]))
+        elif kind == "beat":
+            self.beats.append((value.worker, value.beats))
+        elif kind == "suspect":
+            self.suspicions.append(value)
 
-    def worker_beat(self, lane):
-        self.beats.append((lane.worker, lane.beats))
 
-    def worker_suspect(self, suspicion):
-        self.suspicions.append(suspicion)
+def _watched(subscriber):
+    """An in-memory ledger feeding ``subscriber``."""
+    ledger = RunLedger()
+    ledger.subscribe(subscriber)
+    return ledger
 
 
-def _monitor(clock, **policy_kw):
+def _monitor(clock, ledger=None, **policy_kw):
     policy = HealthPolicy(**policy_kw) if policy_kw else HealthPolicy()
-    return HealthMonitor(policy, clock=clock)
+    return HealthMonitor(policy, ledger=ledger, clock=clock)
 
 
 class TestMissedBeat:
@@ -257,26 +263,30 @@ class TestLaneAccounting:
 
     def test_beats_update_watermarks_and_forward_to_observer(self):
         clock = FakeClock()
-        monitor = _monitor(clock)
         spy = Spy()
-        monitor.attach(spy)
+        ledger = _watched(spy)
+        monitor = _monitor(clock, ledger)
         monitor.beat("w0", 5, 1, 1000)
         monitor.beat("w0", 5, 2, 400)         # watermark keeps the max
         lane = monitor.lanes()[0]
         assert lane.rss_kb == 1000
         assert lane.beats == 2
         assert spy.beats == [("w0", 1), ("w0", 2)]
+        assert ledger.records == []           # beats are live-only
 
     def test_worker_lost_is_a_suspicion(self):
         clock = FakeClock()
-        monitor = _monitor(clock)
         spy = Spy()
-        monitor.attach(spy)
+        ledger = _watched(spy)
+        monitor = _monitor(clock, ledger)
         monitor.unit_started("w0", 7, "doomed", None)
         monitor.worker_lost("w0", 42, "timeout", "deadline exceeded", 7)
+        assert spy.units == [(7, "doomed", "w0")]
         assert [s.kind for s in spy.suspicions] == ["worker-lost"]
         assert spy.suspicions[0].unit == 7
         assert "deadline exceeded" in spy.suspicions[0].detail
+        assert [(r["event"], r.get("unit")) for r in ledger.records] == [
+            ("started", 7), ("suspect", 7)]
 
 
 # -- integration: real workers, real injuries --------------------------------
@@ -303,17 +313,17 @@ def _sigkill_once(item):
     return x * x
 
 
-class _Rescuer(NullRunObserver):
+class _Rescuer:
     """SIGCONT the stopped worker the moment suspicion lands."""
-
-    enabled = True
 
     def __init__(self, pidfile):
         self.pidfile = pidfile
         self.detected_at = None
         self.kinds = []
 
-    def worker_suspect(self, suspicion):
+    def __call__(self, record, suspicion):
+        if record["event"] != "suspect":
+            return
         self.kinds.append(suspicion.kind)
         if suspicion.kind != "missed-beat" or self.detected_at is not None:
             return
@@ -328,9 +338,9 @@ class TestSupervisedIntegration:
         intervals — and rescued, long before the 30s unit_timeout."""
         unit_timeout = 30.0
         interval = 0.1
-        monitor = HealthMonitor(HealthPolicy(interval=interval))
         rescuer = _Rescuer(str(tmp_path / "pid-5"))
-        monitor.attach(rescuer)
+        monitor = HealthMonitor(HealthPolicy(interval=interval),
+                                ledger=_watched(rescuer))
         policy = SupervisionPolicy(unit_timeout=unit_timeout, retry=FAST)
         started = time.monotonic()
         results, quarantined, _ = run_supervised(
@@ -354,15 +364,15 @@ class TestSupervisedIntegration:
         unit_timeout = 30.0
         ledger = RunLedger(tmp_path / "run.jsonl",
                            meta={"experiment": "kill-test"})
-        monitor = HealthMonitor(HealthPolicy(interval=0.1))
         spy = Spy()
+        ledger.subscribe(spy)
+        monitor = HealthMonitor(HealthPolicy(interval=0.1), ledger=ledger)
         policy = SupervisionPolicy(unit_timeout=unit_timeout, retry=FAST)
         stats = RunStats()
         args = (str(tmp_path), 3)
         started = time.monotonic()
-        with ledger, engine_options(observer=spy, supervision=policy,
-                                    health=monitor, ledger=ledger,
-                                    stats=stats):
+        with ledger, engine_options(supervision=policy, health=monitor,
+                                    ledger=ledger, stats=stats):
             results = run_tasks(_sigkill_once, [(args,)])
         elapsed = time.monotonic() - started
         assert results == [9]
@@ -388,6 +398,28 @@ class TestSupervisedIntegration:
         assert done[0]["latency_s"] >= 0
         assert view.units() == {key: "done"}
 
+    def test_started_and_done_share_the_plan_index(self, tmp_path):
+        """With some units already cached, the supervisor runs a
+        sub-batch; the monitor's `started` events still carry each
+        unit's plan index, the same one its `done` event carries."""
+        cache = ResultCache(tmp_path / "cache")
+        args = [(x,) for x in range(6)]
+        with engine_options(cache=cache):
+            run_tasks(_square, args[::2])        # cache units 0, 2, 4
+        path = tmp_path / "run.jsonl"
+        with RunLedger(path) as ledger, engine_options(
+                jobs=2, cache=cache, ledger=ledger,
+                health=HealthMonitor(HealthPolicy(interval=1.0),
+                                     ledger=ledger)):
+            assert run_tasks(_square, args) == [x * x for x in range(6)]
+        events = load_ledger(path).events
+        started = {e["key"]: e["unit"] for e in events
+                   if e["event"] == "started"}
+        done = {e["key"]: e["unit"] for e in events
+                if e["event"] == "done" and not e.get("cached")}
+        assert sorted(done.values()) == [1, 3, 5]
+        assert started == done
+
     def test_healthy_run_raises_no_suspicion(self, tmp_path):
         # thresholds generous (but finite) against a loaded machine:
         # worker spawn latency must not read as a missed beat, and the
@@ -401,7 +433,6 @@ class TestSupervisedIntegration:
             policy=SupervisionPolicy(retry=FAST), health=monitor)
         assert results == [x * x for x in range(6)]
         assert monitor.suspicions == []
-        assert monitor.units_done == 6
         lanes = monitor.lanes()
         assert [lane.worker for lane in lanes] == ["w0", "w1"]
         assert sum(lane.units_done for lane in lanes) == 6
@@ -439,9 +470,11 @@ class TestDashboardReporter:
     def test_tty_redraws_a_block_with_lanes(self):
         stream = _FakeTty()
         dash = DashboardReporter(stream=stream, min_interval=0.0)
-        dash.batch_started(4, 1)
-        dash.worker_beat(_lane("w0", units_done=2, rss_kb=64 * 1024))
-        dash.worker_beat(_lane("w1"))
+        ledger = _watched(dash)
+        ledger.event("scheduled", units=4, cache_hits=1)
+        for lane in (_lane("w0", units_done=2, rss_kb=64 * 1024),
+                     _lane("w1")):
+            ledger.event("beat", lane, worker=lane.worker)
         dash.close()
         out = stream.getvalue()
         assert "\x1b[2K" in out               # in-place erase
@@ -453,8 +486,9 @@ class TestDashboardReporter:
         stream = io.StringIO()
         dash = DashboardReporter(stream=stream, min_interval=0.0,
                                  plain_interval=0.0)
-        dash.batch_started(2, 0)
-        dash.unit_finished(object())
+        ledger = _watched(dash)
+        ledger.event("scheduled", units=2, cache_hits=0)
+        ledger.event("done", object(), unit=0)
         dash.close()
         out = stream.getvalue()
         assert "\x1b" not in out and "\r" not in out
@@ -463,20 +497,26 @@ class TestDashboardReporter:
     def test_suspicion_prints_immediately_when_plain(self):
         stream = io.StringIO()
         dash = DashboardReporter(stream=stream, plain_interval=3600.0)
-        dash.worker_suspect(Suspicion(
-            kind="missed-beat", worker="w1", pid=7, unit=3, label="u3",
-            age_s=2.5, detail="no heartbeat for 2.50s"))
-        assert "suspect [missed-beat] w1 pid 7" in stream.getvalue()
+        clock = FakeClock()
+        monitor = _monitor(clock, _watched(dash))
+        monitor.worker_started("w1", 7)
+        clock.advance(2.5)
+        [suspicion] = monitor.poll()
+        assert isinstance(suspicion, Suspicion)
+        assert "suspect [missed-beat] w1 pid 7: no heartbeat for 2.50s" \
+            in stream.getvalue()
+        assert dash.flags == {"w1": "missed-beat"}
 
     def test_straggler_flag_renders_on_the_lane(self):
         stream = _FakeTty()
         dash = DashboardReporter(stream=stream, min_interval=0.0)
-        dash.worker_beat(_lane("w0", straggling=True))
+        _watched(dash).event("beat", _lane("w0", straggling=True),
+                             worker="w0")
         dash.close()
         assert "STRAGGLER" in stream.getvalue()
 
     def test_zero_unit_close_still_prints_summary(self):
         stream = io.StringIO()
         with DashboardReporter(stream=stream) as dash:
-            dash.batch_started(0, 0)
+            _watched(dash).event("scheduled", units=0, cache_hits=0)
         assert stream.getvalue().splitlines()[-1].startswith("units 0/0")

@@ -210,6 +210,29 @@ class TestReportCli:
         assert "- Shards merged: 12" in out
         assert "| w0 |" in out
 
+    def test_merged_events_do_not_depend_on_export_flags(self, tmp_path,
+                                                         capsys):
+        """A sharded campaign ledgers one `merged` event per shard in
+        plan order, whether or not `--aggregate` asked for an export."""
+        cache = tmp_path / "cache"
+        argv = ["experiment", "model_validation", "--scale", "small",
+                "--sessions", "8", "--shards", "2", "--cache-dir",
+                str(cache)]
+        merged = []
+        for extra in ([], ["--aggregate", str(tmp_path / "agg.csv")]):
+            assert main(argv + extra) == 0
+            view = load_ledger(ledger_path(cache, "model_validation",
+                                           "small", 0))
+            merged.append([(e["campaign"], e["shard"], e["of"])
+                           for e in view.events
+                           if e["event"] == "merged"])
+        capsys.readouterr()
+        # 3 strategy campaigns × 2 shards each
+        assert len(merged[0]) == 6
+        assert merged[0] == merged[1]
+        assert merged[0][:2] == [("model_validation:No ON-OFF", 0, 2),
+                                 ("model_validation:No ON-OFF", 1, 2)]
+
     def test_cached_campaign_reports_without_health(self, tmp_path, capsys):
         """Every cached campaign writes the one log: `repro report`
         renders a run without --health, with exactly one non-cached

@@ -3,7 +3,8 @@
 The load-bearing guarantee is determinism: flow and metric exports must
 be byte-identical for any ``--jobs`` value, identical with telemetry
 recording on or off, and observing a run must never change what lands
-in the result cache.  One test asserts all three at once.
+in the result cache.  One test asserts all three at once; another that
+subscribing to the run ledger never changes what it persists.
 """
 
 import io
@@ -25,11 +26,11 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.runner import (
-    NULL_OBSERVER,
-    CompositeRunObserver,
-    NullRunObserver,
+    ResultCache,
+    RunLedger,
     current_options,
     engine_options,
+    load_ledger,
     run_sessions,
 )
 from repro.runner.fingerprint import plan_fingerprint
@@ -61,10 +62,19 @@ def _config(**kw):
                          capture_duration=60.0, seed=3, **kw)
 
 
+def _subscribed(*subscribers, path=None):
+    """A run ledger (in memory unless ``path``) feeding ``subscribers``."""
+    ledger = RunLedger(path)
+    for fn in subscribers:
+        ledger.subscribe(fn)
+    return ledger
+
+
 def _collect(jobs=1, record=False, cache=None):
     """Run fig2 at TINY scale under a collector; return its exports."""
     collector = CampaignCollector()
-    with engine_options(jobs=jobs, cache=cache, observer=collector):
+    with engine_options(jobs=jobs, cache=cache,
+                        ledger=_subscribed(collector)):
         if record:
             with recording():
                 fig2.run(TINY, seed=0)
@@ -257,53 +267,93 @@ class TestDeterminism:
         from repro.obs import HealthMonitor, HealthPolicy
         from repro.runner import SupervisionPolicy
 
-        def run(health, tag):
+        def run(policy, tag):
             collector = CampaignCollector()
-            with engine_options(jobs=2, observer=collector,
+            ledger = _subscribed(collector)
+            monitor = (HealthMonitor(policy, ledger=ledger)
+                       if policy is not None else None)
+            with engine_options(jobs=2, ledger=ledger,
                                 supervision=SupervisionPolicy(),
-                                health=health):
+                                health=monitor):
                 fig2.run(TINY, seed=0)
-            return _export_bytes(collector, tmp_path, tag)
+            return _export_bytes(collector, tmp_path, tag), monitor, ledger
 
-        off = run(None, "health-off")
-        monitor = HealthMonitor(HealthPolicy(interval=0.05))
-        on = run(monitor, "health-on")
+        off, _, _ = run(None, "health-off")
+        on, monitor, ledger = run(HealthPolicy(interval=0.05), "health-on")
         assert on == off
         # and the monitor really was live, not silently bypassed
         lanes = monitor.lanes()
         assert lanes
-        assert sum(lane.units_done for lane in lanes) == monitor.units_done
-        assert monitor.units_done > 0
+        done = [r for r in ledger.records if r["event"] == "done"]
+        assert done
+        assert sum(lane.units_done for lane in lanes) == len(done)
         assert sum(lane.beats for lane in lanes) >= len(lanes)  # birth beats
 
     def test_plan_fingerprint_ignores_observer_state(self):
         video, config = _video(), _config()
         base = plan_fingerprint(video, config)
-        with engine_options(observer=CampaignCollector()):
+        with engine_options(ledger=_subscribed(CampaignCollector())):
             assert plan_fingerprint(video, config) == base
 
 
+def _persisted(path):
+    """The ledger file's ``(event, unit, key, cached)`` sequence."""
+    return [(e["event"], e.get("unit"), e.get("key"), e.get("cached"))
+            for e in load_ledger(path).events]
+
+
+def _observed_campaign(tmp_path, subscribers):
+    """fig2 cold then warm into one cache, one ledger file per pass."""
+    cache = ResultCache(tmp_path / "cache")
+    sequences = []
+    for tag in ("cold", "warm"):
+        path = tmp_path / f"{tag}.jsonl"
+        with _subscribed(*subscribers, path=path) as ledger, \
+                engine_options(cache=cache, ledger=ledger):
+            fig2.run(TINY, seed=0)
+        sequences.append(_persisted(path))
+    return sequences
+
+
+@pytest.fixture(scope="module")
+def unobserved_ledger(tmp_path_factory):
+    return _observed_campaign(tmp_path_factory.mktemp("unobserved"), [])
+
+
 class TestObserverHook:
-    def test_default_observer_is_disabled_null(self):
-        options = current_options()
-        assert options.observer is NULL_OBSERVER
-        assert options.observer.enabled is False
+    @pytest.mark.parametrize("observers", [
+        (), ("progress",), ("collector",), ("progress", "collector")])
+    def test_observing_never_changes_the_persisted_ledger(
+            self, tmp_path, observers, unobserved_ledger):
+        made = {"progress": lambda: ProgressReporter(stream=io.StringIO()),
+                "collector": CampaignCollector}
+        subscribers = [made[name]() for name in observers]
+        assert _observed_campaign(tmp_path, subscribers) \
+            == unobserved_ledger
+        cold, warm = unobserved_ledger
+        assert [e for e, *_ in cold].count("done") == 2
+        assert all(cached for e, _, _, cached in warm if e == "done")
+        for subscriber in subscribers:
+            if isinstance(subscriber, ProgressReporter):
+                assert (subscriber.done, subscriber.total) == (4, 4)
+                assert subscriber.cache_hits == 2
+            else:
+                assert len(subscriber.sessions) == 4
 
     def test_engine_options_inherit_observer(self):
-        collector = CampaignCollector()
-        with engine_options(observer=collector):
-            with engine_options(jobs=2):  # None observer -> inherit
-                assert current_options().observer is collector
-        assert current_options().observer is NULL_OBSERVER
+        ledger = _subscribed(CampaignCollector())
+        with engine_options(ledger=ledger):
+            with engine_options(jobs=2):  # None ledger -> inherit
+                assert current_options().ledger is ledger
+        assert current_options().ledger is None
 
-    def test_composite_fans_out_and_ors_enabled(self):
-        assert CompositeRunObserver(NullRunObserver()).enabled is False
+    def test_ledger_fans_out_to_every_subscriber(self):
         a, b = CampaignCollector(), CampaignCollector()
-        composite = CompositeRunObserver(a, b)
-        assert composite.enabled is True
+        ledger = _subscribed(a, b)
         result = run_session(_video(), _config())
-        composite.batch_finished([result])
+        ledger.event("batch-finished", [result])
         assert len(a.sessions) == len(b.sessions) == 1
+        assert ledger.records == []   # a live kind: delivered, not kept
 
     def test_collector_skips_non_session_values(self):
         collector = CampaignCollector()
@@ -320,24 +370,16 @@ class TestObserverHook:
     def test_observer_sees_batches_through_run_sessions(self):
         seen = []
 
-        class Spy(NullRunObserver):
-            enabled = True
+        def spy(record, value):
+            seen.append((record["event"], value))
 
-            def batch_started(self, units, cache_hits):
-                seen.append(("started", units, cache_hits))
-
-            def unit_finished(self, value):
-                seen.append(("unit",))
-
-            def batch_finished(self, values):
-                seen.append(("finished", len(values)))
-
-        with engine_options(observer=Spy()):
+        with engine_options(ledger=_subscribed(spy)):
             results = run_sessions([(_video(), _config())])
         assert len(results) == 1
-        assert seen[0] == ("started", 1, 0)
-        assert ("unit",) in seen
-        assert seen[-1] == ("finished", 1)
+        assert [kind for kind, _ in seen] == [
+            "scheduled", "done", "batch-finished"]
+        assert seen[1][1] is results[0]       # the live result, not a copy
+        assert seen[2][1] == results
 
 
 class _FakeTty(io.StringIO):
@@ -364,8 +406,9 @@ class TestProgressReporter:
     def test_renders_single_line_with_rate_and_cache(self):
         stream = _FakeTty()
         reporter = ProgressReporter(stream=stream, min_interval=0.0)
-        reporter.batch_started(4, 1)
-        reporter.unit_finished(object())
+        ledger = _subscribed(reporter)
+        ledger.event("scheduled", units=4, cache_hits=1)
+        ledger.event("done", object(), unit=1)
         reporter.close()
         out = stream.getvalue()
         assert "\r" in out
@@ -381,8 +424,9 @@ class TestProgressReporter:
 
         stream = _FakeTty()
         reporter = ProgressReporter(stream=stream, min_interval=0.0)
-        reporter.batch_started(1, 0)
-        reporter.batch_finished([FakeResult()])
+        ledger = _subscribed(reporter)
+        ledger.event("scheduled", units=1, cache_hits=0)
+        ledger.event("batch-finished", [FakeResult()])
         reporter.close()
         line = stream.getvalue()
         assert "retries 2" in line
@@ -401,9 +445,10 @@ class TestProgressReporter:
         stream = io.StringIO()  # isatty() is False
         reporter = ProgressReporter(stream=stream, min_interval=0.0,
                                     plain_interval=0.0)
-        reporter.batch_started(2, 0)
-        reporter.unit_finished(object())
-        reporter.unit_finished(object())
+        ledger = _subscribed(reporter)
+        ledger.event("scheduled", units=2, cache_hits=0)
+        ledger.event("done", object(), unit=0)
+        ledger.event("done", object(), unit=1)
         reporter.close()
         out = stream.getvalue()
         assert "\r" not in out
@@ -415,9 +460,10 @@ class TestProgressReporter:
         stream = io.StringIO()
         reporter = ProgressReporter(stream=stream, min_interval=0.0,
                                     plain_interval=3600.0)
-        reporter.batch_started(10, 0)
-        for _ in range(10):
-            reporter.unit_finished(object())
+        ledger = _subscribed(reporter)
+        ledger.event("scheduled", units=10, cache_hits=0)
+        for unit in range(10):
+            ledger.event("done", object(), unit=unit)
         reporter.close()
         out = stream.getvalue()
         # one initial line, plus the final flush of pending progress
@@ -443,14 +489,15 @@ class TestProgressReporter:
         stream = io.StringIO()
         reporter = ProgressReporter(stream=stream, min_interval=0.0,
                                     plain_interval=0.0)
-        reporter.batch_started(20, 0)
+        ledger = _subscribed(reporter)
+        ledger.event("scheduled", units=20, cache_hits=0)
         # a burst at 10/s, then the pace collapses to 0.5/s
         for _ in range(5):
             fake.advance(0.1)
-            reporter.unit_finished(object())
+            ledger.event("done", object())
         for _ in range(5):
             fake.advance(2.0)
-            reporter.unit_finished(object())
+            ledger.event("done", object())
         # the first completion only anchors the clock: 4 fast samples
         expected = 0.0
         for sample in [10.0] * 4 + [0.5] * 5:
@@ -469,10 +516,11 @@ class TestProgressReporter:
 
         stream = _FakeTty()
         reporter = ProgressReporter(stream=stream, min_interval=0.0)
-        reporter.batch_started(2, 0)
-        reporter.unit_failed(Attempt(final=False))
-        reporter.unit_failed(Attempt(final=True))
-        reporter.unit_finished(object())
+        ledger = _subscribed(reporter)
+        ledger.event("scheduled", units=2, cache_hits=0)
+        ledger.event("retried", Attempt(final=False), unit=0)
+        ledger.event("quarantined", Attempt(final=True), unit=0)
+        ledger.event("done", object(), unit=1)
         reporter.close()
         line = stream.getvalue().rstrip("\n").rsplit("\r", 1)[-1]
         assert "retries 1" in line
@@ -484,8 +532,9 @@ class TestProgressReporter:
         stream = _FakeTty()
         with pytest.raises(KeyboardInterrupt):
             with ProgressReporter(stream=stream, min_interval=0.0) as rep:
-                rep.batch_started(5, 0)
-                rep.unit_finished(object())
+                ledger = _subscribed(rep)
+                ledger.event("scheduled", units=5, cache_hits=0)
+                ledger.event("done", object(), unit=0)
                 raise KeyboardInterrupt
         assert stream.getvalue().endswith("\n")
 

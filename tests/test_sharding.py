@@ -34,6 +34,7 @@ from repro.obs import CampaignCollector, CampaignSnapshot, ProgressReporter
 from repro.runner import (
     EngineOptions,
     ResultCache,
+    RunLedger,
     RunStats,
     SessionPlan,
     ShardResult,
@@ -431,7 +432,9 @@ class TestStreamingReduction:
     def test_collector_merges_shard_results(self):
         plans = [_plan(i) for i in range(3)]
         collector = CampaignCollector()
-        with engine_options(observer=collector):
+        ledger = RunLedger()
+        ledger.subscribe(collector)
+        with engine_options(ledger=ledger):
             run_sharded_sessions(plans, campaign="obs", seed=0, shards=2)
         snap = collector.snapshot()
         assert snap.sessions == 3
@@ -461,10 +464,16 @@ class TestStreamingReduction:
 
         plans = [_plan(i) for i in range(4)]
         reporter = ProgressReporter(stream=io.StringIO())
-        with engine_options(observer=reporter):
+        ledger = RunLedger()
+        ledger.subscribe(reporter)
+        with engine_options(ledger=ledger):
             run_sharded_sessions(plans, campaign="prog", seed=0, shards=2)
         assert reporter.shards_done == 2
         assert reporter.shards_total == 2
+        # one merged event per shard handed to the reduction, plan order
+        merged = [r for r in ledger.records if r["event"] == "merged"]
+        assert [(r["campaign"], r["shard"]) for r in merged] == [
+            ("prog", 0), ("prog", 1)]
 
 
 # -- mergeable Monte-Carlo moments -------------------------------------------
