@@ -19,6 +19,9 @@ parent on them with pytest-benchmark's ``--benchmark-compare-fail``:
   batched delivery loop dominate.
 * **64-session campaign** — many short sessions back to back, the shape
   of the ROADMAP's campaign engine.
+* **Monte-Carlo shard** — one 5,000-session shard of the Sec. 6
+  ``model_validation`` campaign per strategy: the aggregate-rate grid
+  kernel that fills the sharded and distributed campaigns.
 
 Each benchmark asserts the workload's deterministic outputs, so a perf
 run doubles as a byte-identity check.
@@ -26,11 +29,16 @@ run doubles as a byte-identity check.
 
 import pytest
 
+from repro.model import (
+    constant_strategy,
+    short_onoff_strategy,
+    simulate_aggregate_moments,
+)
 from repro.simnet import EventScheduler
 from repro.simnet.profiles import RESEARCH, RESIDENCE
 from repro.streaming import Application, Service
 from repro.streaming.session import SessionConfig, run_session
-from repro.workloads import MBPS, Video
+from repro.workloads import MBPS, Video, make_youflash
 
 
 def _long_cycle_session():
@@ -141,3 +149,35 @@ def test_bench_core_campaign_64(benchmark):
 
     total = benchmark.pedantic(campaign, rounds=1, iterations=1)
     assert total > 0
+
+
+#: Session count and Eq (3) mean of each strategy's shard; the means are
+#: exact, as the shard's grid is deterministic to the last bit.
+MC_SHARD_PINS = {
+    "No ON-OFF": (4971, 62843772.84913478),
+    "Short ON-OFF": (4971, 63611117.46540089),
+    "Long ON-OFF": (4971, 63636322.41242489),
+}
+
+
+def test_bench_core_mc_shard(benchmark):
+    """One 5,000-session Monte-Carlo shard per strategy, as the
+    ``model_validation`` campaign runs them (arrival rate 0.3/s, 8 Mbps
+    peak, the small YouFlash catalog, shard seed 1)."""
+    catalog = make_youflash(seed=0, scale=0.02)
+    strategies = {
+        "No ON-OFF": constant_strategy,
+        "Short ON-OFF": short_onoff_strategy(),
+        "Long ON-OFF": short_onoff_strategy(block_bytes=5 * 1024 * 1024,
+                                            buffering_playback_s=60.0),
+    }
+
+    def shards():
+        return {name: simulate_aggregate_moments(
+                    catalog, 0.3, horizon=5000 / 0.3, strategy=strategy,
+                    peak_bps=8e6, seed=1)
+                for name, strategy in strategies.items()}
+
+    results = benchmark.pedantic(shards, rounds=3, iterations=1)
+    assert {name: (shard.sessions, shard.mean_bps)
+            for name, shard in results.items()} == MC_SHARD_PINS

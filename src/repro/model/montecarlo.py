@@ -131,6 +131,12 @@ def long_onoff_strategy(
                                 buffering_playback_s)
 
 
+#: Grid samples per vectorized pass of :func:`_simulate_grid`: enough to
+#: amortize numpy's per-call cost, few enough that a pass's temporaries
+#: stay small beside the grid itself.
+_CHUNK_SAMPLES = 8192
+
+
 def _simulate_grid(
     catalog: Catalog,
     lam: float,
@@ -144,44 +150,67 @@ def _simulate_grid(
 
     Returns ``(times, grid, sessions, max_duration)``; callers apply
     their own warmup policy to the grid.
+
+    Every arrival draws its video with one ``rng.choice``; the strategy
+    builds one rate process per distinct video.  Sessions are then
+    sampled in arrival-order chunks of about ``_CHUNK_SAMPLES`` grid
+    samples, each sample's ON test reading the process's
+    :class:`~repro.model.onoffrate.GridShape`.  ``np.add.at`` adds a
+    chunk's samples in order, so each grid cell sums its sessions' rates
+    in arrival order: the grid is the same, bit for bit, as a
+    session-by-session loop's.
     """
     arrivals = PoissonProcess(lam, rng).times_until(horizon)
     grid = np.zeros(int(horizon / dt) + 1)
     times = np.arange(len(grid)) * dt
+    if not arrivals:
+        return times, grid, 0, 0.0
 
-    max_duration = 0.0
-    for t0 in arrivals:
-        video = rng.choice(catalog.videos)
-        size_bits = video.size_bytes * 8.0
-        process = strategy(size_bits, video.encoding_rate_bps, peak_bps)
-        duration = process.duration
-        max_duration = max(max_duration, duration)
-        lo = int(math.ceil((t0) / dt))
-        hi = min(len(grid) - 1, int((t0 + duration) / dt))
-        if hi < lo:
-            continue
-        local = times[lo:hi + 1] - t0
-        if isinstance(process, ConstantRate):
-            grid[lo:hi + 1] += process.peak_bps
-        elif isinstance(process, OnOffRate):
-            rates = np.zeros(local.shape)
-            in_buffering = local < process.buffering_time
-            rates[in_buffering] = process.peak_bps
-            steady = (~in_buffering) & (local < duration)
-            steady_t = local[steady] - process.buffering_time
-            cycle = np.floor(steady_t / process.period_s)
-            phase = steady_t - cycle * process.period_s
-            on_span = np.where(
-                cycle < process._full_cycles,
-                process.duty * process.period_s,
-                process._remainder_bits / process.peak_bps,
-            )
-            rates[steady] = np.where(phase < on_span, process.peak_bps, 0.0)
-            grid[lo:hi + 1] += rates
-        else:  # pragma: no cover - generic fallback
-            grid[lo:hi + 1] += np.array([process.rate_at(u) for u in local])
+    # choice over the slots draws exactly what choice over the videos does
+    slots = range(len(catalog.videos))
+    picks = np.array([rng.choice(slots) for _ in arrivals])
+    used, rows = np.unique(picks, return_inverse=True)
+    shapes = []
+    for slot in used.tolist():
+        video = catalog.videos[slot]
+        process = strategy(video.size_bytes * 8.0, video.encoding_rate_bps,
+                           peak_bps)
+        shapes.append(process.grid_shape())
+    (duration, buffering, period, full_cycles, full_on, last_on,
+     peak) = np.array(shapes, dtype=float)[rows].T
 
-    return times, grid, len(arrivals), max_duration
+    t0 = np.array(arrivals)
+    lo = np.ceil(t0 / dt).astype(np.int64)
+    hi = np.minimum(len(grid) - 1, ((t0 + duration) / dt).astype(np.int64))
+    counts = np.maximum(hi - lo + 1, 0)
+    live = np.flatnonzero(counts)
+    ends = np.cumsum(counts[live])
+    start = 0
+    # a ConstantRate buffers forever: its cycle arithmetic is NaN, unread
+    with np.errstate(invalid="ignore"):
+        while start < live.size:
+            reach = (ends[start - 1] if start else 0) + _CHUNK_SAMPLES
+            stop = max(start + 1, int(np.searchsorted(ends, reach, "right")))
+            chunk = live[start:stop]
+            n = counts[chunk]
+            idx = np.arange(n.sum()) + np.repeat(lo[chunk] - np.cumsum(n) + n,
+                                                 n)
+            local = times[idx] - np.repeat(t0[chunk], n)
+            buffer_end = np.repeat(buffering[chunk], n)
+            cycle_s = np.repeat(period[chunk], n)
+            steady_t = local - buffer_end
+            cycle = np.floor(steady_t / cycle_s)
+            phase = steady_t - cycle * cycle_s
+            on = phase < np.where(cycle < np.repeat(full_cycles[chunk], n),
+                                  np.repeat(full_on[chunk], n),
+                                  np.repeat(last_on[chunk], n))
+            on &= local < np.repeat(duration[chunk], n)
+            on |= local < buffer_end
+            # an OFF sample adds +0.0, which leaves its cell unchanged
+            np.add.at(grid, idx, on * np.repeat(peak[chunk], n))
+            start = stop
+
+    return times, grid, len(arrivals), float(duration.max())
 
 
 def _steady_samples(
@@ -215,8 +244,9 @@ def simulate_aggregate(
 ) -> AggregateSample:
     """Sample the aggregate rate of Poisson video sessions.
 
-    ``warmup`` (default: the catalog's mean download time x 3) is excluded
-    from the statistics so the process is in steady state.
+    ``warmup`` (default: 3x the longest download among the run's
+    sessions, capped at a quarter of the horizon) is excluded from the
+    statistics so the process is in steady state.
     """
     if rng is None:
         rng = random.Random(seed)

@@ -15,6 +15,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+
+class GridShape(NamedTuple):
+    """A rate process's ON/OFF layout, in the form a sampling grid reads it.
+
+    At session time ``u``: X = ``peak_bps`` while ``u < buffering_time``;
+    after that, while ``u < duration``, cycle ``c = floor((u -
+    buffering_time) / period_s)`` is ON for its first ``full_on_s``
+    seconds if ``c < full_cycles``, else for ``last_on_s`` seconds (the
+    final partial block), and X = 0 otherwise.
+    """
+
+    duration: float
+    buffering_time: float
+    period_s: float
+    full_cycles: int
+    full_on_s: float
+    last_on_s: float
+    peak_bps: float
 
 
 class RateProcess:
@@ -23,6 +43,10 @@ class RateProcess:
     @property
     def duration(self) -> float:
         """Time to download the whole video, D."""
+        raise NotImplementedError
+
+    def grid_shape(self) -> GridShape:
+        """The process's ON/OFF layout, for vectorized grid sampling."""
         raise NotImplementedError
 
     def rate_at(self, t: float) -> float:
@@ -56,6 +80,11 @@ class ConstantRate(RateProcess):
     @property
     def duration(self) -> float:
         return self.size_bits / self.peak_bps
+
+    def grid_shape(self) -> GridShape:
+        # buffering forever: every sample of the download is ON
+        return GridShape(self.duration, math.inf, math.inf, 0, 0.0, 0.0,
+                         self.peak_bps)
 
     def rate_at(self, t: float) -> float:
         return self.peak_bps if 0.0 <= t < self.duration else 0.0
@@ -122,6 +151,11 @@ class OnOffRate(RateProcess):
         if self._remainder_bits > 0:
             d += self._remainder_bits / self.peak_bps
         return d
+
+    def grid_shape(self) -> GridShape:
+        return GridShape(self.duration, self.buffering_time, self.period_s,
+                         self._full_cycles, self.duty * self.period_s,
+                         self._remainder_bits / self.peak_bps, self.peak_bps)
 
     def rate_at(self, t: float) -> float:
         if t < 0.0 or t >= self.duration:

@@ -147,6 +147,7 @@ class PlayerBase:
         self.fail_reason: Optional[str] = None
         self.wasted_bytes = 0          # bytes re-downloaded by non-resuming restarts
         self.downshifts: List[Tuple[float, float, float]] = []  # (t, old, new)
+        self.requests: List[Tuple[float, int, bool]] = []  # (t, offset, ranged)
         #: Hook invoked as ``on_conn_failed(player, conn, reason)`` whenever a
         #: transfer-bearing connection dies before its response completed.
         self.on_conn_failed: Optional[
@@ -377,16 +378,17 @@ class PlayerBase:
     # -- plumbing ---------------------------------------------------------------
 
     def _note_request(self, offset: int, ranged: bool) -> None:
-        """Telemetry hook for every HTTP request the player issues.
+        """Log every HTTP request the player issues (and tell telemetry).
 
-        Each request opens an ON-period, so the event log doubles as the
+        Each request opens an ON-period, so :attr:`requests` is the
         ground-truth record of ON-OFF block boundaries the analysis
         pipeline later infers from packet gaps.
         """
+        now = self.scheduler.clock.now()
+        self.requests.append((now, offset, ranged))
         if self._telemetry.enabled:
             self._telemetry.inc("player.requests")
-            self._telemetry.event("player.request",
-                                  t=self.scheduler.clock.now(),
+            self._telemetry.event("player.request", t=now,
                                   offset=offset, ranged=ranged)
 
     def _schedule(self, delay: float, fn: Callable[[], None], label: str) -> None:

@@ -107,6 +107,10 @@ class SessionResult:
     fail_reason: Optional[str] = None
     wasted_redownloaded_bytes: int = 0
     downshifts: List[Tuple[float, float, float]] = field(default_factory=list)
+    #: The player's request log, ``(t, offset, ranged)`` per HTTP request
+    #: in issue order: each request opens an ON period, so this is the
+    #: ground truth of the ON-OFF block boundaries.
+    requests: List[Tuple[float, int, bool]] = field(default_factory=list)
     fault_log: Optional[FaultLog] = None
     #: Per-session telemetry snapshot; ``None`` unless the session ran
     #: inside an enabled :func:`repro.telemetry.recording` scope.
@@ -341,6 +345,7 @@ def _run_session_impl(video: Video, config: SessionConfig) -> SessionResult:
         fail_reason=player.fail_reason,
         wasted_redownloaded_bytes=player.wasted_bytes,
         downshifts=list(player.downshifts),
+        requests=list(player.requests),
         fault_log=fault_log,
     )
 

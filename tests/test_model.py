@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,10 +21,12 @@ from repro.model import (
     download_outlives_interruption,
     encoding_rate_migration,
     invariance_gap,
+    long_onoff_strategy,
     plan_for,
     required_capacity,
     short_onoff_strategy,
     simulate_aggregate,
+    simulate_aggregate_moments,
     simulate_wasted_bandwidth,
     strategy_migration,
     unused_bytes,
@@ -32,7 +35,9 @@ from repro.model import (
     wasted_bandwidth_exact,
     wasted_bandwidth_factored,
 )
-from repro.workloads import Catalog, MBPS, Video
+from repro.model import montecarlo
+from repro.workloads import Catalog, MBPS, Video, make_youflash
+from repro.workloads.arrivals import PoissonProcess
 
 
 def uniform_catalog(n=20, rate=1 * MBPS, duration=200.0):
@@ -196,6 +201,209 @@ class TestMonteCarloAggregate:
             results["short"].mean_bps, rel=0.1)
         assert results["constant"].variance_bps2 == pytest.approx(
             results["short"].variance_bps2, rel=0.25)
+
+
+def _reference_grid(catalog, lam, horizon, strategy, peak_bps, dt, rng):
+    """The session-by-session grid loop the batched kernel replaced, kept
+    verbatim as the oracle of :func:`montecarlo._simulate_grid`."""
+    arrivals = PoissonProcess(lam, rng).times_until(horizon)
+    grid = np.zeros(int(horizon / dt) + 1)
+    times = np.arange(len(grid)) * dt
+
+    max_duration = 0.0
+    for t0 in arrivals:
+        video = rng.choice(catalog.videos)
+        size_bits = video.size_bytes * 8.0
+        process = strategy(size_bits, video.encoding_rate_bps, peak_bps)
+        duration = process.duration
+        max_duration = max(max_duration, duration)
+        lo = int(math.ceil((t0) / dt))
+        hi = min(len(grid) - 1, int((t0 + duration) / dt))
+        if hi < lo:
+            continue
+        local = times[lo:hi + 1] - t0
+        if isinstance(process, ConstantRate):
+            grid[lo:hi + 1] += process.peak_bps
+        elif isinstance(process, OnOffRate):
+            rates = np.zeros(local.shape)
+            in_buffering = local < process.buffering_time
+            rates[in_buffering] = process.peak_bps
+            steady = (~in_buffering) & (local < duration)
+            steady_t = local[steady] - process.buffering_time
+            cycle = np.floor(steady_t / process.period_s)
+            phase = steady_t - cycle * process.period_s
+            on_span = np.where(
+                cycle < process._full_cycles,
+                process.duty * process.period_s,
+                process._remainder_bits / process.peak_bps,
+            )
+            rates[steady] = np.where(phase < on_span, process.peak_bps, 0.0)
+            grid[lo:hi + 1] += rates
+        else:  # pragma: no cover - generic fallback
+            grid[lo:hi + 1] += np.array([process.rate_at(u) for u in local])
+
+    return times, grid, len(arrivals), max_duration
+
+
+def _duty_one(size_bits, e, peak):
+    """Average rate capped at the peak: every cycle is all ON."""
+    return short_onoff_strategy(accumulation_ratio=1e9)(size_bits, e, peak)
+
+
+def _zero_remainder(size_bits, e, peak):
+    """The steady phase is a whole number of blocks: no partial block."""
+    block = 0.5 * 1.0 * peak
+    cycles = int(size_bits // block)
+    return OnOffRate(size_bits, peak, period_s=1.0, duty=0.5,
+                     buffering_bits=size_bits - cycles * block)
+
+
+def _quarter_second_blocks(size_bits, e, peak):
+    """Half a second of buffering, then 1 s cycles half ON: at 8 Mbps and
+    whole-Mbit sizes every boundary lies on a quarter second."""
+    return OnOffRate(size_bits, peak, period_s=1.0, duty=0.5,
+                     buffering_bits=min(size_bits, 0.5 * peak))
+
+
+#: Strategy factories of the oracle: the three of the paper, then edge
+#: shapes of the ON/OFF layout.
+GRID_STRATEGIES = {
+    "constant": constant_strategy,
+    "short": short_onoff_strategy(),
+    "long": long_onoff_strategy(),
+    "duty-one": _duty_one,
+    "zero-remainder": _zero_remainder,
+    "all-buffering": short_onoff_strategy(buffering_playback_s=1e9),
+    "quarter-second": _quarter_second_blocks,
+}
+
+
+class _AlignedArrivals:
+    """Arrivals on a quarter-second lattice: with a quarter-second grid,
+    sample offsets land exactly on every ON/OFF boundary."""
+
+    def __init__(self, lam, rng):
+        self.rng = rng
+
+    def times_until(self, horizon):
+        return [0.25 * k for k in range(0, int(horizon / 0.25), 3)]
+
+
+def _grid_catalog(durations, rates):
+    return Catalog("oracle", [
+        Video(video_id=f"o{i}", duration=d, encoding_rate_bps=r,
+              resolution="360p", container="flv")
+        for i, (d, r) in enumerate(zip(durations, rates))
+    ])
+
+
+class TestGridKernelOracle:
+    """The batched grid kernel against the per-session loop, bit for bit."""
+
+    def _assert_same_grid(self, catalog, lam, horizon, strategy, peak, dt,
+                          seed, chunk, arrivals=None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_CHUNK_SAMPLES", chunk)
+            if arrivals is not None:
+                mp.setattr(montecarlo, "PoissonProcess", arrivals)
+                mp.setitem(globals(), "PoissonProcess", arrivals)
+            times, grid, sessions, longest = montecarlo._simulate_grid(
+                catalog, lam, horizon, strategy, peak, dt,
+                random.Random(seed))
+            ref_times, ref_grid, ref_sessions, ref_longest = _reference_grid(
+                catalog, lam, horizon, strategy, peak, dt,
+                random.Random(seed))
+        assert times.tobytes() == ref_times.tobytes()
+        assert grid.tobytes() == ref_grid.tobytes()
+        assert sessions == ref_sessions
+        assert longest.hex() == ref_longest.hex()
+        return grid, sessions
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(GRID_STRATEGIES)),
+        videos=st.lists(
+            st.tuples(st.floats(min_value=0.05, max_value=300.0),
+                      st.floats(min_value=1e5, max_value=4e6)),
+            min_size=1, max_size=5),
+        lam=st.floats(min_value=0.01, max_value=0.5),
+        horizon=st.floats(min_value=1.0, max_value=600.0),
+        peak=st.sampled_from([1e6, 8e6, 1.7e7 / 3]),
+        dt=st.sampled_from([0.1, 0.3, 0.5, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**16),
+        chunk=st.integers(min_value=1, max_value=64),
+    )
+    def test_matches_per_session_loop(self, name, videos, lam, horizon, peak,
+                                      dt, seed, chunk):
+        durations, rates = zip(*videos)
+        self._assert_same_grid(_grid_catalog(durations, rates), lam, horizon,
+                               GRID_STRATEGIES[name], peak, dt, seed, chunk)
+
+    @pytest.mark.parametrize("name", sorted(GRID_STRATEGIES))
+    def test_edge_shapes_cross_chunks(self, name):
+        """Every shape, over sessions cut by the horizon (``hi`` clipped),
+        sessions shorter than a grid step (``hi < lo``) and sessions many
+        chunks long."""
+        catalog = _grid_catalog([0.02, 40.0, 250.0], [1e6, 2e6, 3e6])
+        peak, dt, chunk = 8e6, 0.5, 7
+        grid, sessions = self._assert_same_grid(
+            catalog, 0.2, 300.0, GRID_STRATEGIES[name], peak, dt, 3, chunk)
+        assert sessions > 0 and grid[-1] > 0      # clipped at the horizon
+        shapes = [GRID_STRATEGIES[name](v.size_bytes * 8.0,
+                                        v.encoding_rate_bps, peak).grid_shape()
+                  for v in catalog.videos]
+        assert shapes[0].duration < dt            # can fall between samples
+        assert shapes[2].duration / dt > chunk    # spans many chunks
+        if name == "duty-one":
+            assert all(s.full_on_s == s.period_s for s in shapes)
+        if name == "zero-remainder":
+            assert all(s.last_on_s == 0.0 for s in shapes)
+        if name == "all-buffering":
+            assert all(s.buffering_time == s.duration for s in shapes)
+
+    @pytest.mark.parametrize("name", sorted(GRID_STRATEGIES))
+    def test_samples_on_the_boundaries(self, name):
+        """Lattice arrivals put samples exactly on the buffering end, on
+        each block's ON/OFF edge and on the download's end, where every
+        strict ``<`` of the ON test decides."""
+        # 18 and 16 Mbit: 0.5 s buffering + 3 or 2 cycles (+ a 0.25 s or
+        # no partial block) with the quarter-second factory
+        catalog = _grid_catalog([18.0, 16.0, 0.5], [1e6, 1e6, 1e6])
+        self._assert_same_grid(catalog, 0.3, 40.0, GRID_STRATEGIES[name],
+                               8e6, 0.25, 5, 5, arrivals=_AlignedArrivals)
+
+
+#: Outputs of ``simulate_aggregate_moments`` on one small seeded shard per
+#: strategy, recorded from the session-by-session grid loop: any float
+#: drift of the grid kernel shows up here.
+GOLDEN_SHARDS = {
+    "constant": (1231, "0x1.e4a18b9a2913ep+25", "0x1.000f9704651cdp+49", 0,
+                 {82: 2, 86: 136, 88: 348, 90: 461, 91: 756, 92: 1698,
+                  93: 1028, 94: 1629, 95: 950, 96: 401, 97: 82}),
+    "short": (1231, "0x1.e755da54e47c1p+25", "0x1.c4f8483332e7dp+48", 2,
+              {82: 17, 86: 73, 88: 156, 90: 344, 91: 547, 92: 1595,
+               93: 819, 94: 1360, 95: 717, 96: 336, 97: 34, 98: 1}),
+    "long": (1231, "0x1.e750a5387047bp+25", "0x1.d3f20d8d93cc2p+48", 0,
+             {82: 18, 86: 81, 88: 163, 90: 328, 91: 542, 92: 1627,
+              93: 809, 94: 1354, 95: 674, 96: 354, 97: 49, 98: 2}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHARDS))
+def test_golden_shard_moments(name):
+    sessions, mean, var, underflow, counts = GOLDEN_SHARDS[name]
+    strategy = {"constant": constant_strategy,
+                "short": short_onoff_strategy(),
+                "long": short_onoff_strategy(block_bytes=5 * 1024 * 1024,
+                                             buffering_playback_s=60.0)}[name]
+    shard = simulate_aggregate_moments(
+        make_youflash(seed=0, scale=0.02), 0.3, horizon=4000.0,
+        strategy=strategy, peak_bps=8e6, seed=7)
+    assert shard.sessions == sessions
+    assert shard.mean_bps.hex() == mean
+    assert shard.variance_bps2.hex() == var
+    assert shard.sketch.underflow == underflow
+    assert shard.sketch.counts == counts
 
 
 class TestInterruption:

@@ -7,6 +7,7 @@ is byte-identical with recording on or off — plus the recorder/exporter
 semantics and the ``repro profile`` CLI.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -198,6 +199,26 @@ class TestSessionTelemetry:
         assert names[-1] == "session.end"
         # ON-block boundaries: Flash short cycles mean many range requests
         assert names.count("player.request") == snap.counters["player.requests"]
+
+    @pytest.mark.parametrize("application,container", [
+        (Application.FIREFOX, Container.FLASH),
+        (Application.IOS, Container.HTML5),
+    ])
+    def test_request_log_does_not_depend_on_recording(self, application,
+                                                      container):
+        """``SessionResult.requests`` is always recorded; under telemetry
+        it equals the ``player.request`` events."""
+        config = dataclasses.replace(_config(), application=application,
+                                     container=container)
+        plain = run_session(_video(), config)
+        with recording():
+            traced = run_session(_video(), config)
+        assert plain.requests
+        assert plain.requests == traced.requests
+        events = [(e.t, dict(e.fields)["offset"], dict(e.fields)["ranged"])
+                  for e in traced.telemetry.events
+                  if e.name == "player.request"]
+        assert events == traced.requests
 
     def test_tcp_counters_sum_every_connection(self, monkeypatch):
         """The folded TCP counters are sums of ``TcpStats`` over every
