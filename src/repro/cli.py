@@ -52,8 +52,8 @@ O(shards) up to 10^6 sessions, shard artifacts cache under
 
 And it distributes: ``--distributed`` publishes the shards to a
 lease-based work queue (``--queue-dir``, default ``<cache>/queue``)
-instead of the local pool, spawns ``--workers N`` local drain-mode
-workers (plus any ``repro worker`` processes started elsewhere), and
+instead of the local pool, forks ``--workers N`` local drain-mode
+worker lanes (plus any ``repro worker`` processes started elsewhere), and
 reduces artifacts as they land — with exports byte-identical to the
 single-host ``--shards`` run.  ``--shard-size K`` makes many small
 shards, the work-stealing granularity knob.
@@ -130,9 +130,9 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
              "every worker (default: <cache-dir>/queue)")
     p.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="local `repro worker --drain` processes the coordinator "
-             "spawns and respawns (0 = external fleet only: start "
-             "workers yourself, on this host or others)")
+        help="local drain-mode worker lanes the coordinator forks "
+             "and respawns (0 = external fleet only: start `repro "
+             "worker` yourself, on this host or others)")
     p.add_argument(
         "--lease-ttl", type=float, default=30.0, metavar="SECS",
         help="shard lease time-to-live; a worker silent this long is "
@@ -492,9 +492,8 @@ def _supervision_policy(args):
 
 def _cmd_worker(args) -> int:
     """``repro worker``: drain a shard queue into the shared store."""
-    import signal
-
-    from .runner import WorkerOptions, make_queue, run_worker
+    from .runner import WorkerOptions, make_queue
+    from .runner.dist.worker import worker_main
 
     cache_dir = _cache_root(args)
     if not cache_dir:
@@ -507,38 +506,15 @@ def _cmd_worker(args) -> int:
     except ValueError as exc:
         print(f"repro worker: {exc}", file=sys.stderr)
         return 2
-    # the coordinator stops local workers with SIGTERM; route it through
-    # the normal teardown so the held lease is abandoned immediately
-    # instead of waiting out the TTL on another worker's clock; the
-    # caller's handler is restored on return (main() may run in-process)
-    previous = signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     options = WorkerOptions(
-        queue=args.queue_dir,
-        cache_dir=cache_dir,
-        worker_id=args.worker_id,
-        ttl=args.lease_ttl,
-        poll=args.poll,
-        drain=args.drain,
-        max_shards=args.max_shards,
-        max_attempts=args.max_attempts,
-        unit_timeout=args.unit_timeout,
-        verbose=args.verbose,
-    )
-    try:
-        stats = run_worker(options, queue=queue)
-    except KeyboardInterrupt:
-        print("worker interrupted; lease abandoned", file=sys.stderr)
-        return 130
-    except SystemExit as exc:
-        # the coordinator's routine drain-phase SIGTERM: exit quietly
-        if args.verbose:
-            print("worker terminated; lease abandoned", file=sys.stderr)
-        return int(exc.code or 0)
-    finally:
-        if previous is not None:
-            signal.signal(signal.SIGTERM, previous)
-    print(stats.summary())
-    return 0
+        queue=args.queue_dir, cache_dir=cache_dir, worker_id=args.worker_id,
+        ttl=args.lease_ttl, poll=args.poll, drain=args.drain,
+        max_shards=args.max_shards, max_attempts=args.max_attempts,
+        unit_timeout=args.unit_timeout, verbose=args.verbose)
+    code, stats = worker_main(options, queue=queue)
+    if stats is not None:
+        print(stats.summary())
+    return code
 
 
 def _cmd_experiment(args, dashboard: bool = False) -> int:

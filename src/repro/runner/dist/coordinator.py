@@ -11,14 +11,16 @@ honors.  :func:`run_shards_distributed` is a drop-in body for
    campaign (or a re-dimensioned one) re-simulates zero landed shards.
 2. **Publish** — the misses are published to the
    :class:`~repro.runner.dist.queue.ShardQueue` in plan order.
-3. **Elastic local workers** — ``workers=N`` spawns N ``repro worker
-   --drain`` subprocesses over the same queue and store; a worker that
-   dies is respawned (budgeted), and externally-started workers on
-   other hosts drain the same queue concurrently.
-4. **Pipelined reduction** — the coordinator polls the store and hands
-   landed artifacts to ``on_result`` as the *contiguous plan-order
-   prefix* grows.  Committing the prefix — not the completion order —
-   is what keeps the reduction byte-identical to the single-host path:
+3. **Elastic local workers** — ``workers=N`` forks N drain-mode worker
+   lanes from the coordinator over the same queue and store (none when
+   every shard prefilled); a lane that dies is respawned (budgeted),
+   and ``repro worker`` processes on other hosts drain the same queue
+   concurrently.
+4. **Pipelined reduction** — the coordinator polls the done markers,
+   reads each completed shard's artifact from the store, and hands
+   them to ``on_result`` as the *contiguous plan-order prefix* grows.
+   Committing the prefix — not the completion order — is what keeps
+   the reduction byte-identical to the single-host path:
    ``CampaignSnapshot`` float moments merge via Chan's method, which is
    order-dependent, so the merge order must be plan order; everything
    before the barrier (simulation, artifact landing, lease traffic)
@@ -34,19 +36,19 @@ lease state and streamed as the ledger's live ``beat`` events, so
 
 from __future__ import annotations
 
-import os
 import pickle
-import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..pool import current_options
+from ...telemetry.recorder import _RECORDER, NULL
+from ..pool import _OPTIONS, EngineOptions, current_options
 from ..sharding import ShardSpec, ShardStore
-from ..supervise import CampaignAborted, FailedUnit, FailureReport, UnitFailure
+from ..supervise import (CampaignAborted, FailedUnit, FailureReport,
+                         UnitFailure, _process_context)
 from .queue import ShardQueue, make_queue, queue_path
+from .worker import WorkerOptions, worker_main
 
 __all__ = [
     "DistPolicy",
@@ -109,55 +111,50 @@ class DistWorkerLane:
         return max(0.0, now - self.last_beat)
 
 
-def _worker_command(policy: DistPolicy, cache_root, index: int) -> List[str]:
-    command = [sys.executable, "-m", "repro", "worker",
-               "--queue-dir", str(policy.queue),
-               "--cache-dir", str(cache_root),
-               "--lease-ttl", str(policy.ttl),
-               "--worker-id", f"local-w{index}", "--drain"]
-    if policy.max_attempts > 1:
-        command += ["--max-attempts", str(policy.max_attempts)]
-    if policy.unit_timeout is not None:
-        command += ["--unit-timeout", str(policy.unit_timeout)]
-    return command
-
-
-def _worker_env() -> dict:
-    # spawned workers must import this package even when it was never
-    # pip-installed (the repo's own PYTHONPATH=src discipline)
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[3])
-    path = env.get("PYTHONPATH", "")
-    if src not in path.split(os.pathsep):
-        env["PYTHONPATH"] = f"{src}{os.pathsep}{path}" if path else src
-    return env
+def _lane_main(options: WorkerOptions) -> None:
+    """One local worker lane, forked from the coordinator.  It drops the
+    inherited engine options (ledger, dist policy, health monitor) and
+    telemetry recorder, and starts from the defaults as ``repro worker``
+    does."""
+    _OPTIONS.set(EngineOptions())
+    _RECORDER.set(NULL)
+    sys.exit(worker_main(options)[0])
 
 
 class _LocalFleet:
-    """The coordinator's elastic local workers: spawn, respawn, reap."""
+    """The coordinator's elastic local workers: fork, respawn, reap."""
 
     def __init__(self, policy: DistPolicy, cache_root, ledger=None) -> None:
         self.policy = policy
-        self.cache_root = cache_root
         self.ledger = ledger
-        self.procs: Dict[int, subprocess.Popen] = {}
+        self.lane = WorkerOptions(
+            queue=str(policy.queue), cache_dir=str(cache_root),
+            ttl=policy.ttl, drain=True, max_attempts=policy.max_attempts,
+            unit_timeout=policy.unit_timeout)
+        self.procs: Dict[int, Any] = {}
         self.respawned = 0
-        self._env = _worker_env() if policy.workers else None
 
     def start(self) -> None:
         for index in range(self.policy.workers):
             self._spawn(index)
 
     def _spawn(self, index: int) -> None:
-        self.procs[index] = subprocess.Popen(
-            _worker_command(self.policy, self.cache_root, index),
-            env=self._env, stdout=subprocess.DEVNULL)
+        # the coordinator runs no threads, so forking it is safe; flush,
+        # or the lane would print the coordinator's buffered output
+        # again; non-daemonic: a lane forks a child per shard
+        sys.stdout.flush()
+        sys.stderr.flush()
+        lane = replace(self.lane, worker_id=f"local-w{index}")
+        proc = _process_context().Process(
+            target=_lane_main, args=(lane,), daemon=False)
+        proc.start()
+        self.procs[index] = proc
 
     def tend(self, work_remains: bool) -> None:
         """Reap exits; while work remains, respawn crashed workers —
         the *elastic* half of the fabric — within the respawn budget."""
         for index, proc in list(self.procs.items()):
-            code = proc.poll()
+            code = proc.exitcode
             if code is None:
                 continue
             del self.procs[index]
@@ -175,15 +172,14 @@ class _LocalFleet:
 
     def stop(self) -> None:
         for proc in self.procs.values():
-            if proc.poll() is None:
+            if proc.exitcode is None:
                 proc.terminate()
         deadline = time.monotonic() + 5.0
         for proc in self.procs.values():
-            try:
-                proc.wait(timeout=max(0.1, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
+            proc.join(max(0.1, deadline - time.monotonic()))
+            if proc.exitcode is None:
                 proc.kill()
-                proc.wait()
+                proc.join()
         self.procs.clear()
 
 
@@ -218,7 +214,10 @@ def run_shards_distributed(
     if queue is None:
         queue = make_queue(policy.queue, ttl=policy.ttl)
     ledger = options.ledger
-    failures = options.failures
+    # a private report when the caller keeps none: an abort still names
+    # every quarantined shard
+    failures = options.failures if options.failures is not None \
+        else FailureReport()
     stats = options.stats if stats is None else stats
 
     total = len(shards)
@@ -226,9 +225,10 @@ def run_shards_distributed(
     settled = [False] * total
     index_of = {key: i for i, key in enumerate(keys)}
 
-    # 1. prefill from the store: a resumed campaign re-simulates nothing
-    hits = 0
-    for i, key in enumerate(keys):
+    # 1. prefill from the store (a resumed campaign re-simulates
+    # nothing); 2. publish the misses in plan order (claim order follows)
+    hits = published = 0
+    for i, (key, (spec, args)) in enumerate(zip(keys, shards)):
         artifact = store.get(key)
         if artifact is not None:
             results[i] = artifact
@@ -236,19 +236,11 @@ def run_shards_distributed(
             hits += 1
             if ledger is not None:
                 ledger.event("done", artifact, key=key, unit=i, cached=True)
-    if ledger is not None:
-        ledger.event("scheduled", units=total, cache_hits=hits)
-
-    # 2. publish the misses, in plan order (claim order follows)
-    published = 0
-    for i, (spec, args) in enumerate(shards):
-        if settled[i]:
-            continue
-        payload = pickle.dumps((fn, spec, tuple(args)),
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        if queue.publish(keys[i], payload):
+        elif queue.publish(key, pickle.dumps(
+                (fn, spec, tuple(args)), protocol=pickle.HIGHEST_PROTOCOL)):
             published += 1
     if ledger is not None:
+        ledger.event("scheduled", units=total, cache_hits=hits)
         ledger.event("dist-published", shards=total - hits,
                      new=published, cache_hits=hits, queue=str(policy.queue),
                      workers=policy.workers, ttl=policy.ttl)
@@ -268,12 +260,13 @@ def run_shards_distributed(
             cursor += 1
 
     def land(i: int) -> bool:
+        # called once the done marker exists: its record names the worker
         artifact = store.get(keys[i])
         if artifact is None:
             return False
         results[i] = artifact
         settled[i] = True
-        record = getattr(queue, "done_record", lambda key: {})(keys[i])
+        record = queue.done_record(keys[i])
         worker = record.get("worker")
         done_by[worker or "?"] = done_by.get(worker or "?", 0) + 1
         if ledger is not None:
@@ -305,8 +298,7 @@ def run_shards_distributed(
             ledger.event("quarantined", failure, key=failure.key, unit=i,
                          worker=failure.worker, error=failure.error,
                          attempts=failure.attempts, shard=failure.label)
-        if failures is not None:
-            failures.add(failure)
+        failures.add(failure)
 
     lanes: Dict[str, DistWorkerLane] = {}
     holder: Dict[str, str] = {}      # key -> worker last seen leasing it
@@ -357,19 +349,20 @@ def run_shards_distributed(
     waiting_notice = None if (policy.workers or hits == total) \
         else time.monotonic() + max(5.0, policy.ttl)
     try:
-        fleet.start()
+        if hits < total:  # a warm rerun needs no fleet
+            fleet.start()
         commit_prefix()
         while not all(settled):
+            # one listing of each marker directory per pass
+            done, failed = queue.done_keys(), queue.failures()
             progressed = False
             for i in range(total):
                 if settled[i]:
                     continue
-                if land(i):
+                if keys[i] in done and land(i):
                     progressed = True
-                    continue
-                record = queue.failures().get(keys[i])
-                if record is not None:
-                    quarantine(i, record)
+                elif keys[i] in failed:
+                    quarantine(i, failed[keys[i]])
                     progressed = True
             commit_prefix()
             if progressed:
@@ -392,12 +385,7 @@ def run_shards_distributed(
         stats.failed += len(quarantined)
     degrade = options.supervision is not None and options.supervision.degrade
     if quarantined and not degrade:
-        report = failures
-        if report is None:
-            report = FailureReport()
-            for failure in quarantined:
-                report.add(failure)
-        raise CampaignAborted(report)
+        raise CampaignAborted(failures)
     if ledger is not None:
         ledger.event("batch-finished", results)
     return results

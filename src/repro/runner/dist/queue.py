@@ -36,7 +36,9 @@ so it needs no daemon and no locks:
   unique tombstone — rename is atomic, so exactly one stealer wins —
   and then claims fresh.  The tombstone's content names the previous
   holder, which is how re-leases are attributed in the run ledger.
-* **Complete** — ``O_CREAT | O_EXCL`` on the done marker.  Duplicate
+* **Complete** — the done marker's record goes to a temporary file
+  that is ``os.link``\\ ed into place; the link fails if the marker
+  exists, and a marker never appears without its record.  Duplicate
   completions (a presumed-dead worker that was merely slow) are
   harmless: the artifact store write is idempotent (same key, same
   bytes) and the second done marker loses the race and is dropped.
@@ -51,10 +53,11 @@ from __future__ import annotations
 import json
 import os
 import socket
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 __all__ = [
     "ClaimedShard",
@@ -139,7 +142,12 @@ class ShardQueue:
         """Release a held lease without completing (clean shutdown)."""
         raise NotImplementedError
 
-    def is_done(self, key: str) -> bool:
+    def done_keys(self) -> Set[str]:
+        """Every key with a completion marker."""
+        raise NotImplementedError
+
+    def done_record(self, key: str) -> dict:
+        """The completion marker's attribution (worker, wall seconds)."""
         raise NotImplementedError
 
     def pending(self) -> List[str]:
@@ -208,13 +216,18 @@ class FileShardQueue(ShardQueue):
         path.write_text(json.dumps(record), encoding="utf-8")
 
     def _marker(self, path: Path, record: dict) -> bool:
-        """Create a write-once marker; ``False`` when it already exists."""
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
+        """Create a write-once marker; ``False`` when it already exists.
+        The record is written first and hard-linked into place, so a
+        marker is never seen without its attribution."""
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(json.dumps(record))
+        try:
+            os.link(tmp, path)
+        except FileExistsError:
+            return False
+        finally:
+            os.unlink(tmp)
         return True
 
     # -- publishing ----------------------------------------------------------
@@ -345,24 +358,20 @@ class FileShardQueue(ShardQueue):
 
     # -- observation ---------------------------------------------------------
 
-    def is_done(self, key: str) -> bool:
-        return self._done_path(key).exists()
+    def done_keys(self) -> Set[str]:
+        return {path.stem for path in self._done.glob("*.done")}
 
     def done_record(self, key: str) -> dict:
-        """The completion marker's attribution (worker, wall seconds)."""
         return self._read_json(self._done_path(key))
 
     def failure_record(self, key: str) -> dict:
         return self._read_json(self._failed_path(key))
 
     def pending(self) -> List[str]:
-        keys = []
-        for path in self._tasks.glob("*.task"):
-            key = path.name[:-len(".task")]
-            if not self._done_path(key).exists() \
-                    and not self._failed_path(key).exists():
-                keys.append(key)
-        return sorted(keys)
+        settled = self.done_keys() | {
+            path.stem for path in self._failed.glob("*.failed")}
+        return sorted(path.stem for path in self._tasks.glob("*.task")
+                      if path.stem not in settled)
 
     def leases(self) -> List[Lease]:
         now = self.clock()

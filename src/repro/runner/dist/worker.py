@@ -28,11 +28,12 @@ never a fixed fraction of the campaign.
 from __future__ import annotations
 
 import pickle
+import signal
 import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..pool import RunStats, engine_options, run_tasks
 from ..sharding import ShardStore, _shard_call
@@ -44,6 +45,7 @@ __all__ = [
     "WorkerOptions",
     "WorkerStats",
     "run_worker",
+    "worker_main",
 ]
 
 
@@ -207,3 +209,28 @@ def run_worker(options: WorkerOptions,
                  f"another worker completed it)")
     note(out.summary())
     return out
+
+
+def worker_main(options: WorkerOptions, queue: Optional[ShardQueue] = None
+                ) -> Tuple[int, Optional[WorkerStats]]:
+    """One worker's life, for ``repro worker`` and the coordinator's
+    forked lanes alike: ``(exit code, stats or None if stopped)``.
+
+    SIGTERM (how the coordinator stops its lanes) goes through the
+    normal teardown, so the held lease is abandoned at once instead of
+    after the TTL; the caller's handler is restored on return.
+    """
+    previous = signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+    try:
+        return 0, run_worker(options, queue=queue)
+    except KeyboardInterrupt:
+        print("worker interrupted; lease abandoned", file=sys.stderr)
+        return 130, None
+    except SystemExit as exc:
+        # the coordinator's routine drain-phase SIGTERM: exit quietly
+        if options.verbose:
+            print("worker terminated; lease abandoned", file=sys.stderr)
+        return int(exc.code or 0), None
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)

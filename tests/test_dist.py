@@ -38,6 +38,7 @@ import time
 import pytest
 
 from repro.runner.cache import ResultCache
+from repro.runner.dist import coordinator
 from repro.runner.dist import (
     DistPolicy,
     FileShardQueue,
@@ -46,7 +47,8 @@ from repro.runner.dist import (
     make_queue,
     run_worker,
 )
-from repro.runner.ledger import RunLedger, load_ledger
+from repro.runner.dist.coordinator import _LocalFleet
+from repro.runner.ledger import RunLedger, ledger_path, load_ledger
 from repro.runner.pool import RunStats, engine_options
 from repro.runner.sharding import (
     ShardResult,
@@ -77,6 +79,12 @@ def _moments_shard(start: int, count: int):
 
 def _boom_shard(start: int, count: int):
     raise RuntimeError(f"boom at {start}")
+
+
+def _sleepy_shard(start: int, count: int):
+    """Keeps its lane busy until the lane is stopped."""
+    time.sleep(30)
+    return _moments_shard(start, count)
 
 
 def _make_shards(n: int, units: int = 5, campaign: str = "dist-test",
@@ -177,7 +185,10 @@ class TestFileShardQueue:
         assert queue.complete("aaa", "w0", wall_s=1.5)
         # the presumed-dead-but-slow holder finishing late loses the race
         assert not queue.complete("aaa", "w1", wall_s=9.9)
-        assert queue.is_done("aaa")
+        assert queue.done_keys() == {"aaa"}
+        # the marker is linked into place; neither writer leaves its
+        # temporary record behind
+        assert os.listdir(tmp_path / "done") == ["aaa.done"]
         assert queue.done_record("aaa")["worker"] == "w0"
         assert queue.pending() == [] and queue.settled()
         assert queue.claim("w2") is None  # done shards are never re-leased
@@ -484,6 +495,150 @@ class TestCoordinator:
             DistPolicy(queue=str(tmp_path), workers=-1)
         with pytest.raises(ValueError):
             DistPolicy(queue=str(tmp_path), ttl=0)
+
+
+class TestLocalLanes:
+    """The coordinator's local workers are lanes forked from it."""
+
+    def test_forked_lanes_write_nothing_into_the_coordinators_ledger(
+            self, tmp_path):
+        shards, keys = _make_shards(6)
+        path = tmp_path / "run.jsonl"
+        ledger = RunLedger(path, meta={"experiment": "dist-test"})
+        emitted = []
+        ledger.subscribe(lambda record, value: emitted.append(record))
+        with ledger, engine_options(
+                cache=ResultCache(tmp_path / "cache"), ledger=ledger,
+                dist=DistPolicy(queue=str(tmp_path / "q"), workers=2,
+                                ttl=20, poll=0.02)):
+            results = run_shards(_moments_shard, shards)
+        assert [r.shard.index for r in results] == list(range(6))
+
+        def sequence(records):
+            return [(r["seq"], r["event"], r.get("unit"), r.get("key"))
+                    for r in records if "seq" in r]
+
+        persisted = load_ledger(path).events
+        assert sequence(persisted) == sequence(emitted)
+        assert {r.get("worker") for r in persisted
+                if r["event"] == "done"} <= {"local-w0", "local-w1"}
+
+    def test_sigterm_to_a_busy_lane_abandons_its_lease_at_once(
+            self, tmp_path):
+        shards, keys = _make_shards(1, fn=_sleepy_shard)
+        queue = FileShardQueue(tmp_path / "q", ttl=60)
+        _publish_all(queue, shards, keys, fn=_sleepy_shard)
+        fleet = _LocalFleet(DistPolicy(queue=str(tmp_path / "q"),
+                                       workers=1, ttl=60),
+                            tmp_path / "cache")
+        lease = queue._lease_path(keys[0])
+        fleet.start()
+        try:
+            deadline = time.monotonic() + 20
+            while not lease.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert [held.worker for held in queue.leases()] == ["local-w0"]
+            time.sleep(0.3)  # well inside the shard
+            lane = fleet.procs[0]
+            lane.terminate()
+            lane.join(10)
+            assert lane.exitcode == 143
+            # abandoned by the lane's own teardown, not by TTL expiry
+            assert not lease.exists()
+            assert queue.pending() == keys
+        finally:
+            fleet.stop()
+
+    def test_a_lane_that_exits_nonzero_is_respawned(
+            self, tmp_path, monkeypatch):
+        crashed = tmp_path / "crashed"
+        real = coordinator.worker_main
+
+        def crash_once(options, queue=None):
+            # runs in the forked lane: the first lane exits 3 at once
+            if not crashed.exists():
+                crashed.touch()
+                return 3, None
+            return real(options, queue)
+
+        monkeypatch.setattr(coordinator, "worker_main", crash_once)
+        shards, keys = _make_shards(4)
+        path = tmp_path / "run.jsonl"
+        ledger = RunLedger(path, meta={"experiment": "dist-test"})
+        with ledger, engine_options(
+                cache=ResultCache(tmp_path / "cache"), ledger=ledger,
+                dist=DistPolicy(queue=str(tmp_path / "q"), workers=1,
+                                ttl=20, poll=0.02)):
+            results = run_shards(_moments_shard, shards)
+
+        assert [r.shard.index for r in results] == list(range(4))
+        events = load_ledger(path).events
+        [exit_] = [e for e in events if e["event"] == "worker-exit"]
+        assert exit_["worker"] == "local-w0" and exit_["code"] == 3
+        assert exit_["pid"] > 0
+        assert {e.get("worker") for e in events
+                if e["event"] == "done"} == {"local-w0"}
+
+    def test_a_prefilled_run_starts_no_process(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        cache = tmp_path / "cache"
+        base = ["experiment", "model_validation", "--scale", "small",
+                "--sessions", "24", "--shard-size", "8", "--seed", "3",
+                "--cache-dir", str(cache), "--distributed",
+                "--workers", "2", "--lease-ttl", "20"]
+        assert main(base + ["--queue-dir", str(tmp_path / "q")]) == 0
+
+        def no_process():
+            raise AssertionError("a prefilled run started a process")
+
+        monkeypatch.setattr(coordinator, "_process_context", no_process)
+        capsys.readouterr()
+        assert main(base + ["--queue-dir", str(tmp_path / "q2")]) == 0
+        assert "re-simulated 0" in capsys.readouterr().out
+        events = load_ledger(
+            ledger_path(cache, "model_validation", "small", 3)).events
+        assert not [e for e in events if e["event"] == "worker-exit"]
+
+    def test_every_landed_shard_names_its_worker(self, tmp_path):
+        """An artifact can land in the store well before its worker
+        writes the done marker; the ledger's ``done`` record must still
+        name that worker and its latency."""
+        shards, keys = _make_shards(4)
+        queue = FileShardQueue(tmp_path / "q", ttl=30)
+        store = ShardStore(tmp_path / "cache")
+
+        def slow_marker():
+            landed = 0
+            while landed < len(keys):
+                claimed = queue.claim("slow-w")
+                if claimed is None:
+                    time.sleep(0.01)
+                    continue
+                store.put(claimed.key,
+                          _shard_call(pickle.loads(claimed.payload)))
+                time.sleep(0.2)  # ten coordinator polls
+                queue.complete(claimed.key, "slow-w", wall_s=0.2)
+                landed += 1
+
+        thread = threading.Thread(target=slow_marker, daemon=True)
+        thread.start()
+        path = tmp_path / "run.jsonl"
+        ledger = RunLedger(path, meta={"experiment": "dist-test"})
+        with ledger, engine_options(
+                cache=ResultCache(tmp_path / "cache"), ledger=ledger,
+                dist=DistPolicy(queue=str(tmp_path / "q"), workers=0,
+                                ttl=30, poll=0.02)):
+            run_shards(_moments_shard, shards)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+        done = [e for e in load_ledger(path).events
+                if e["event"] == "done" and not e.get("cached")]
+        assert [e["unit"] for e in done] == [0, 1, 2, 3]
+        assert all(e.get("worker") == "slow-w" for e in done)
+        assert all(e.get("latency_s") == 0.2 for e in done)
 
 
 # -- concurrent store writers ------------------------------------------------
