@@ -10,7 +10,7 @@ to move *scheduling* across processes, never results or trust:
   work queue.  :class:`FileShardQueue` runs it over any shared
   directory with nothing but atomic filesystem primitives.
 * :mod:`repro.runner.dist.worker` — the ``repro worker`` loop: claim a
-  shard, run it through the existing supervised engine, push the
+  shard, run it in the drain's one supervised child, push the
   artifact, renew the lease while doing so.
 * :mod:`repro.runner.dist.coordinator` — ``repro experiment
   --distributed``: publish shards, keep an elastic local fleet alive,
@@ -34,7 +34,7 @@ from .queue import (
     default_worker_id,
     make_queue,
 )
-from .worker import LeaseHeartbeat, WorkerOptions, WorkerStats, run_worker
+from .worker import LeaseRenewer, WorkerOptions, WorkerStats, run_worker
 
 __all__ = [
     "ClaimedShard",
@@ -42,7 +42,7 @@ __all__ = [
     "DistWorkerLane",
     "FileShardQueue",
     "Lease",
-    "LeaseHeartbeat",
+    "LeaseRenewer",
     "ShardQueue",
     "WorkerOptions",
     "WorkerStats",

@@ -141,7 +141,7 @@ class _LocalFleet:
     def _spawn(self, index: int) -> None:
         # the coordinator runs no threads, so forking it is safe; flush,
         # or the lane would print the coordinator's buffered output
-        # again; non-daemonic: a lane forks a child per shard
+        # again; non-daemonic: a lane forks its supervised child
         sys.stdout.flush()
         sys.stderr.flush()
         lane = replace(self.lane, worker_id=f"local-w{index}")

@@ -26,11 +26,16 @@ so it needs no daemon and no locks:
   most one process can create a given file, so at most one worker
   holds a shard.  The lease *content* (worker id, pid, host) is
   attribution only; liveness is the file's **mtime**, which means a
-  torn content write can never corrupt the protocol.
-* **Renew** — the holder touches the lease (``os.utime``) every
-  ``ttl / 3`` seconds (see :class:`~repro.runner.dist.worker.LeaseHeartbeat`).
-  A renew is a single metadata syscall: atomic everywhere, including
-  NFS.
+  torn content write can never corrupt the protocol.  Each claimer
+  walks a cursor over a publish-ordered listing of the open tasks, so
+  a claim costs O(1) filesystem calls amortized; the listing is re-read
+  on a miss and once it is a TTL old.
+* **Renew** — the holder rewrites its lease record and touches its
+  mtime every ``ttl / 3`` seconds (see
+  :class:`~repro.runner.dist.worker.LeaseRenewer`).  The lease is
+  opened without ``O_CREAT``, so a renewal that races a steal or the
+  holder's own completion fails instead of resurrecting the lease; the
+  mtime touch is the one atomic step that extends the TTL.
 * **Expire + steal** — a lease whose mtime is older than ``ttl`` is
   presumed dead.  A stealer first ``os.rename``\\ s the stale lease to a
   unique tombstone — rename is atomic, so exactly one stealer wins —
@@ -55,7 +60,7 @@ import os
 import socket
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set
 
@@ -99,6 +104,15 @@ class ClaimedShard:
     key: str
     payload: bytes
     previous: Optional[str] = None
+
+
+@dataclass
+class _Cursor:
+    """One claimer's position in a publish-ordered task listing."""
+
+    keys: List[str] = field(default_factory=list)
+    position: int = 0
+    listed_at: float = float("-inf")
 
 
 class ShardQueue:
@@ -187,6 +201,8 @@ class FileShardQueue(ShardQueue):
         for directory in (self._tasks, self._leases, self._done,
                           self._failed):
             directory.mkdir(parents=True, exist_ok=True)
+        # each claimer's cursor over the open tasks, in publish order
+        self._cursors: Dict[str, _Cursor] = {}
 
     # -- helpers -------------------------------------------------------------
 
@@ -210,10 +226,6 @@ class FileShardQueue(ShardQueue):
             return json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return {}
-
-    @staticmethod
-    def _write_json(path: Path, record: dict) -> None:
-        path.write_text(json.dumps(record), encoding="utf-8")
 
     def _marker(self, path: Path, record: dict) -> bool:
         """Create a write-once marker; ``False`` when it already exists.
@@ -276,43 +288,77 @@ class FileShardQueue(ShardQueue):
             return None  # someone else stole (or the holder completed)
         return self._read_json(tomb).get("worker") or "?"
 
-    def claim(self, worker: str) -> Optional[ClaimedShard]:
-        now = self.clock()
+    def _relist(self, cursor: _Cursor, now: float) -> None:
+        """Re-read the unsettled task files in publish order and rewind
+        ``cursor``: one listing of each marker directory, one ``stat``
+        per task still open."""
+        settled = {path.stem for path in self._done.glob("*.done")} | {
+            path.stem for path in self._failed.glob("*.failed")}
         tasks = []
         for path in self._tasks.glob("*.task"):
+            key = path.name[:-len(".task")]
+            if key in settled:
+                continue
             try:
-                tasks.append((path.stat().st_mtime, path.name, path))
+                tasks.append((path.stat().st_mtime, key))
             except OSError:
-                continue  # racing publisher; next claim sees it
+                continue  # racing publisher; the next listing sees it
         # publish order first: the coordinator publishes in plan order,
         # so draining oldest-first keeps the reducer's plan-order prefix
         # growing instead of landing artifacts it cannot commit yet
         tasks.sort()
-        for _, name, path in tasks:
-            key = name[:-len(".task")]
-            if self._done_path(key).exists() \
-                    or self._failed_path(key).exists():
-                continue
-            lease = self._lease_path(key)
-            previous = None
+        cursor.keys = [key for _, key in tasks]
+        cursor.position = 0
+        cursor.listed_at = now
+
+    def _take(self, key: str, worker: str,
+              now: float) -> Optional[ClaimedShard]:
+        """Lease ``key`` if it is open: unsettled, and unleased or held
+        past the TTL."""
+        if self._done_path(key).exists() or self._failed_path(key).exists():
+            return None
+        previous = None
+        if not self._acquire(key, worker, None):
             try:
-                age = now - lease.stat().st_mtime
+                age = now - self._lease_path(key).stat().st_mtime
             except OSError:
-                age = None  # unleased
-            if age is not None:
-                if age <= self.ttl:
-                    continue  # live holder
-                previous = self._steal(key)
-                if previous is None:
-                    continue  # lost the steal race
-            if not self._acquire(key, worker, previous):
-                continue
-            payload = self.payload(key)
-            if payload is None:  # pragma: no cover - publisher race
-                self.abandon(key, worker)
-                continue
-            return ClaimedShard(key, payload, previous)
-        return None
+                return None  # released since: the next listing retries it
+            if age <= self.ttl:
+                return None  # live holder
+            previous = self._steal(key)
+            if previous is None or not self._acquire(key, worker, previous):
+                return None  # lost the steal (or the re-claim) race
+        payload = self.payload(key)
+        if payload is None:  # pragma: no cover - publisher race
+            self.abandon(key, worker)
+            return None
+        return ClaimedShard(key, payload, previous)
+
+    def claim(self, worker: str) -> Optional[ClaimedShard]:
+        """Lease the oldest open shard past ``worker``'s cursor.
+
+        The cursor walks a publish-ordered listing, so a drain costs
+        O(1) filesystem calls per claim.  The listing is re-read on a
+        miss, and once it is older than the TTL — which rewinds the
+        cursor, so a lease that expired behind it is stolen within one
+        TTL, oldest first.
+        """
+        now = self.clock()
+        cursor = self._cursors.setdefault(worker, _Cursor())
+        fresh = now - cursor.listed_at > self.ttl
+        if fresh:
+            self._relist(cursor, now)
+        while True:
+            while cursor.position < len(cursor.keys):
+                key = cursor.keys[cursor.position]
+                cursor.position += 1
+                claimed = self._take(key, worker, now)
+                if claimed is not None:
+                    return claimed
+            if fresh:
+                return None
+            self._relist(cursor, now)
+            fresh = True
 
     # -- lease lifecycle -----------------------------------------------------
 
@@ -323,12 +369,17 @@ class FileShardQueue(ShardQueue):
             return False  # expired and re-leased to someone else
         record["renewals"] = int(record.get("renewals", 0)) + 1
         try:
-            # attribution refresh first, then the mtime touch that
-            # actually extends the TTL (utime is the atomic step)
-            self._write_json(path, record)
-            os.utime(path)
+            # never O_CREAT: a lease renamed away since the read (stolen,
+            # completed, abandoned) stays gone instead of coming back
+            fd = os.open(path, os.O_WRONLY | os.O_TRUNC)
         except OSError:
             return False
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            # attribution refresh first, then the mtime touch that
+            # actually extends the TTL (utime is the atomic step)
+            f.write(json.dumps(record))
+            f.flush()
+            os.utime(f.fileno())
         return True
 
     def complete(self, key: str, worker: str, wall_s: float = 0.0,

@@ -2,21 +2,25 @@
 
 A worker is the executing half of the distributed fabric: it claims one
 shard at a time from a :class:`~repro.runner.dist.queue.ShardQueue`,
-runs it through the *existing* engine (``run_tasks`` with the shard's
-published key — so the supervised pool, retries, chaos hooks and the
-content-addressed :class:`~repro.runner.sharding.ShardStore` all apply
-unchanged), and marks the shard done.  Results never travel through the
-queue: the artifact lands in the shared store under the same key the
-queue tracked, which is where the coordinator's streaming reducer picks
-it up.
+runs it in a supervised child process
+(:func:`~repro.runner.supervise.run_supervised`, so retries, deadlines,
+crash containment and the chaos hooks all apply per shard unchanged),
+puts the artifact into the content-addressed
+:class:`~repro.runner.sharding.ShardStore` under the shard's published
+key, and marks the shard done.  Results never travel through the
+queue: the store is where the coordinator's streaming reducer picks
+them up.  One drain is one supervised batch whose items are the claims
+themselves, pulled only when the child is idle — so a drain forks one
+child for all its shards, not one per shard.
 
-While a shard runs, a :class:`LeaseHeartbeat` thread renews the lease
-every ``ttl / 3`` seconds; a worker that dies (SIGKILL, OOM, power
-loss) simply stops renewing, and after the TTL some other worker steals
-the lease and re-runs the shard.  A worker that was merely *presumed*
-dead keeps computing — completion is idempotent: the store write is
-content-addressed and the first ``done`` marker wins, so the duplicate
-costs one redundant simulation and corrupts nothing.
+While a shard is held, the supervisor's loop renews its lease every
+``ttl / 3`` seconds through a :class:`LeaseRenewer`; a worker that dies
+(SIGKILL, OOM, power loss) simply stops renewing, and after the TTL
+some other worker steals the lease and re-runs the shard.  A worker
+that was merely *presumed* dead keeps computing — completion is
+idempotent: the store write is content-addressed and the first
+``done`` marker wins, so the duplicate costs one redundant simulation
+and corrupts nothing.
 
 Claim-one-at-a-time is the work-stealing scheduler: parallelism is the
 number of worker processes, and balance comes from shard granularity
@@ -30,18 +34,18 @@ from __future__ import annotations
 import pickle
 import signal
 import sys
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
-from ..pool import RunStats, engine_options, run_tasks
-from ..sharding import ShardStore, _shard_call
-from ..supervise import FailedUnit, RetryBudget, SupervisionPolicy
-from .queue import ShardQueue, default_worker_id, make_queue
+from ..pool import RunStats
+from ..sharding import ShardSpec, ShardStore, _shard_call
+from ..supervise import (RetryBudget, SupervisionPolicy, UnitFailure,
+                         run_supervised)
+from .queue import ClaimedShard, ShardQueue, default_worker_id, make_queue
 
 __all__ = [
-    "LeaseHeartbeat",
+    "LeaseRenewer",
     "WorkerOptions",
     "WorkerStats",
     "run_worker",
@@ -49,38 +53,44 @@ __all__ = [
 ]
 
 
-class LeaseHeartbeat:
-    """Renew one lease from a daemon thread while its shard runs.
+class LeaseRenewer:
+    """Renew every lease one worker holds, once per call.
 
-    Renewal failure (the lease was stolen after a TTL expiry we slept
-    through) is recorded, not raised: the worker finishes the shard
-    anyway and relies on completion idempotency, which is cheaper than
-    abandoning work that is already mostly done.
+    A worker calls it from its supervisor's loop (``run_supervised``'s
+    ``tick``), so renewal needs no thread.  A key is dropped from
+    renewal *before* the shard is completed, failed or abandoned, so no
+    renewal races the lease's removal.  Renewal failure (the lease was
+    stolen after a TTL expiry we slept through) is counted in ``lost``,
+    not raised: the worker finishes the shard anyway and relies on
+    completion idempotency, which is cheaper than abandoning work that
+    is already mostly done.
     """
 
-    def __init__(self, queue: ShardQueue, key: str, worker: str,
-                 interval: float) -> None:
+    def __init__(self, queue: ShardQueue, worker: str) -> None:
         self.queue = queue
-        self.key = key
         self.worker = worker
-        self.interval = max(0.05, interval)
-        self.lost = False
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
+        self.held: Set[str] = set()
+        self.lost = 0
 
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            if not self.queue.renew(self.key, self.worker):
-                self.lost = True
-                return
+    def hold(self, key: str) -> None:
+        """Start renewing ``key``'s lease."""
+        self.held.add(key)
 
-    def __enter__(self) -> "LeaseHeartbeat":
-        self._thread.start()
-        return self
+    def release(self, key: str) -> None:
+        """Stop renewing ``key``'s lease (before it is settled)."""
+        self.held.discard(key)
 
-    def __exit__(self, *exc) -> None:
-        self._stop.set()
-        self._thread.join(timeout=2.0)
+    def __call__(self) -> None:
+        for key in list(self.held):
+            if not self.queue.renew(key, self.worker):
+                self.held.discard(key)
+                self.lost += 1
+
+    def abandon(self) -> None:
+        """Hand every held lease back to the queue at once."""
+        for key in list(self.held):
+            self.release(key)
+            self.queue.abandon(key, self.worker)
 
 
 @dataclass(frozen=True)
@@ -103,7 +113,7 @@ class WorkerOptions:
     max_shards: Optional[int] = None
     max_attempts: int = 1
     unit_timeout: Optional[float] = None
-    supervised: bool = True          # False: run shards inline (tests)
+    supervised: bool = True          # False: inline, leases unrenewed (tests)
     verbose: bool = False
 
 
@@ -117,7 +127,7 @@ class WorkerStats:
     duplicates: int = 0     # completions that lost the done-marker race
     failed: int = 0         # shards quarantined by supervision
     stolen: int = 0         # claims that re-leased an expired holder
-    lost_leases: int = 0    # heartbeats that found the lease gone
+    lost_leases: int = 0    # renewals that found the lease gone
     busy_s: float = 0.0
     stats: RunStats = field(default_factory=RunStats)
 
@@ -130,12 +140,9 @@ class WorkerStats:
 def _policy(options: WorkerOptions) -> Optional[SupervisionPolicy]:
     if not options.supervised:
         return None
-    # degrade=True always: a failed shard becomes a queue-level failure
-    # marker for the coordinator to judge; the worker itself never aborts
     return SupervisionPolicy(
         unit_timeout=options.unit_timeout,
-        retry=RetryBudget(max_attempts=max(1, options.max_attempts)),
-        degrade=True)
+        retry=RetryBudget(max_attempts=max(1, options.max_attempts)))
 
 
 def run_worker(options: WorkerOptions,
@@ -145,7 +152,9 @@ def run_worker(options: WorkerOptions,
     Returns when ``drain`` is set and the queue has settled, when
     ``max_shards`` is reached, or on SIGTERM/KeyboardInterrupt (the
     held lease is abandoned so the shard re-leases immediately instead
-    of waiting out the TTL).
+    of waiting out the TTL).  A shard that exhausts its attempts
+    becomes a queue-level failure marker for the coordinator to judge;
+    the worker itself never aborts.
     """
     if queue is None:
         queue = make_queue(options.queue, ttl=options.ttl)
@@ -153,60 +162,91 @@ def run_worker(options: WorkerOptions,
     worker_id = options.worker_id or default_worker_id()
     policy = _policy(options)
     out = WorkerStats(worker=worker_id)
+    renewer = LeaseRenewer(queue, worker_id)
+    # claims handed to the supervisor, by its pull-order index
+    running: Dict[int, Tuple[ClaimedShard, ShardSpec, float]] = {}
 
     def note(message: str) -> None:
         if options.verbose:
             print(f"[{worker_id}] {message}", file=sys.stderr, flush=True)
 
-    note(f"draining {options.queue} (ttl {options.ttl}s)")
-    while True:
-        if options.max_shards is not None \
-                and out.claimed >= options.max_shards:
-            break
-        claimed = queue.claim(worker_id)
-        if claimed is None:
-            if options.drain and queue.settled():
-                break
-            time.sleep(options.poll)
-            continue
-        out.claimed += 1
-        if claimed.previous:
-            out.stolen += 1
-            note(f"re-leased {claimed.key[:12]} from {claimed.previous}")
-        fn, spec, args = pickle.loads(claimed.payload)
-        started = time.perf_counter()
-        heartbeat = LeaseHeartbeat(queue, claimed.key, worker_id,
-                                   interval=options.ttl / 3.0)
-        try:
-            with heartbeat, engine_options(jobs=1, cache=store,
-                                           stats=out.stats,
-                                           supervision=policy):
-                [result] = run_tasks(_shard_call, [((fn, spec, args),)],
-                                     keys=[claimed.key])
-        except BaseException:
-            # SIGTERM/Ctrl-C (or an unsupervised shard crash): hand the
-            # lease back so the shard re-leases now, not after the TTL
-            queue.abandon(claimed.key, worker_id)
-            raise
+    def complete(shard: ClaimedShard, spec: ShardSpec,
+                 started: float) -> None:
+        renewer.release(shard.key)
         wall = time.perf_counter() - started
         out.busy_s += wall
-        if heartbeat.lost:
-            out.lost_leases += 1
-        if isinstance(result, FailedUnit):
-            out.failed += 1
-            queue.fail(claimed.key, worker_id, result.failure.error,
-                       attempts=result.failure.attempts)
-            note(f"failed {claimed.key[:12]}: {result.failure.error}")
-            continue
-        if queue.complete(claimed.key, worker_id, wall_s=wall,
-                          previous=claimed.previous):
+        if queue.complete(shard.key, worker_id, wall_s=wall,
+                          previous=shard.previous):
             out.completed += 1
-            note(f"done {claimed.key[:12]} "
+            note(f"done {shard.key[:12]} "
                  f"({spec.campaign} #{spec.index}, {wall:.2f}s)")
         else:
             out.duplicates += 1
-            note(f"duplicate {claimed.key[:12]} (presumed dead, "
+            note(f"duplicate {shard.key[:12]} (presumed dead, "
                  f"another worker completed it)")
+
+    def claims() -> Iterator[tuple]:
+        index = 0  # the supervisor numbers pulled items the same way
+        while options.max_shards is None or out.claimed < options.max_shards:
+            shard = queue.claim(worker_id)
+            if shard is None:
+                if options.drain and queue.settled():
+                    return
+                time.sleep(options.poll)
+                continue
+            renewer.hold(shard.key)
+            started = time.perf_counter()
+            out.claimed += 1
+            if shard.previous:
+                out.stolen += 1
+                note(f"re-leased {shard.key[:12]} from {shard.previous}")
+            fn, spec, args = pickle.loads(shard.payload)
+            hit = shard.key in store
+            out.stats.add(1, int(hit))
+            if hit:
+                # landed by a holder presumed dead: nothing to recompute
+                complete(shard, spec, started)
+                continue
+            running[index] = (shard, spec, started)
+            index += 1
+            yield fn, spec, args
+
+    def on_done(index: int, value, *_lane) -> None:
+        shard, spec, started = running.pop(index)
+        store.put(shard.key, value)
+        complete(shard, spec, started)
+
+    def on_failure(failure: UnitFailure) -> None:
+        if not failure.final:
+            return
+        shard, _spec, started = running.pop(failure.index)
+        renewer.release(shard.key)
+        out.busy_s += time.perf_counter() - started
+        out.failed += 1
+        queue.fail(shard.key, worker_id, failure.error,
+                   attempts=failure.attempts)
+        note(f"failed {shard.key[:12]}: {failure.error}")
+
+    note(f"draining {options.queue} (ttl {options.ttl}s)")
+    try:
+        if policy is None:
+            for index, item in enumerate(claims()):
+                on_done(index, _shard_call(item))
+        else:
+            _, quarantined, retries = run_supervised(
+                _shard_call, claims(), jobs=1, policy=policy,
+                describe=lambda i: f"shard {running[i][1].campaign} "
+                                   f"#{running[i][1].index}",
+                on_done=on_done, on_failure=on_failure,
+                tick=(max(0.05, options.ttl / 3.0), renewer))
+            out.stats.retries += retries
+            out.stats.failed += len(quarantined)
+    except BaseException:
+        # SIGTERM/Ctrl-C (or an unsupervised shard crash): hand the
+        # lease back so the shard re-leases now, not after the TTL
+        renewer.abandon()
+        raise
+    out.lost_leases = renewer.lost
     note(out.summary())
     return out
 

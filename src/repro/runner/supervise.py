@@ -40,7 +40,8 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing import connection
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 __all__ = [
     "CampaignAborted",
@@ -458,7 +459,7 @@ class _Worker:
 
 def run_supervised(
     worker: Callable[[Any], Any],
-    items: Sequence[Any],
+    items: Iterable[Any],
     *,
     jobs: int,
     policy: Optional[SupervisionPolicy] = None,
@@ -468,6 +469,7 @@ def run_supervised(
     on_failure: Optional[Callable[[UnitFailure], None]] = None,
     health: Optional[Any] = None,
     plan_index: Optional[Sequence[int]] = None,
+    tick: Optional[Tuple[float, Callable[[], None]]] = None,
 ) -> Tuple[List[Any], List[UnitFailure], int]:
     """Run ``worker`` over ``items`` in ``jobs`` worker processes.
 
@@ -483,6 +485,22 @@ def run_supervised(
     every index reported outward — ``on_done``, ``UnitFailure.index``
     and the health notifications — is that plan index, so one batch's
     events share one index space with the caller's.
+
+    ``items`` is either a sequence, known up front, or an iterator that
+    is pulled lazily: one item only when a worker is idle and no unit
+    waits out a retry backoff, so a source that blocks until work
+    appears (a shard-queue claim) is never asked for more while a
+    retry is pending.  Pulled items are numbered 0, 1, ... in pull
+    order.
+    An iterator's values reach the caller only through ``on_done`` —
+    ``results`` comes back empty, so a long drain retains nothing per
+    unit — and its children are started only once it yields a first
+    item.
+
+    ``tick=(interval, fn)`` calls ``fn()`` from the supervisor's loop at
+    least every ``interval`` seconds while the batch runs — work that
+    must keep pace with running units (a lease renewal) without a
+    thread of its own.
 
     ``policy=None`` is the unsupervised contract: one attempt, no
     deadline, and the first failing unit ends the batch.  Its exception
@@ -500,15 +518,36 @@ def run_supervised(
     The supervisor blocks in :func:`multiprocessing.connection.wait` on
     every worker's pipes and process sentinel, until the next timed
     event at the latest: a backoff ending while some worker is idle, a
-    unit deadline, or the heartbeat period.  Every unit — even under
-    ``jobs=1`` — runs in a child process, which is what makes crash
-    containment and deadline kills possible at all.
+    unit deadline, the heartbeat period, or the next ``tick``.  Every
+    unit — even under ``jobs=1`` — runs in a child process, which is
+    what makes crash containment and deadline kills possible at all.
     """
-    total = len(items)
-    results: List[Any] = [None] * total
-    if total == 0:
+    eager = isinstance(items, Sequence)
+    source: Optional[Iterator[Any]] = None if eager else iter(items)
+    results: List[Any] = [None] * len(items) if eager else []
+    # the unsettled units by index; an iterator's are pulled into it
+    units: Dict[int, Any] = dict(enumerate(items)) if eager else {}
+    pulled = len(units)
+
+    def _pull() -> Optional[int]:
+        nonlocal source, pulled
+        if source is None:
+            return None
+        try:
+            item = next(source)
+        except StopIteration:
+            source = None
+            return None
+        units[pulled] = item
+        pulled += 1
+        return pulled - 1
+
+    # heap of (eligible_at, index): units waiting for a free worker / backoff
+    ready: List[Tuple[float, int]] = [(0.0, i) for i in units]
+    if not eager and _pull() is not None:
+        ready.append((0.0, 0))
+    if not units:
         return results, [], 0
-    where = plan_index if plan_index is not None else range(total)
     describe = describe or (lambda i: f"unit {i}")
     fail_fast = policy is None
     if policy is None:
@@ -517,37 +556,44 @@ def run_supervised(
     budget = policy.retry
     retries_left = budget.total
 
-    attempts = [0] * total
-    done = [False] * total
+    def where(index: int) -> int:
+        return plan_index[index] if plan_index is not None else index
+
+    attempts: Dict[int, int] = {}
     quarantined: List[UnitFailure] = []
     retries_spent = 0
     fatal: Optional[Tuple[BaseException, str]] = None  # ends a fail-fast batch
-    # heap of (eligible_at, index): units waiting for a free worker / backoff
-    ready: List[Tuple[float, int]] = [(0.0, i) for i in range(total)]
     beat_interval = (getattr(health, "beat_interval", 1.0)
                      if health is not None else None)
     workers = [_Worker(context, worker, beat_interval)
-               for _ in range(max(1, min(jobs, total)))]
+               for _ in range(max(1, min(jobs, len(units)) if eager
+                                  else jobs))]
     lanes = [f"w{slot}" for slot in range(len(workers))]
     if health is not None:
         for slot, handle in enumerate(workers):
             health.worker_started(lanes[slot], handle.process.pid)
+    next_tick = time.monotonic() + tick[0] if tick is not None else None
+
+    def _settled(index: int, value: Any) -> None:
+        del units[index]
+        attempts.pop(index, None)
+        if eager:
+            results[index] = value
 
     def _quarantine(index: int, failure: UnitFailure) -> None:
         quarantined.append(failure)
-        results[index] = FailedUnit(failure)
-        done[index] = True
+        _settled(index, FailedUnit(failure))
         if on_failure is not None:
             on_failure(failure)
 
     def _failed_attempt(index: int, kind: str, error: str, tb: str,
                         lane: str, exc: Optional[BaseException] = None) -> None:
         nonlocal retries_spent, retries_left, fatal
-        attempts[index] += 1
+        attempts[index] = attempts.get(index, 0) + 1
         out_of_budget = retries_left is not None and retries_left <= 0
         terminal = attempts[index] >= budget.max_attempts or out_of_budget
         failure = UnitFailure(
-            index=where[index], label=describe(index),
+            index=where(index), label=describe(index),
             key=keys[index] if keys is not None else None,
             kind=kind, error=error, traceback=tb,
             attempts=attempts[index], final=terminal, worker=lane)
@@ -572,27 +618,26 @@ def run_supervised(
         if health is not None:
             health.worker_lost(
                 lanes[slot], handle.process.pid, kind, error,
-                where[handle.unit] if handle.unit is not None else None)
+                where(handle.unit) if handle.unit is not None else None)
         handle.kill()
         workers[slot] = _Worker(context, worker, beat_interval)
         if health is not None:
             health.worker_started(lanes[slot], workers[slot].process.pid)
-        if handle.unit is not None and not done[handle.unit]:
+        if handle.unit in units:
             _failed_attempt(handle.unit, kind, error, "", lanes[slot])
 
     def _deliver(slot: int, index: int, status: str, *payload: Any) -> None:
         handle = workers[slot]
         if handle.unit == index:
             handle.unit = None
-        if done[index]:
+        if index not in units:
             return  # stale duplicate
         if status == "ok":
-            done[index] = True
-            results[index] = payload[0]
+            _settled(index, payload[0])
             if health is not None:
-                health.unit_finished(lanes[slot], where[index])
+                health.unit_finished(lanes[slot], where(index))
             if on_done is not None:
-                on_done(where[index], payload[0], lanes[slot],
+                on_done(where(index), payload[0], lanes[slot],
                         round(time.monotonic() - handle.started_at, 6))
         else:
             error, tb, exc = payload
@@ -624,6 +669,15 @@ def run_supervised(
                 return f"result pipe corrupted: {exc!r}"
             _deliver(slot, *message)
 
+    def _next(now: float) -> Optional[int]:
+        """The unit an idle worker runs next: the head of ``ready`` once
+        eligible, else — with no unit waiting — a freshly pulled one."""
+        while ready and ready[0][1] not in units:
+            heapq.heappop(ready)  # settled while waiting
+        if ready:
+            return heapq.heappop(ready)[1] if ready[0][0] <= now else None
+        return _pull()
+
     def _timeout(now: float) -> Optional[float]:
         """Seconds until the next timed event; ``None``: only I/O wakes."""
         wake = []
@@ -634,25 +688,27 @@ def run_supervised(
                         for handle in workers if not handle.idle)
         if beat_interval is not None:
             wake.append(now + beat_interval)
+        if next_tick is not None:
+            wake.append(next_tick)
         return max(0.0, min(wake) - now) if wake else None
 
     try:
-        while not all(done) and not (fail_fast and quarantined):
+        while not (fail_fast and quarantined):
             # hand eligible units to idle, living workers
             now = time.monotonic()
             for slot, handle in enumerate(workers):
                 if not handle.idle or handle.dead():
                     continue
-                while ready and done[ready[0][1]]:
-                    heapq.heappop(ready)  # settled while waiting
-                if not ready or ready[0][0] > now:
+                index = _next(now)
+                if index is None:
                     break
-                _, index = heapq.heappop(ready)
-                handle.assign(index, items[index])
+                handle.assign(index, units[index])
                 if health is not None:
                     health.unit_started(
-                        lanes[slot], where[index], describe(index),
+                        lanes[slot], where(index), describe(index),
                         keys[index] if keys is not None else None)
+            if not units and source is None:
+                break
             connection.wait([w for handle in workers
                              for w in handle.waitables], _timeout(now))
             # settle completions, deaths and blown deadlines
@@ -671,6 +727,9 @@ def run_supervised(
                             f"deadline exceeded ({policy.unit_timeout:.1f}s)")
                 if fail_fast and quarantined:
                     break
+            if next_tick is not None and now >= next_tick:
+                tick[1]()
+                next_tick = now + tick[0]
             if health is not None:
                 health.poll()
     finally:

@@ -34,6 +34,7 @@ import pickle
 import signal
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -42,7 +43,7 @@ from repro.runner.dist import coordinator
 from repro.runner.dist import (
     DistPolicy,
     FileShardQueue,
-    LeaseHeartbeat,
+    LeaseRenewer,
     WorkerOptions,
     make_queue,
     run_worker,
@@ -58,11 +59,13 @@ from repro.runner.sharding import (
     run_shards,
     shard_fingerprint,
 )
+from repro.runner import supervise
 from repro.runner.supervise import (
     CampaignAborted,
     FailedUnit,
     RetryBudget,
     SupervisionPolicy,
+    run_supervised,
 )
 
 
@@ -85,6 +88,23 @@ def _sleepy_shard(start: int, count: int):
     """Keeps its lane busy until the lane is stopped."""
     time.sleep(30)
     return _moments_shard(start, count)
+
+
+def _crash_once_shard(start: int, count: int, marker: str):
+    """Kills its process on the first attempt, succeeds on the next."""
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(137)
+    return _moments_shard(start, count)
+
+
+def _lease_probe(payload):
+    """A supervised unit that outlives the lease TTL, then reports the
+    leases as any other worker would see them."""
+    root, seconds = payload
+    time.sleep(seconds)
+    return [(lease.worker, lease.age_s, lease.renewals)
+            for lease in FileShardQueue(root).leases()]
 
 
 def _make_shards(n: int, units: int = 5, campaign: str = "dist-test",
@@ -247,12 +267,91 @@ class TestFileShardQueue:
         queue = FileShardQueue(tmp_path, ttl=0.4)
         queue.publish("aaa", b"x")
         queue.claim("w0")
-        with LeaseHeartbeat(queue, "aaa", "w0", interval=0.06):
-            time.sleep(0.6)  # longer than the TTL: only renewal saves it
-            [lease] = queue.leases()
-            assert lease.age_s <= 0.4
-            assert lease.renewals >= 2
+        renewer = LeaseRenewer(queue, "w0")
+        renewer.hold("aaa")
+        # the supervisor's loop renews while the unit runs longer than
+        # the TTL in its child; only renewal keeps the lease alive
+        [leases], _, _ = run_supervised(
+            _lease_probe, [(str(tmp_path), 0.6)], jobs=1,
+            tick=(0.06, renewer))
+        [(worker, age_s, renewals)] = leases
+        assert worker == "w0"
+        assert age_s <= 0.4
+        assert renewals >= 2
+        assert renewer.lost == 0
         assert queue.claim("w1") is None  # never expired while beating
+
+    def test_renew_that_loses_a_steal_resurrects_nothing(
+            self, tmp_path, monkeypatch):
+        queue = FileShardQueue(tmp_path, ttl=5)
+        queue.publish("aaa", b"x")
+        queue.claim("w0")
+        thief = FileShardQueue(tmp_path, ttl=5)
+        lease = queue._lease_path("aaa")
+        real = FileShardQueue._read_json
+
+        def read_then_steal(path):
+            record = real(path)
+            if path == lease:
+                # the steal lands between renew's read and its write
+                assert thief._steal("aaa") == "w0"
+            return record
+
+        monkeypatch.setattr(FileShardQueue, "_read_json",
+                            staticmethod(read_then_steal))
+        assert not queue.renew("aaa", "w0")
+        assert not lease.exists()
+        assert queue.leases() == []
+
+    def test_a_drain_costs_linear_filesystem_calls(self, tmp_path,
+                                                   monkeypatch):
+        n = 64
+        queue = FileShardQueue(tmp_path, ttl=30)
+        keys = [f"k{i:03d}" for i in range(n)]
+        for key in keys:
+            queue.publish(key, key.encode())
+        calls = {"stat": 0, "listing": 0}
+        real_stat, real_glob = os.stat, Path.glob
+
+        def stat(*args, **kwargs):
+            calls["stat"] += 1
+            return real_stat(*args, **kwargs)
+
+        def glob(self, pattern):
+            calls["listing"] += 1
+            return real_glob(self, pattern)
+
+        monkeypatch.setattr(os, "stat", stat)
+        monkeypatch.setattr(Path, "glob", glob)
+        drained = []
+        while (claimed := queue.claim("w0")) is not None:
+            drained.append(claimed.key)
+            queue.complete(claimed.key, "w0")
+        monkeypatch.undo()
+        assert drained == keys  # publish order
+        # a claim is O(1) amortized: the whole drain stays linear, not
+        # a scan of every task file per claim
+        assert calls["stat"] <= 4 * n
+        assert calls["listing"] <= 8
+
+    def test_a_lease_expiring_behind_the_cursor_is_stolen_within_a_ttl(
+            self, tmp_path):
+        now = [time.time()]
+        queue = FileShardQueue(tmp_path, ttl=5, clock=lambda: now[0])
+        keys = ["aaa", "bbb", "ccc", "ddd"]
+        for age, key in zip(range(len(keys), 0, -1), keys):
+            queue.publish(key, key.encode())
+            published = now[0] - age  # publish order, whatever the fs clock
+            os.utime(queue._task_path(key), (published, published))
+        assert FileShardQueue(tmp_path, ttl=5).claim("doomed").key == "aaa"
+        assert queue.claim("w0").key == "bbb"  # past aaa's live lease
+
+        now[0] += 6  # one TTL on, aaa's holder has not renewed
+        stolen = queue.claim("w0")
+        # the cursor rewound: the oldest open shard, not the next one
+        assert (stolen.key, stolen.previous) == ("aaa", "doomed")
+        assert queue.complete("aaa", "w0", previous=stolen.previous)
+        assert queue.done_record("aaa")["previous"] == "doomed"
 
 
 # -- the worker loop ---------------------------------------------------------
@@ -318,6 +417,54 @@ class TestWorker:
         record = queue.failures()[keys[0]]
         assert "boom" in record["error"]
         assert record["attempts"] == 2
+
+    def test_one_drain_starts_one_child(self, tmp_path, monkeypatch):
+        real = supervise._process_context
+        starts = []
+
+        class Counting:
+            def __init__(self, context):
+                self.context = context
+
+            def Pipe(self, *args, **kwargs):
+                return self.context.Pipe(*args, **kwargs)
+
+            def Process(self, *args, **kwargs):
+                starts.append(kwargs.get("target"))
+                return self.context.Process(*args, **kwargs)
+
+        monkeypatch.setattr(supervise, "_process_context",
+                            lambda: Counting(real()))
+
+        def drain(name, max_attempts=1):
+            return run_worker(WorkerOptions(
+                queue=str(tmp_path / name), cache_dir=str(tmp_path / "cache"),
+                worker_id="w0", ttl=30, poll=0.01, drain=True,
+                max_attempts=max_attempts))
+
+        shards, keys = _make_shards(6)
+        _publish_all(FileShardQueue(tmp_path / "q"), shards, keys)
+        stats = drain("q")
+        assert stats.completed == 6 and stats.failed == 0
+        assert len(starts) == 1  # one child for the drain, not per shard
+
+        # a shard that kills its child: the child is respawned, the shard
+        # succeeds on its second attempt, and the drain goes on
+        starts.clear()
+        marker = str(tmp_path / "crashed")
+        queue = FileShardQueue(tmp_path / "q2")
+        shards, keys = _make_shards(4, campaign="crashy")
+        for i, ((spec, args), key) in enumerate(zip(shards, keys)):
+            fn, args = ((_crash_once_shard, args + (marker,)) if i == 1
+                        else (_moments_shard, args))
+            queue.publish(key, pickle.dumps((fn, spec, args)))
+        stats = drain("q2", max_attempts=2)
+        assert stats.completed == 4 and stats.failed == 0
+        assert stats.stats.retries == 1
+        assert len(starts) == 2
+        assert os.path.exists(marker) and queue.settled()
+        store = ShardStore(tmp_path / "cache")
+        assert all(isinstance(store.get(key), ShardResult) for key in keys)
 
 
 # -- the coordinator ---------------------------------------------------------
