@@ -18,9 +18,10 @@ The package is organized bottom-up:
   content-addressed result cache, (video, config, code) fingerprints.
 - :mod:`repro.experiments` — one module per table/figure of the paper,
   behind an :class:`~repro.experiments.ExperimentSpec` registry.
-- :mod:`repro.telemetry` — span tracing, metrics and structured events
-  threaded through all of the above; off by default, deterministic under
-  parallelism (see ``docs/ARCHITECTURE.md``).
+- :mod:`repro.obs` — campaign observability: every consumer (progress,
+  exports, health, ``repro profile``) is a subscriber on the engine's
+  run ledger, so observing a run never changes it (see
+  ``docs/ARCHITECTURE.md``).
 
 The prose companions: ``docs/ARCHITECTURE.md`` (layers, data flow, the
 determinism contract), ``docs/API.md`` (generated reference of the

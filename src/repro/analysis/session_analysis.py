@@ -13,7 +13,6 @@ from typing import List, Optional, Sequence, Union
 
 from ..pcap.capture import CaptureColumns, PacketRecord
 from ..streaming.session import SessionResult
-from ..telemetry import current_recorder
 from ..streaming.strategy import StreamingStrategy
 from .accumulation import RateEstimate, estimate_session_rate
 from .ackclock import ackclock_samples
@@ -87,25 +86,20 @@ def analyze_records(
     ``duration`` is the out-of-band video duration, needed to estimate the
     encoding rate of webM streams from the Content-Length.
     """
-    rec = current_recorder()
-    with rec.span("analysis"):
-        if rec.enabled:
-            rec.inc("analysis.sessions")
-            rec.inc("analysis.packets", len(records))
-        trace = build_download_trace(records, client_ip, server_ip)
-        onoff = detect_onoff(
-            trace,
-            gap_threshold=gap_threshold,
-            min_on_bytes=min_on_bytes,
-            stream_end=trace.last_data_time,
-        )
-        phases = split_phases(onoff, stream_end=trace.last_data_time)
-        classification = classify_onoff(onoff)
-        rate_estimate = estimate_session_rate(trace, duration=duration)
-        encoding_rate = rate_estimate.rate_bps if rate_estimate.ok else None
-        samples = ackclock_samples(
-            trace, gap_threshold=gap_threshold, min_on_bytes=min_on_bytes
-        )
+    trace = build_download_trace(records, client_ip, server_ip)
+    onoff = detect_onoff(
+        trace,
+        gap_threshold=gap_threshold,
+        min_on_bytes=min_on_bytes,
+        stream_end=trace.last_data_time,
+    )
+    phases = split_phases(onoff, stream_end=trace.last_data_time)
+    classification = classify_onoff(onoff)
+    rate_estimate = estimate_session_rate(trace, duration=duration)
+    encoding_rate = rate_estimate.rate_bps if rate_estimate.ok else None
+    samples = ackclock_samples(
+        trace, gap_threshold=gap_threshold, min_on_bytes=min_on_bytes
+    )
     return SessionAnalysis(
         trace=trace,
         onoff=onoff,

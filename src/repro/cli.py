@@ -12,12 +12,13 @@ Commands:
   (output stays byte-identical to ``--jobs 1``); ``--cache-dir`` memoizes
   completed sessions on disk so a rerun is nearly free; ``--no-cache``
   force-disables caching even when ``$REPRO_CACHE_DIR`` is set.
-* ``profile <name>`` — run one experiment with telemetry enabled and
-  print the per-phase flame-style breakdown, counters, histograms and
-  event summary (``--trace out.jsonl`` dumps the raw records,
-  ``--trace-chrome out.json`` exports the span tree for
-  ``chrome://tracing`` / Perfetto).  The experiment's own output is
-  unchanged by recording; ``--report`` prints it too.
+* ``profile <name>`` — run one experiment with a profile subscribed to
+  its run ledger and print the per-phase breakdown (engine batches and
+  the units computed under them), then the counters, histograms and
+  event summary folded from the session results (``--trace out.jsonl``
+  dumps the raw records, ``--trace-chrome out.json`` exports the phase
+  spans for ``chrome://tracing`` / Perfetto).  The experiment's own
+  output is unchanged by profiling; ``--report`` prints it too.
 * ``worker`` — the executing half of a distributed campaign: a
   long-lived process that leases shards one at a time from a shared
   queue directory, runs them through its own supervised pool, and lands
@@ -301,14 +302,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser(
         "profile",
-        help="run one experiment with telemetry on and print the "
-             "per-phase/counter breakdown")
+        help="run one experiment with a profile on its run ledger and "
+             "print the per-phase/counter breakdown")
     p_prof.add_argument("name", help="an experiment name from `repro list`")
     _add_scale_seed(p_prof)
     p_prof.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes (counters/events are identical for any N; "
-             "span totals sum CPU-seconds across workers)")
+             "unit rows sum worker-seconds across workers)")
     p_prof.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="reuse/populate the result cache while profiling")
@@ -325,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument(
         "--report", action="store_true",
         help="print the experiment's normal report before the profile "
-             "(byte-identical to a run without telemetry)")
+             "(byte-identical to a run without the profile)")
     p_prof.add_argument(
         "--top", type=int, default=0, metavar="N",
         help="also print the N hottest span paths ranked by cumulative "
@@ -789,8 +790,8 @@ def _cmd_report(args) -> int:
 
 def _cmd_profile(args) -> int:
     from .experiments import REGISTRY, SCALES
-    from .runner import RunStats
-    from .telemetry import recording, summarize, write_jsonl
+    from .obs.profile import Profile, summarize, write_jsonl
+    from .runner import RunLedger
 
     if args.name not in REGISTRY:
         print(f"unknown experiment {args.name!r}; know {', '.join(REGISTRY)}",
@@ -799,11 +800,12 @@ def _cmd_profile(args) -> int:
     spec = REGISTRY[args.name]
     scale = SCALES[args.scale]
     cache = _resolve_cache(args)
-    stats = RunStats()
+    ledger = RunLedger()
+    profile = Profile(gauges={"engine.jobs": args.jobs})
+    ledger.subscribe(profile)
     started = time.perf_counter()
-    with recording() as rec:
-        result = spec.run(scale, seed=args.seed, jobs=args.jobs,
-                          cache=cache, stats=stats)
+    result = spec.run(scale, seed=args.seed, jobs=args.jobs, cache=cache,
+                      ledger=ledger)
     elapsed = time.perf_counter() - started
     if args.report:
         print(result.report())
@@ -811,19 +813,19 @@ def _cmd_profile(args) -> int:
     title = (f"{spec.name} ({spec.paper}) — scale={scale.name} "
              f"seed={args.seed} jobs={args.jobs} "
              f"cache={'on' if cache else 'off'} wall={elapsed:.2f}s")
-    print(summarize(rec, title=title))
+    print(summarize(profile, title=title))
     if args.top:
-        from .telemetry import format_hot_spans
+        from .obs.profile import format_hot_spans
 
         print()
-        print(format_hot_spans(rec, top=args.top))
+        print(format_hot_spans(profile, top=args.top))
     if args.trace:
-        n = write_jsonl(rec, args.trace)
+        n = write_jsonl(profile, args.trace)
         print(f"\ntrace written      : {args.trace} ({n} records)")
     if args.trace_chrome:
-        from .telemetry import write_chrome_trace
+        from .obs.profile import write_chrome_trace
 
-        n = write_chrome_trace(rec, args.trace_chrome)
+        n = write_chrome_trace(profile, args.trace_chrome)
         print(f"\nchrome trace       : {args.trace_chrome} ({n} events; "
               f"open in chrome://tracing or Perfetto)")
     return 0

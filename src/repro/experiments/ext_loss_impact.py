@@ -15,8 +15,8 @@ that smooth (ack-clocked) traffic would not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Tuple
 
 from ..analysis import format_table
 from ..simnet import Network, NetworkProfile, build_client_server
@@ -38,7 +38,6 @@ from ..streaming.params import (
 )
 from ..streaming.session import record_sim_counters
 from ..tcp import TcpConfig
-from ..telemetry import current_recorder
 from ..workloads import MBPS, Video
 from .common import MB, SMALL, Scale, run_tasks
 
@@ -62,6 +61,8 @@ class LossImpactRow:
     retransmission_share: float   # retransmitted / payload bytes on the wire
     delivered_mb: float           # unique bytes delivered to the players
     peak_backlog_share: float     # max queue backlog / buffer size
+    #: the cohort's scheduler and TCP totals (``record_sim_counters``)
+    sim_counters: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -158,10 +159,6 @@ def _run_cohort(strategy: StreamingStrategy, n_sessions: int,
         players.append(player)
 
     net.run_until(capture)
-    rec = current_recorder()
-    if rec.enabled:
-        record_sim_counters(rec, net.scheduler, server.connections
-                            + [c for p in players for c in p.connections])
     stats = path.forward.stats
     offered = stats.packets_in
     drops = stats.packets_dropped_queue
@@ -174,6 +171,9 @@ def _run_cohort(strategy: StreamingStrategy, n_sessions: int,
         retransmission_share=trace.retransmission_rate,
         delivered_mb=delivered / 1e6,
         peak_backlog_share=peak_backlog["v"] / BOTTLENECK.buffer_bytes,
+        sim_counters=record_sim_counters(
+            net.scheduler, server.connections
+            + [c for p in players for c in p.connections]),
     )
 
 

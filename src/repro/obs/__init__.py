@@ -7,15 +7,15 @@ a result, an analysis, a cache fingerprint, or the persisted run
 ledger.  Everything here reads one channel: the campaign's event
 stream, :class:`RunLedger` (re-exported from :mod:`repro.runner.ledger`,
 where the engine reports each lifecycle fact once).  A consumer is a
-subscriber ``fn(record, value)`` on it.  Three pillars:
+subscriber ``fn(record, value)`` on it.  Four pillars:
 
 * **Exporters** (:mod:`~repro.obs.flows`, :mod:`~repro.obs.metrics`,
   :mod:`~repro.obs.exporters`, :mod:`~repro.obs.collect`) — turn each
   session into NetFlow/IPFIX-style flow records and metric time-series
   and serialize them to JSONL, CSV, or Prometheus text exposition.
   Exports are deterministic: byte-identical for any ``--jobs`` value and
-  with telemetry recording on or off.  :class:`CampaignCollector` is
-  the subscriber that gathers the sessions.
+  with profiling on or off.  :class:`CampaignCollector` is the
+  subscriber that gathers the sessions.
 * **Live progress** (:mod:`~repro.obs.progress`) — an opt-in subscriber
   keeping one ``\\r``-rewritten status line on stderr (done/total,
   rate, ETA, cache-hit/fault/retry counts).
@@ -27,6 +27,9 @@ subscriber ``fn(record, value)`` on it.  Three pillars:
   worker-lane dashboard (a subscriber), and the post-hoc ``repro
   report`` renderer over the ledger file.  Health on or off, exports
   stay byte-identical.
+* **The run profile** (:mod:`~repro.obs.profile`) — ``repro profile``'s
+  subscriber: engine batches and unit latencies as wall-clock phases,
+  and counters, histograms and events folded from the session results.
 
 See ``docs/OBSERVABILITY.md`` for formats and workflows.
 """
@@ -60,6 +63,7 @@ from ..runner.ledger import (
     load_ledger,
 )
 from .metrics import METRIC_FIELDS, metric_samples
+from .profile import Profile
 from .progress import ProgressReporter
 from .report import render_html, render_report, write_report
 
@@ -75,6 +79,7 @@ __all__ = [
     "LEDGER_SCHEMA",
     "LedgerView",
     "METRIC_FIELDS",
+    "Profile",
     "ProgressReporter",
     "RunLedger",
     "Suspicion",

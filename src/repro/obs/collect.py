@@ -7,7 +7,7 @@ ledger (:meth:`repro.runner.RunLedger.subscribe`), it receives every
 ``run_sessions`` batch **in plan order** and assigns each session a
 sequential id — batches themselves run sequentially inside an
 experiment, so ids, and therefore exports, are identical for any
-``--jobs`` value and identical with telemetry recording on or off.
+``--jobs`` value and identical with profiling on or off.
 
 Two retention modes, one contract:
 

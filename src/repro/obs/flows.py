@@ -8,9 +8,9 @@ turns a :class:`~repro.streaming.session.SessionResult` into exactly
 those records, as plain dicts ready for any serializer.
 
 Determinism contract: a flow record is a pure function of the session's
-packet records and QoE fields.  It never reads telemetry, wall-clock
-time or engine state, so exports are byte-identical across worker counts
-and with recording on or off.
+packet records and QoE fields.  It never reads wall-clock time or
+engine state, so exports are byte-identical across worker counts and
+with any ledger subscriber (``repro profile``) on or off.
 """
 
 from __future__ import annotations

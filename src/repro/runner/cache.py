@@ -21,8 +21,6 @@ import tempfile
 from pathlib import Path
 from typing import Any, Optional
 
-from ..telemetry import current_recorder
-
 __all__ = ["ResultCache"]
 
 
@@ -56,23 +54,22 @@ class ResultCache:
         fatal — and counted by :meth:`stats`.
         """
         path = self._path(key)
-        with current_recorder().span("cache.get"):
+        try:
+            with open(path, "rb") as f:
+                return pickle.load(f)
+        except FileNotFoundError:
+            return None
+        except Exception:
+            quarantine = self._corrupt_path(key)
             try:
-                with open(path, "rb") as f:
-                    return pickle.load(f)
-            except FileNotFoundError:
-                return None
-            except Exception:
-                quarantine = self._corrupt_path(key)
+                quarantine.parent.mkdir(parents=True, exist_ok=True)
+                os.replace(path, quarantine)
+            except OSError:
                 try:
-                    quarantine.parent.mkdir(parents=True, exist_ok=True)
-                    os.replace(path, quarantine)
+                    path.unlink()
                 except OSError:
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-                return None
+                    pass
+            return None
 
     def put(self, key: str, value: Any) -> None:
         """Store ``value`` under ``key`` atomically.
@@ -88,23 +85,19 @@ class ResultCache:
         """
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        rec = current_recorder()
-        with rec.span("cache.put"):
-            fd, tmp = tempfile.mkstemp(dir=path.parent,
-                                       prefix=f".w{os.getpid()}-",
-                                       suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=path.parent,
+                                   prefix=f".w{os.getpid()}-",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as f:
+                pickle.dump(value, f, protocol=pickle.HIGHEST_PROTOCOL)
+            os.replace(tmp, path)
+        except BaseException:
             try:
-                with os.fdopen(fd, "wb") as f:
-                    pickle.dump(value, f, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-            if rec.enabled:
-                rec.inc("cache.bytes_written", path.stat().st_size)
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
     def stats(self) -> dict:
         """Entry count, total on-disk bytes, and quarantined-corrupt count

@@ -42,7 +42,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ...telemetry.recorder import _RECORDER, NULL
 from ..pool import _OPTIONS, EngineOptions, current_options
 from ..sharding import ShardSpec, ShardStore
 from ..supervise import (CampaignAborted, FailedUnit, FailureReport,
@@ -114,10 +113,8 @@ class DistWorkerLane:
 def _lane_main(options: WorkerOptions) -> None:
     """One local worker lane, forked from the coordinator.  It drops the
     inherited engine options (ledger, dist policy, health monitor) and
-    telemetry recorder, and starts from the defaults as ``repro worker``
-    does."""
+    starts from the defaults as ``repro worker`` does."""
     _OPTIONS.set(EngineOptions())
-    _RECORDER.set(NULL)
     sys.exit(worker_main(options)[0])
 
 
@@ -240,12 +237,14 @@ def run_shards_distributed(
                 (fn, spec, tuple(args)), protocol=pickle.HIGHEST_PROTOCOL)):
             published += 1
     if ledger is not None:
-        ledger.event("scheduled", units=total, cache_hits=hits)
+        ledger.event("scheduled", units=total, cache_hits=hits,
+                     batch="run_shards_distributed")
         ledger.event("dist-published", shards=total - hits,
                      new=published, cache_hits=hits, queue=str(policy.queue),
                      workers=policy.workers, ttl=policy.ttl)
 
     quarantined: List[UnitFailure] = []
+    retries = 0                      # failed attempts at settled shards
     done_by: Dict[str, int] = {}     # worker -> shards landed
     released: set = set()            # keys already ledgered as re-leased
     cursor = 0          # next plan index to hand to on_result
@@ -259,6 +258,25 @@ def run_shards_distributed(
                 on_result(results[cursor])
             cursor += 1
 
+    def retried(i: int, record: dict) -> None:
+        # a marker's attempts count the worker's failed tries too; each
+        # is ledgered ahead of the shard's settlement, so the resume fold
+        # (last status wins) still ends on that settlement
+        nonlocal retries
+        worker = record.get("worker")
+        label = _shard_label(shards[i][0])
+        for attempt in range(1, int(record.get("attempts", 1))):
+            retries += 1
+            failures.retries += 1
+            if ledger is not None:
+                failure = UnitFailure(
+                    index=i, label=label, key=keys[i], kind="shard-retried",
+                    error=f"attempt {attempt} failed on {worker}",
+                    attempts=attempt, worker=worker)
+                ledger.event("retried", failure, key=keys[i], unit=i,
+                             worker=worker, error=failure.error,
+                             attempts=attempt, shard=label)
+
     def land(i: int) -> bool:
         # called once the done marker exists: its record names the worker
         artifact = store.get(keys[i])
@@ -269,6 +287,7 @@ def run_shards_distributed(
         record = queue.done_record(keys[i])
         worker = record.get("worker")
         done_by[worker or "?"] = done_by.get(worker or "?", 0) + 1
+        retried(i, record)
         if ledger is not None:
             # the done marker is the authoritative re-lease record:
             # watch_leases only sees transitions that straddle an idle
@@ -285,6 +304,7 @@ def run_shards_distributed(
         return True
 
     def quarantine(i: int, record: dict) -> None:
+        retried(i, record)
         failure = UnitFailure(
             index=i, label=_shard_label(shards[i][0]), key=keys[i],
             kind="shard-failed",
@@ -382,6 +402,7 @@ def run_shards_distributed(
 
     if stats is not None:
         stats.add(total, hits)
+        stats.retries += retries
         stats.failed += len(quarantined)
     degrade = options.supervision is not None and options.supervision.degrade
     if quarantined and not degrade:

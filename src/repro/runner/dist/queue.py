@@ -137,13 +137,16 @@ class ShardQueue:
         raise NotImplementedError
 
     def complete(self, key: str, worker: str, wall_s: float = 0.0,
-                 previous: Optional[str] = None) -> bool:
+                 previous: Optional[str] = None, attempts: int = 1) -> bool:
         """Mark one shard done; ``False`` on a duplicate completion.
 
         ``previous`` (the dead holder a stolen lease was taken from, as
         reported by :attr:`ClaimedShard.previous`) is recorded in the
         done marker so the coordinator can attribute the re-lease even
         if it never observed the intermediate lease states.
+        ``attempts`` above 1 (the worker retried the shard before it
+        succeeded) is recorded too, so the coordinator can ledger the
+        failed attempts as retries.
         """
         raise NotImplementedError
 
@@ -383,11 +386,13 @@ class FileShardQueue(ShardQueue):
         return True
 
     def complete(self, key: str, worker: str, wall_s: float = 0.0,
-                 previous: Optional[str] = None) -> bool:
+                 previous: Optional[str] = None, attempts: int = 1) -> bool:
         record = {"worker": worker, "wall_s": round(wall_s, 6),
                   "finished_at": round(self.clock(), 3)}
         if previous:
             record["previous"] = previous
+        if attempts > 1:
+            record["attempts"] = attempts
         first = self._marker(self._done_path(key), record)
         self.abandon(key, worker)
         return first

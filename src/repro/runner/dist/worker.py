@@ -165,18 +165,20 @@ def run_worker(options: WorkerOptions,
     renewer = LeaseRenewer(queue, worker_id)
     # claims handed to the supervisor, by its pull-order index
     running: Dict[int, Tuple[ClaimedShard, ShardSpec, float]] = {}
+    # failed attempts so far at each running claim, same index
+    failed_tries: Dict[int, int] = {}
 
     def note(message: str) -> None:
         if options.verbose:
             print(f"[{worker_id}] {message}", file=sys.stderr, flush=True)
 
     def complete(shard: ClaimedShard, spec: ShardSpec,
-                 started: float) -> None:
+                 started: float, attempts: int = 1) -> None:
         renewer.release(shard.key)
         wall = time.perf_counter() - started
         out.busy_s += wall
         if queue.complete(shard.key, worker_id, wall_s=wall,
-                          previous=shard.previous):
+                          previous=shard.previous, attempts=attempts):
             out.completed += 1
             note(f"done {shard.key[:12]} "
                  f"({spec.campaign} #{spec.index}, {wall:.2f}s)")
@@ -214,11 +216,13 @@ def run_worker(options: WorkerOptions,
     def on_done(index: int, value, *_lane) -> None:
         shard, spec, started = running.pop(index)
         store.put(shard.key, value)
-        complete(shard, spec, started)
+        complete(shard, spec, started, 1 + failed_tries.pop(index, 0))
 
     def on_failure(failure: UnitFailure) -> None:
         if not failure.final:
+            failed_tries[failure.index] = failure.attempts
             return
+        failed_tries.pop(failure.index, None)
         shard, _spec, started = running.pop(failure.index)
         renewer.release(shard.key)
         out.busy_s += time.perf_counter() - started

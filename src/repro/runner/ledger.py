@@ -26,7 +26,8 @@ schema-versioned header, then one event per line::
 streams through.
 
 Event kinds: ``campaign-started`` / ``campaign-finished`` (CLI scope),
-``scheduled`` (one per engine batch, after cache lookup), the unit
+``scheduled`` (one per engine batch, after cache lookup, with the
+entry point that ran it in ``batch``), the unit
 *settlements* ``done`` / ``retried`` / ``quarantined`` (written once
 each by the engine, keyed by the unit's cache ``key``; a cache hit
 replays as ``done`` with ``"cached": true``) and ``merged`` (one per

@@ -24,11 +24,12 @@ the CLI (or a test) installs them ambiently::
     with engine_options(jobs=4, cache="~/.cache/repro"):
         spec.run(scale, seed=0)     # every run_sessions() inside fans out
 
-Telemetry follows the same ambient pattern (:mod:`repro.telemetry`):
-inside a ``recording()`` scope the engine times its phases, counts cache
-hits/misses, and merges each session's recorded snapshot back **in plan
-order**, so ``jobs=N`` telemetry equals ``jobs=1`` telemetry just as the
-results do.  Recording state never enters a cache fingerprint.
+Observation rides the same ambient options: an installed
+:class:`~repro.runner.ledger.RunLedger` hears each batch's ``scheduled``
+event, every unit settlement, and the batch's plan-ordered values, and
+its subscribers (progress, the export collector, ``repro profile``) fold
+those.  No subscriber reaches back into a unit, so observing a run never
+changes what it computes or where its result is cached.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ from __future__ import annotations
 import contextvars
 import dataclasses
 import os
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..telemetry import NullRecorder, Recorder, SessionTelemetry, current_recorder, use_recorder
 from .cache import ResultCache
 from .fingerprint import plan_fingerprint, task_fingerprint
 from .ledger import RunLedger
@@ -216,12 +217,8 @@ def engine_options(**overrides):
 
 # -- workers ------------------------------------------------------------------
 # Module-level functions: picklable by reference under both fork and spawn.
-# Each payload carries an explicit ``record`` flag because the ambient
-# recorder is a contextvar: a forked worker would inherit it, a spawned
-# worker would not, and telemetry must not depend on the start method.
 
-def _call_plan(payload: Tuple[SessionPlan, bool]):
-    plan, record = payload
+def _call_plan(plan: SessionPlan):
     from ..streaming import run_session
 
     # chaos hooks ($REPRO_CHAOS): deterministic fault injection for the
@@ -229,46 +226,14 @@ def _call_plan(payload: Tuple[SessionPlan, bool]):
     chaos = CHAOS_ENV in os.environ
     if chaos:
         chaos_hook(plan.key)
-    if record:
-        # run_session sees an enabled ambient recorder and attaches its
-        # per-session snapshot to the result, which travels back to the
-        # parent through the ordinary pickle round-trip.
-        with use_recorder(Recorder()):
-            result = run_session(plan.video, plan.config)
-    else:
-        result = run_session(plan.video, plan.config)
+    result = run_session(plan.video, plan.config)
     if chaos:
         chaos_mark_done(plan.key)
     return result
 
 
-@dataclass
-class _TaskEnvelope:
-    """A task result plus the telemetry its worker recorded.
-
-    ``run_tasks`` results are arbitrary objects with nowhere to attach a
-    snapshot, so recorded runs wrap them; the engine unwraps and merges
-    before returning.  Envelopes may land in the result cache — a later
-    telemetry-off run unwraps them the same way.
-    """
-
-    value: Any
-    telemetry: Optional[SessionTelemetry] = None
-
-
-def _unwrap(value: Any) -> Any:
-    """A unit's result as its ledger subscribers see it: the task value,
-    not the telemetry envelope it may travel in."""
-    return value.value if isinstance(value, _TaskEnvelope) else value
-
-
-def _call_task(payload: Tuple[Callable[..., Any], tuple, bool]):
-    fn, args, record = payload
-    if record:
-        rec = Recorder()
-        with use_recorder(rec):
-            value = fn(*args)
-        return _TaskEnvelope(value, rec.snapshot())
+def _call_task(payload: Tuple[Callable[..., Any], tuple]):
+    fn, args = payload
     return fn(*args)
 
 
@@ -283,8 +248,8 @@ def _keyed(cache: Optional[ResultCache],
 def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
                 keys: Optional[List[str]], jobs: int,
                 cache: Optional[ResultCache], stats: Optional[RunStats],
-                rec: NullRecorder, options: EngineOptions,
-                describe: Callable[[int], str]) -> List[Any]:
+                options: EngineOptions, describe: Callable[[int], str],
+                batch: str) -> List[Any]:
     """Cache-lookup, execute, persist: the engine's one batch pipeline.
 
     Every unit that completes is persisted (cache + ledger) *as it
@@ -297,7 +262,9 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
     worker processes — with deadlines, retries and quarantine under a
     policy, fail-fast without one — where a health monitor additionally
     receives worker heartbeats and unit lifecycle notifications
-    (report-only).
+    (report-only).  Either way each computed unit's ``done`` carries
+    its wall latency.  ``batch`` names the engine entry point in the
+    ``scheduled`` event.
     """
     supervision = options.supervision
     ledger = options.ledger
@@ -314,15 +281,12 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
             else:
                 results[i] = hit
                 if ledger is not None:
-                    ledger.event("done", _unwrap(hit), key=key, unit=i,
+                    ledger.event("done", hit, key=key, unit=i,
                                  cached=True)
     hits = len(items) - len(pending)
     if ledger is not None:
-        ledger.event("scheduled", units=len(items), cache_hits=hits)
-    if rec.enabled:
-        rec.inc("engine.units", len(items))
-        rec.inc("engine.cache_hits", hits)
-        rec.inc("engine.cache_misses", len(pending))
+        ledger.event("scheduled", units=len(items), cache_hits=hits,
+                     batch=batch)
 
     def on_done(i: int, value: Any, lane: Optional[str] = None,
                 latency_s: Optional[float] = None) -> None:
@@ -331,7 +295,7 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
         if cache is not None and key is not None:
             cache.put(key, value)
         if ledger is not None:
-            ledger.event("done", _unwrap(value), key=key, unit=i,
+            ledger.event("done", value, key=key, unit=i,
                          worker=lane, latency_s=latency_s)
 
     def on_failure(failure: UnitFailure) -> None:
@@ -346,31 +310,30 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
 
     quarantined: List[UnitFailure] = []
     retries = 0
-    with rec.span("engine.execute"):
-        if jobs == 1 and supervision is None and health is None:
-            # inline: no process, no pickle round-trip, and an exception
-            # propagates straight from the unit that raised it
-            for i in pending:
-                on_done(i, worker(items[i]))
-        else:
-            computed, quarantined, retries = run_supervised(
-                worker, [items[i] for i in pending], jobs=jobs,
-                policy=supervision,
-                describe=lambda li: describe(pending[li]),
-                keys=[keys[i] for i in pending] if keys is not None else None,
-                on_done=on_done, on_failure=on_failure, health=health,
-                plan_index=pending)
-            for i, result in zip(pending, computed):
-                results[i] = result  # FailedUnit placeholders land here too
+    if jobs == 1 and supervision is None and health is None:
+        # inline: no process, no pickle round-trip, and an exception
+        # propagates straight from the unit that raised it
+        for i in pending:
+            started = time.perf_counter()
+            value = worker(items[i])
+            on_done(i, value,
+                    latency_s=round(time.perf_counter() - started, 6))
+    else:
+        computed, quarantined, retries = run_supervised(
+            worker, [items[i] for i in pending], jobs=jobs,
+            policy=supervision,
+            describe=lambda li: describe(pending[li]),
+            keys=[keys[i] for i in pending] if keys is not None else None,
+            on_done=on_done, on_failure=on_failure, health=health,
+            plan_index=pending)
+        for i, result in zip(pending, computed):
+            results[i] = result  # FailedUnit placeholders land here too
     if stats is not None:
         stats.add(len(items), hits)
         stats.retries += retries
         stats.failed += len(quarantined)
     if failures is not None:
         failures.retries += retries
-    if rec.enabled and supervision is not None:
-        rec.inc("engine.retries", retries)
-        rec.inc("engine.quarantined", len(quarantined))
     if quarantined and not (supervision is not None and supervision.degrade):
         # the ambient report (when installed) already holds the batch's
         # quarantines via on_failure; raise with it so callers see one
@@ -405,12 +368,10 @@ def run_sessions(plans: Iterable[PlanLike], *, jobs: Optional[int] = None,
                   for p in plans]
     keys = None
     if _keyed(cache, options.ledger):
-        # The cache key is (video, config, code version) only — whether
-        # telemetry is recording never changes what a session computes,
-        # so it must not change where its result lives.
+        # The cache key is (video, config, code version) only — who is
+        # observing the run never changes what a session computes, so it
+        # must not change where its result lives.
         keys = [plan.key for plan in normalized]
-    rec = current_recorder()
-    payloads = [(plan, rec.enabled) for plan in normalized]
 
     def describe(i: int) -> str:
         plan = normalized[i]
@@ -418,20 +379,8 @@ def run_sessions(plans: Iterable[PlanLike], *, jobs: Optional[int] = None,
         seed = getattr(plan.config, "seed", "?")
         return f"{video} seed={seed}"
 
-    with rec.span("engine.run_sessions"):
-        if rec.enabled:
-            rec.gauge("engine.jobs", jobs)
-        results = _run_cached(_call_plan, payloads, keys, jobs, cache,
-                              stats, rec, options, describe)
-        if rec.enabled:
-            # Merge per-session telemetry in *plan order* — the results
-            # list is already plan-ordered, so merged counters and event
-            # logs are identical for any worker count.  Cache hits replay
-            # whatever telemetry they were computed with (possibly none).
-            for result in results:
-                telemetry = getattr(result, "telemetry", None)
-                if telemetry is not None:
-                    rec.merge(telemetry)
+    results = _run_cached(_call_plan, normalized, keys, jobs, cache, stats,
+                          options, describe, "run_sessions")
     if options.ledger is not None:
         options.ledger.event("batch-finished", results)
     return results
@@ -455,38 +404,25 @@ def run_tasks(fn: Callable[..., Any], argslist: Iterable[tuple], *,
     jobs = options.jobs if jobs is None else max(1, int(jobs))
     cache = options.cache if cache is None else _as_cache(cache)
     stats = options.stats if stats is None else stats
-    rec = current_recorder()
-    items = [(fn, tuple(args), rec.enabled) for args in argslist]
+    items = [(fn, tuple(args)) for args in argslist]
     if keys is not None:
         keys = list(keys)
         if len(keys) != len(items):
             raise ValueError(
                 f"run_tasks got {len(items)} tasks but {len(keys)} keys")
     elif _keyed(cache, options.ledger):
-        # Keyed on (function, args, code version); the record flag is
-        # deliberately excluded, like everything telemetry-related.
-        keys = [task_fingerprint(fn, args) for _fn, args, _record in items]
+        # Keyed on (function, args, code version) only.
+        keys = [task_fingerprint(fn, args) for _fn, args in items]
 
     def describe(i: int) -> str:
-        _fn, args, _record = items[i]
+        _fn, args = items[i]
         rendered = repr(args)
         if len(rendered) > 60:
             rendered = rendered[:57] + "..."
         return f"{fn.__name__}{rendered}"
 
-    with rec.span("engine.run_tasks"):
-        if rec.enabled:
-            rec.gauge("engine.jobs", jobs)
-        results = _run_cached(_call_task, items, keys, jobs, cache, stats,
-                              rec, options, describe)
-        unwrapped: List[Any] = []
-        for result in results:
-            if isinstance(result, _TaskEnvelope):
-                if result.telemetry is not None:
-                    rec.merge(result.telemetry)
-                unwrapped.append(result.value)
-            else:
-                unwrapped.append(result)
+    results = _run_cached(_call_task, items, keys, jobs, cache, stats,
+                          options, describe, "run_tasks")
     if options.ledger is not None:
-        options.ledger.event("batch-finished", unwrapped)
-    return unwrapped
+        options.ledger.event("batch-finished", results)
+    return results

@@ -143,7 +143,7 @@ def shard_fingerprint(spec: ShardSpec, fn: Callable[..., Any],
     Covers the campaign identity ``(campaign, scale, seed, index,
     units)``, the worker function, its arguments, and the simulator
     ``code_version`` — everything that determines the shard's reduced
-    value, and nothing (total shard count, jobs, telemetry) that does
+    value, and nothing (total shard count, jobs, observers) that does
     not.
     """
     name = f"{fn.__module__}.{fn.__qualname__}"

@@ -38,7 +38,6 @@ from typing import Callable, List, Optional, Tuple
 from ..simnet.node import Host
 from ..simnet.scheduler import EventHandle, EventScheduler
 from ..tcp import TcpConfig, TcpConnection
-from ..telemetry import current_recorder
 from ..workloads.video import Video
 from .httpconn import HttpResponseStream
 from .params import (
@@ -156,9 +155,6 @@ class PlayerBase:
         self._stall_since: Optional[float] = None
         self._consecutive_rebuffers = 0
         self._monitor_started = False
-        # One recorder per player (= per session); request/stall paths
-        # guard on `.enabled` so the disabled path stays a single check.
-        self._telemetry = current_recorder()
 
     # -- playback ------------------------------------------------------------
 
@@ -171,9 +167,6 @@ class PlayerBase:
             self.playback_started_at = now
             if self._session_started_at is not None:
                 self.startup_delay_s = now - self._session_started_at
-            if self._telemetry.enabled:
-                self._telemetry.event("player.playback_start", t=now,
-                                      startup_delay_s=self.startup_delay_s)
 
     def consumed(self, now: Optional[float] = None) -> float:
         """Bytes of media the player has consumed by time ``now``.
@@ -326,11 +319,6 @@ class PlayerBase:
         else:
             resume_bytes = STALL_RESUME_S * self.playback_rate_bps / 8
             if buffer_bytes >= resume_bytes or self.finished:
-                if self._telemetry.enabled:
-                    self._telemetry.inc("player.rebuffers")
-                    self._telemetry.event("player.rebuffer", t=now,
-                                          started=self._stall_since,
-                                          duration=now - self._stall_since)
                 self.stall_events.append((self._stall_since, now))
                 self._stall_since = None
                 self.rebuffer_count += 1
@@ -378,7 +366,7 @@ class PlayerBase:
     # -- plumbing ---------------------------------------------------------------
 
     def _note_request(self, offset: int, ranged: bool) -> None:
-        """Log every HTTP request the player issues (and tell telemetry).
+        """Log every HTTP request the player issues.
 
         Each request opens an ON-period, so :attr:`requests` is the
         ground-truth record of ON-OFF block boundaries the analysis
@@ -386,10 +374,6 @@ class PlayerBase:
         """
         now = self.scheduler.clock.now()
         self.requests.append((now, offset, ranged))
-        if self._telemetry.enabled:
-            self._telemetry.inc("player.requests")
-            self._telemetry.event("player.request", t=now,
-                                  offset=offset, ranged=ranged)
 
     def _schedule(self, delay: float, fn: Callable[[], None], label: str) -> None:
         if self.stopped:
@@ -567,11 +551,6 @@ class PlayerBase:
             self.wasted_bytes += job.received
             job.received = 0
         self.retry_count += 1
-        if self._telemetry.enabled:
-            self._telemetry.inc("player.retries")
-            self._telemetry.event("player.retry",
-                                  t=self.scheduler.clock.now(),
-                                  reason=reason, attempt=job.attempts)
         delay = policy.backoff_delay(job.attempts - 1, self.rng)
         self._schedule(delay, lambda: self._restart_job(job, conn),
                        "retry:reconnect")
@@ -586,22 +565,11 @@ class PlayerBase:
                                new_conn: TcpConnection) -> None:
         """Hook for subclasses tracking a designated connection."""
 
-    def _note_downshift(self, now: float, old_rate: float,
-                        new_rate: float) -> None:
-        """Telemetry hook for an adaptive rendition downshift."""
-        if self._telemetry.enabled:
-            self._telemetry.inc("player.downshifts")
-            self._telemetry.event("player.downshift", t=now,
-                                  old_rate=old_rate, new_rate=new_rate)
-
     def _fail(self, reason: str) -> None:
         if self.stopped:
             return
         self.failed = True
         self.fail_reason = reason
-        if self._telemetry.enabled:
-            self._telemetry.event("player.failed",
-                                  t=self.scheduler.clock.now(), reason=reason)
         self.stop(reason=f"failed:{reason}")
 
 
@@ -803,7 +771,6 @@ class IpadPlayer(PlayerBase):
         self.file_size = CONTAINER_HEADER_LEN + self.video.size_bytes_at(new_rate)
         self._next_offset = min(int(fraction * self.file_size), self.file_size)
         self.downshifts.append((now, old_rate, new_rate))
-        self._note_downshift(now, old_rate, new_rate)
         return True
 
 
@@ -923,5 +890,4 @@ class NetflixPlayer(PlayerBase):
         self.playback_rate_bps = new_rate
         self._steady_offset = int(position_s * new_rate / 8)
         self.downshifts.append((now, old_rate, new_rate))
-        self._note_downshift(now, old_rate, new_rate)
         return True

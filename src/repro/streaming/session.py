@@ -26,13 +26,6 @@ from ..simnet import (
 from ..simnet.rng import derive_seed
 from ..simnet.scheduler import EventScheduler
 from ..tcp import TcpConfig, TcpConnection
-from ..telemetry import (
-    NullRecorder,
-    Recorder,
-    SessionTelemetry,
-    current_recorder,
-    use_recorder,
-)
 from ..workloads.video import Video
 from .apps import Application, Container, Service, container_for_video
 from .client import (
@@ -112,9 +105,9 @@ class SessionResult:
     #: ground truth of the ON-OFF block boundaries.
     requests: List[Tuple[float, int, bool]] = field(default_factory=list)
     fault_log: Optional[FaultLog] = None
-    #: Per-session telemetry snapshot; ``None`` unless the session ran
-    #: inside an enabled :func:`repro.telemetry.recording` scope.
-    telemetry: Optional[SessionTelemetry] = None
+    #: The scheduler and TCP totals of the run (see
+    #: :func:`record_sim_counters`), zero totals included.
+    sim_counters: Dict[str, int] = field(default_factory=dict)
 
     @property
     def records(self) -> List[PacketRecord]:
@@ -181,15 +174,15 @@ def _make_player(
     return player
 
 
-def record_sim_counters(rec: NullRecorder, scheduler: EventScheduler,
-                        connections: Iterable[TcpConnection]) -> None:
-    """Fold a finished simulation's TCP and scheduler counters into ``rec``.
+def record_sim_counters(scheduler: EventScheduler,
+                        connections: Iterable[TcpConnection]
+                        ) -> Dict[str, int]:
+    """A finished simulation's six scheduler and TCP totals.
 
     The TCP and scheduler layers keep plain counters (:class:`TcpStats`,
-    :attr:`EventScheduler.fired`, the fast-forward tallies) and never
-    touch telemetry, so recording cannot change the code path they take;
-    this reads the counters once, after the run.  Zero totals are not
-    recorded.
+    :attr:`EventScheduler.fired`, the fast-forward tallies); this reads
+    them once, after the run, and sums the TCP ones over
+    ``connections``.
     """
     totals = {
         "scheduler.events": scheduler.fired,
@@ -204,122 +197,78 @@ def record_sim_counters(rec: NullRecorder, scheduler: EventScheduler,
         totals["tcp.segments_sent"] += stats.segments_sent
         totals["tcp.bytes_sent"] += stats.bytes_sent
         totals["tcp.retransmits"] += stats.retransmitted_segments
-    for name, value in totals.items():
-        if value:
-            rec.inc(name, value)
+    return totals
 
 
 def run_session(video: Video, config: SessionConfig) -> SessionResult:
-    """Stream ``video`` once under ``config`` and capture the traffic.
+    """Stream ``video`` once under ``config`` and capture the traffic."""
+    container = (config.container
+                 or container_for_video(video, config.service))
+    session_seed = derive_seed(config.seed, f"session:{video.video_id}")
+    net, client_host, server_host, path = build_client_server(
+        config.profile, seed=session_seed
+    )
+    rng = net.rng.stream("player")
 
-    When the ambient :func:`repro.telemetry.current_recorder` is enabled,
-    the session records into a *private* recorder whose snapshot is
-    attached as ``result.telemetry`` — the engine merges those snapshots
-    in plan order, so recording never leaks between concurrent sessions
-    and ``jobs=N`` telemetry equals ``jobs=1`` telemetry.
-    """
-    if not current_recorder().enabled:
-        return _run_session_impl(video, config)
-    rec = Recorder()
-    with use_recorder(rec):
-        with rec.span("session"):
-            result = _run_session_impl(video, config)
-    result.telemetry = rec.snapshot()
-    return result
+    capture = TraceCapture(name=f"{video.video_id}@{config.profile.name}")
+    capture.attach(path)
 
+    server_tcp = TcpConfig(
+        mss=config.mss,
+        recv_buffer=256 * 1024,
+        reset_cwnd_after_idle=config.server_reset_cwnd_after_idle,
+        trace_cwnd=config.trace_cwnd,
+    )
+    server = VideoServer(
+        server_host,
+        net.scheduler,
+        {video.video_id: video},
+        tcp_config=server_tcp,
+        container_override=container,
+    )
 
-def _run_session_impl(video: Video, config: SessionConfig) -> SessionResult:
-    rec = current_recorder()
-    with rec.span("setup"):
-        container = (config.container
-                     or container_for_video(video, config.service))
-        session_seed = derive_seed(config.seed, f"session:{video.video_id}")
-        net, client_host, server_host, path = build_client_server(
-            config.profile, seed=session_seed
+    policy = client_policy_for(config.service, container,
+                               config.application)
+    client_tcp = TcpConfig(mss=config.mss, recv_buffer=policy.recv_buffer)
+    player = _make_player(net, client_host, server_host.ip, video,
+                          config.service, container, config.application,
+                          rng, client_tcp,
+                          retry_policy=config.retry_policy)
+
+    fault_log: Optional[FaultLog] = None
+    if config.faults is not None:
+        fault_log = config.faults.apply(
+            net.scheduler, path, server=server,
+            rng=net.rng.stream("faults"))
+
+    buffer_series: Optional[TimeSeries] = None
+    if config.probe_period:
+        probe = PeriodicProbe(
+            net.scheduler, config.probe_period,
+            lambda: player.buffer_level(), name="player-buffer",
         )
-        rng = net.rng.stream("player")
+        probe.start()
+        buffer_series = probe.series
 
-        capture = TraceCapture(name=f"{video.video_id}@{config.profile.name}")
-        capture.attach(path)
+    # user interruption: stop once beta * L seconds have been *watched*
+    if config.watch_fraction < 1.0:
+        watch_limit = config.watch_fraction * video.duration
 
-        server_tcp = TcpConfig(
-            mss=config.mss,
-            recv_buffer=256 * 1024,
-            reset_cwnd_after_idle=config.server_reset_cwnd_after_idle,
-            trace_cwnd=config.trace_cwnd,
-        )
-        server = VideoServer(
-            server_host,
-            net.scheduler,
-            {video.video_id: video},
-            tcp_config=server_tcp,
-            container_override=container,
-        )
+        def interruption_check() -> None:
+            if player.stopped:
+                return
+            if player.playback_position_s() >= watch_limit:
+                player.stop("lack-of-interest")
+                return
+            net.scheduler.after(0.25, interruption_check,
+                                label="interrupt")
 
-        policy = client_policy_for(config.service, container,
-                                   config.application)
-        client_tcp = TcpConfig(mss=config.mss, recv_buffer=policy.recv_buffer)
-        player = _make_player(net, client_host, server_host.ip, video,
-                              config.service, container, config.application,
-                              rng, client_tcp,
-                              retry_policy=config.retry_policy)
+        net.scheduler.after(0.25, interruption_check, label="interrupt")
 
-        fault_log: Optional[FaultLog] = None
-        if config.faults is not None:
-            fault_log = config.faults.apply(
-                net.scheduler, path, server=server,
-                rng=net.rng.stream("faults"))
-
-        buffer_series: Optional[TimeSeries] = None
-        if config.probe_period:
-            probe = PeriodicProbe(
-                net.scheduler, config.probe_period,
-                lambda: player.buffer_level(), name="player-buffer",
-            )
-            probe.start()
-            buffer_series = probe.series
-
-        # user interruption: stop once beta * L seconds have been *watched*
-        if config.watch_fraction < 1.0:
-            watch_limit = config.watch_fraction * video.duration
-
-            def interruption_check() -> None:
-                if player.stopped:
-                    return
-                if player.playback_position_s() >= watch_limit:
-                    player.stop("lack-of-interest")
-                    return
-                net.scheduler.after(0.25, interruption_check,
-                                    label="interrupt")
-
-            net.scheduler.after(0.25, interruption_check, label="interrupt")
-
-    if rec.enabled:
-        rec.event("session.start", t=0.0, video=video.video_id,
-                  profile=config.profile.name,
-                  service=config.service.name,
-                  application=config.application.name)
-
-    with rec.span("stream"):
-        player.start()
-        net.run_until(config.capture_duration)
-
-    with rec.span("finalize"):
-        player.finalize_qoe(net.now())
-        capture.stop()
-
-    if rec.enabled:
-        rec.inc("sessions.completed")
-        rec.inc("tcp.connections_opened", player.connections_opened)
-        rec.inc("pcap.packets", len(capture))
-        record_sim_counters(rec, net.scheduler,
-                            player.connections + server.connections)
-        rec.observe("session.sim_seconds", net.now())
-        rec.observe("session.downloaded_bytes", player.downloaded)
-        rec.event("session.end", t=net.now(), video=video.video_id,
-                  downloaded=player.downloaded,
-                  finished=player.finished,
-                  rebuffers=player.rebuffer_count)
+    player.start()
+    net.run_until(config.capture_duration)
+    player.finalize_qoe(net.now())
+    capture.stop()
 
     return SessionResult(
         video=video,
@@ -347,5 +296,7 @@ def _run_session_impl(video: Video, config: SessionConfig) -> SessionResult:
         downshifts=list(player.downshifts),
         requests=list(player.requests),
         fault_log=fault_log,
+        sim_counters=record_sim_counters(
+            net.scheduler, player.connections + server.connections),
     )
 

@@ -914,6 +914,40 @@ class TestDistCli:
             "- Shards merged: 9"]
         assert counts(dist_cache) == local
 
+    def test_distributed_retries_reach_the_coordinator(
+            self, tmp_path, capsys, monkeypatch):
+        """A shard a fabric lane had to retry is a retry of the
+        campaign: crashing every shard once, `--distributed` reports the
+        same `retries` and ledgers the same `retried` events as the
+        same campaign on `--jobs 2`, and each shard still settles
+        `done` for `--resume`."""
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_CHAOS", "crash:1.0")
+        base = ["experiment", "model_validation", "--scale", "small",
+                "--sessions", "24", "--shard-size", "8", "--seed", "3",
+                "--max-attempts", "2"]
+
+        def run(tag: str, *extra: str):
+            monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path / tag))
+            cache = tmp_path / f"{tag}-cache"
+            assert main(base + ["--cache-dir", str(cache), *extra]) == 0
+            engine = [line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("engine ")]
+            view = load_ledger(ledger_path(cache, "model_validation",
+                                           "small", 3))
+            return engine, view.counts().get("retried", 0), \
+                view.unit_counts()
+
+        local = run("local", "--jobs", "2")
+        dist = run("dist", "--queue-dir", str(tmp_path / "q"),
+                   "--distributed", "--workers", "2", "--lease-ttl", "20")
+        # 3 strategy campaigns x 3 shards, each crashed once
+        assert local[1] == 9
+        assert "retries 9" in local[0][0]
+        assert dist == local
+        assert dist[2]["failed"] == 0
+
     def test_distributed_campaign_is_byte_identical_to_single_host(
             self, tmp_path, capsys):
         """Acceptance: `--distributed --workers 2` (real subprocess

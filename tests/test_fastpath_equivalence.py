@@ -10,9 +10,10 @@ ON/OFF strategy family, lossy links, and scripted faults — and assert
 the MD5 digest over every export — packet records, flow records, metric
 samples, QoE — equals the scalar reference path that
 ``tools/fastpath_gate.py``'s :func:`reference_path` rebuilds, with all
-of its patches and with each alone.  A live telemetry recorder must not
-change the path either: the recorded run fires the same scheduler events
-and fast-forward jumps as the unrecorded one.
+of its patches and with each alone.  Profiling must not change the path
+either: the session run through the engine under a ``repro profile``
+subscriber fires the same scheduler events and fast-forward jumps as
+the bare run, and carries them as ``sim_counters``.
 """
 
 import hashlib
@@ -24,6 +25,8 @@ import pytest
 import repro.streaming.session as session_mod
 from repro.obs.flows import flow_records
 from repro.obs.metrics import metric_samples
+from repro.obs.profile import Profile
+from repro.runner import RunLedger, engine_options, run_sessions
 from repro.simnet.faults import FaultSchedule
 from repro.simnet.profiles import ACADEMIC, HOME, RESEARCH, RESIDENCE
 from repro.streaming import Application, Service
@@ -31,7 +34,6 @@ from repro.streaming.session import SessionConfig, run_session
 from repro.tcp.connection import TcpConnection
 from repro.tcp.constants import ACK, header_overhead
 from repro.tcp.segment import TcpSegment
-from repro.telemetry import recording
 from repro.workloads import MBPS, Video
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -95,9 +97,9 @@ def _assert_links_conserve(path) -> None:
             + len(link._train)), link.name
 
 
-def _run(scenario: dict, *, recorded: bool = False):
-    """One short session, under a live telemetry recorder when
-    ``recorded``."""
+def _run(scenario: dict, *, profiled: bool = False):
+    """One short session; when ``profiled``, through the engine with a
+    profile subscribed to an in-memory run ledger."""
     video = Video(video_id="equiv", duration=120.0,
                   encoding_rate_bps=2 * MBPS,
                   resolution="360p", container=scenario["container"])
@@ -107,10 +109,13 @@ def _run(scenario: dict, *, recorded: bool = False):
                            capture_duration=30.0,
                            seed=scenario["seed"],
                            faults=scenario.get("faults"))
-    if not recorded:
+    if not profiled:
         return run_session(video, config)
-    with recording():
-        return run_session(video, config)
+    ledger = RunLedger()
+    ledger.subscribe(Profile())
+    with engine_options(jobs=1, ledger=ledger):
+        [result] = run_sessions([(video, config)])
+    return result
 
 
 def _record_tuples(result):
@@ -146,23 +151,23 @@ def _digest(exports) -> str:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_exports_byte_identical_across_fastpath_toggles(name, sessions):
     """The non-negotiable contract: for each scenario the shipped run,
-    the recorded run and each reference patch alone hash to the same MD5
-    as the full reference path, recording takes exactly the unrecorded
-    path, and every link conserves its packets."""
+    the profiled run and each reference patch alone hash to the same MD5
+    as the full reference path, profiling takes exactly the bare path,
+    and every link conserves its packets."""
     scenario = SCENARIOS[name]
     with reference_path():
         reference = _exports(_run(scenario))
     ref_digest = _digest(reference)
     counts = {}
-    for label in ("shipped", "recorded") + REFERENCE_PATCHES:
+    for label in ("shipped", "profiled") + REFERENCE_PATCHES:
         if label in REFERENCE_PATCHES:
             with reference_path(label):
                 result = _run(scenario)
         else:
-            result = _run(scenario, recorded=label == "recorded")
+            result = _run(scenario, profiled=label == "profiled")
         counts[label] = _sched_counts(sessions[-1][0])
-        if label == "recorded":
-            recorded = result.telemetry.counters
+        if label == "profiled":
+            profiled = result.sim_counters
         got = _exports(result)
         if _digest(got) != ref_digest:
             # digest differs: diff the structured exports for a real
@@ -170,10 +175,10 @@ def test_exports_byte_identical_across_fastpath_toggles(name, sessions):
             assert got == reference, f"{name}/{label} diverged from reference"
             pytest.fail(f"{name}/{label}: digest mismatch with equal "
                         "exports (repr instability)")
-    assert counts["recorded"] == counts["shipped"]
-    assert tuple(recorded.get(key, 0) for key in (
+    assert counts["profiled"] == counts["shipped"]
+    assert tuple(profiled[key] for key in (
         "scheduler.events", "scheduler.ff_jumps",
-        "scheduler.ff_refusals")) == counts["recorded"]
+        "scheduler.ff_refusals")) == counts["profiled"]
     assert len(sessions) == 3 + len(REFERENCE_PATCHES)  # every run above
     for _sched, path in sessions:
         _assert_links_conserve(path)
@@ -187,8 +192,8 @@ def test_fastpath_actually_engaged():
     assert len(result.capture) > 10_000  # the run really streamed
     # 30 s on Residence is all buffering phase (the link never idles), so
     # the OFF periods come from the clean 100 Mbps profile
-    result = _run(SCENARIOS["research-clean"], recorded=True)
-    assert result.telemetry.counters["scheduler.ff_jumps"] > 0
+    result = _run(SCENARIOS["research-clean"], profiled=True)
+    assert result.sim_counters["scheduler.ff_jumps"] > 0
 
 
 def _engagement_session(container: str, app: Application, sessions,

@@ -263,6 +263,21 @@ class TestReportCli:
                 "0 quarantined") in out
         assert "| done (cached) | 2 |" in out
 
+    def test_inline_units_report_latency(self, tmp_path, capsys):
+        """A `--jobs 1` campaign runs its units inline; each computed
+        unit's `done` still carries its latency, so `repro report` has
+        a unit-latency table for it."""
+        cache = tmp_path / "cache"
+        assert main(["experiment", "fig2", "--scale", "small", "--jobs",
+                     "1", "--cache-dir", str(cache)]) == 0
+        capsys.readouterr()
+        view = load_ledger(ledger_path(cache, "fig2", "small", 0))
+        latencies = view.unit_latencies()
+        assert len(latencies) == 2  # one per computed fig2 unit
+        assert all(latency > 0 for latency in latencies)
+        assert main(["report", "fig2", "--cache-dir", str(cache)]) == 0
+        assert "## Unit latencies" in capsys.readouterr().out
+
     def test_report_out_renders_html(self, tmp_path, capsys):
         view_path = _write_campaign(tmp_path / "run.jsonl")
         out = tmp_path / "report.html"

@@ -1,8 +1,8 @@
 """Tests for the campaign observatory (``repro.obs``).
 
 The load-bearing guarantee is determinism: flow and metric exports must
-be byte-identical for any ``--jobs`` value, identical with telemetry
-recording on or off, and observing a run must never change what lands
+be byte-identical for any ``--jobs`` value, identical with the
+``repro profile`` subscriber on or off, and observing a run must never change what lands
 in the result cache.  One test asserts all three at once; another that
 subscribing to the run ledger never changes what it persists.
 """
@@ -25,6 +25,7 @@ from repro.obs import (
     write_csv,
     write_jsonl,
 )
+from repro.obs.profile import Profile
 from repro.runner import (
     ResultCache,
     RunLedger,
@@ -42,7 +43,6 @@ from repro.streaming import (
     SessionConfig,
     run_session,
 )
-from repro.telemetry import recording
 from repro.workloads import MBPS, Video
 
 #: Same tiny scale as test_runner/test_telemetry, for suite latency.
@@ -70,16 +70,14 @@ def _subscribed(*subscribers, path=None):
     return ledger
 
 
-def _collect(jobs=1, record=False, cache=None):
-    """Run fig2 at TINY scale under a collector; return its exports."""
+def _collect(jobs=1, profile=False, cache=None):
+    """Run fig2 at TINY scale under a collector (and the profile
+    subscriber when ``profile``); return the collector."""
     collector = CampaignCollector()
+    subscribers = (collector, Profile()) if profile else (collector,)
     with engine_options(jobs=jobs, cache=cache,
-                        ledger=_subscribed(collector)):
-        if record:
-            with recording():
-                fig2.run(TINY, seed=0)
-        else:
-            fig2.run(TINY, seed=0)
+                        ledger=_subscribed(*subscribers)):
+        fig2.run(TINY, seed=0)
     return collector
 
 
@@ -120,9 +118,9 @@ class TestFlowRecords:
 
     def test_records_never_read_telemetry(self):
         plain = flow_records(self._result(), "s")
-        with recording():
-            recorded = flow_records(run_session(_video(), _config()), "s")
-        assert plain == recorded
+        with engine_options(ledger=_subscribed(Profile())):
+            [result] = run_sessions([(_video(), _config())])
+        assert flow_records(result, "s") == plain
 
 
 class TestMetricSamples:
@@ -220,7 +218,7 @@ class TestDeterminism:
         """The acceptance gate: one test, three guarantees.
 
         1. jobs=4 exports are byte-identical to jobs=1 exports;
-        2. telemetry recording on/off does not change a byte;
+        2. the profile subscriber on/off does not change a byte;
         3. observing/exporting never enters the cache fingerprints —
            a run with the observer installed and files written hits the
            same cache entries as a run without it.
@@ -234,9 +232,9 @@ class TestDeterminism:
         assert par_flows == base_flows
         assert par_metrics == base_metrics
 
-        # 2: telemetry independence
+        # 2: profile independence
         rec_flows, rec_metrics = _export_bytes(
-            _collect(record=True), tmp_path, "rec")
+            _collect(profile=True), tmp_path, "rec")
         assert rec_flows == base_flows
         assert rec_metrics == base_metrics
 

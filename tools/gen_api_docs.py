@@ -40,7 +40,6 @@ PUBLIC_MODULES = [
     "repro.model",
     "repro.runner",
     "repro.experiments",
-    "repro.telemetry",
     "repro.obs",
 ]
 
