@@ -18,14 +18,15 @@ import time
 
 from repro.analysis import format_table
 from repro.experiments import get_experiment
-from repro.runner import ResultCache, RunStats
+from repro.runner import ResultCache, RunLedger, UnitCounts
 
 
 def _timed(spec, scale, **options):
-    stats = RunStats()
+    ledger, counts = RunLedger(), UnitCounts()
+    ledger.subscribe(counts)
     started = time.perf_counter()
-    result = spec.run(scale, seed=0, stats=stats, **options)
-    return time.perf_counter() - started, result.report(), stats
+    result = spec.run(scale, seed=0, ledger=ledger, **options)
+    return time.perf_counter() - started, result.report(), counts
 
 
 def test_bench_runner_speedup(benchmark, scale, show, tmp_path):
@@ -48,9 +49,9 @@ def test_bench_runner_speedup(benchmark, scale, show, tmp_path):
         [
             ("serial, no cache", f"{serial_s:.1f}", "-", "-", "1.0x"),
             ("jobs=4, cold cache", f"{cold_s:.1f}", cold_stats.cache_hits,
-             cold_stats.cache_misses, f"{serial_s / cold_s:.1f}x"),
+             cold_stats.misses, f"{serial_s / cold_s:.1f}x"),
             ("jobs=4, warm cache", f"{warm_s:.2f}", warm_stats.cache_hits,
-             warm_stats.cache_misses, f"{serial_s / warm_s:.1f}x"),
+             warm_stats.misses, f"{serial_s / warm_s:.1f}x"),
         ],
         title=f"table1 ({scale.name}) through the engine "
               f"[{os.cpu_count() or 1} cpus]",
@@ -60,8 +61,8 @@ def test_bench_runner_speedup(benchmark, scale, show, tmp_path):
     assert cold_report == serial_report
     assert warm_report == serial_report
     # Cold run simulated everything; warm run simulated nothing.
-    assert cold_stats.cache_misses == cold_stats.sessions
-    assert warm_stats.cache_hits == warm_stats.sessions
+    assert cold_stats.misses == cold_stats.total
+    assert warm_stats.cache_hits == warm_stats.total
     # Memoization pays regardless of core count.
     assert warm_s < cold_s / 2
     # Fan-out pays when the hardware can actually parallelize.

@@ -20,7 +20,7 @@ import tempfile
 import time
 
 from repro.experiments import REGISTRY, Scale, iter_experiments
-from repro.runner import RunStats
+from repro.runner import RunLedger, UnitCounts
 
 #: Keep the demo snappy: one session per cell, short captures.
 TINY = Scale(name="tiny", sessions_per_cell=1, capture_duration=60.0,
@@ -40,16 +40,19 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as cache_dir:
         for label in ("cold cache", "warm cache"):
             for spec in chosen:
-                stats = RunStats()
+                # the engine reports every unit on the run ledger; the
+                # unit tally subscribed to it counts hits and misses
+                ledger, counts = RunLedger(), UnitCounts()
+                ledger.subscribe(counts)
                 started = time.perf_counter()
                 result = spec.run(TINY, seed=0, jobs=2, cache=cache_dir,
-                                  stats=stats)
+                                  ledger=ledger)
                 elapsed = time.perf_counter() - started
                 print(f"[{label}] {spec.name}: {elapsed:.1f}s, "
-                      f"{stats.cache_hits} hits / "
-                      f"{stats.cache_misses} simulated")
+                      f"{counts.cache_hits} hits / "
+                      f"{counts.misses} simulated")
                 if label == "warm cache":
-                    assert stats.cache_misses == 0, "expected pure cache hits"
+                    assert counts.misses == 0, "expected pure cache hits"
             if label == "cold cache":
                 print()
 

@@ -523,10 +523,10 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
     from .experiments import REGISTRY, SCALES
     from .runner import (
         CampaignAborted,
-        FailureReport,
         RunLedger,
-        RunStats,
+        UnitCounts,
         engine_options,
+        format_failures,
     )
 
     scale = SCALES[args.scale]
@@ -598,8 +598,6 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
         with engine_options(supervision=supervision):
             for name in names:
                 spec = REGISTRY[name]
-                stats = RunStats()
-                failures = FailureReport()
                 if cache is not None:
                     # the write-ahead ledger: fresh unless resuming, so a
                     # stale log never misreports a new campaign
@@ -615,7 +613,10 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
                               file=sys.stderr)
                 else:
                     ledger = RunLedger()
-                for subscriber in (progress, collector):
+                # the unit tally behind the engine line, the summary
+                # table, the failure block and the exit code
+                tally = UnitCounts()
+                for subscriber in (tally, progress, collector):
                     if subscriber is not None:
                         ledger.subscribe(subscriber)
                 ledger.event("campaign-started", experiment=name,
@@ -637,55 +638,43 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
                 started = time.perf_counter()
                 try:
                     result = spec.run(scale, seed=args.seed, jobs=args.jobs,
-                                      cache=cache, stats=stats,
-                                      ledger=ledger, failures=failures,
+                                      cache=cache, ledger=ledger,
                                       sharding=sharding, health=monitor,
                                       dist=dist)
-                except CampaignAborted as exc:
+                except CampaignAborted:
                     aborted = True
-                    report = f"{name}: campaign aborted — {exc.report.format()}"
-                    if progress is not None:
-                        reports.append(report)
-                    else:
-                        print(report)
-                        print()
-                    elapsed = time.perf_counter() - started
-                    summary.append((spec, elapsed, stats))
-                    continue
+                    report = (f"{name}: campaign aborted — "
+                              + format_failures(tally.quarantined,
+                                                tally.retries))
                 except Exception:
                     # --degrade hands FailedUnit placeholders to the
                     # experiment; one whose analysis needs every unit will
                     # crash on them — that is a degraded experiment, not a
                     # bug, but only when units actually failed
                     if (supervision is None or not supervision.degrade
-                            or failures.ok):
+                            or not tally.failed):
                         raise
                     report = (f"{name}: degraded — analysis needs the "
-                              f"missing units\n\n{failures.format()}")
-                    if progress is not None:
-                        reports.append(report)
-                    else:
-                        print(report)
-                        print()
-                    elapsed = time.perf_counter() - started
-                    summary.append((spec, elapsed, stats))
-                    continue
+                              f"missing units\n\n"
+                              + format_failures(tally.quarantined,
+                                                tally.retries))
+                else:
+                    report = result.report()
+                    if tally.failed:
+                        report += "\n\n" + format_failures(
+                            tally.quarantined, tally.retries)
                 finally:
                     ledger.event(
                         "campaign-finished", experiment=name,
                         elapsed_s=round(time.perf_counter() - started, 3))
                     ledger.close()
-                elapsed = time.perf_counter() - started
-                report = result.report()
-                if not failures.ok:
-                    report += "\n\n" + failures.format()
+                summary.append((spec, time.perf_counter() - started, tally))
                 if progress is not None:
                     # hold reports until the stderr status line is released
                     reports.append(report)
                 else:
                     print(report)
                     print()
-                summary.append((spec, elapsed, stats))
     finally:
         # restore the terminal line even on Ctrl-C / CampaignAborted
         if progress is not None:
@@ -709,18 +698,18 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
     # sharded campaigns always show the engine line — shard cache hits
     # are the observable proof a re-run re-simulated nothing
     if sharding is not None or args.resume \
-            or any(stats.retries or stats.failed
-                   for _, _, stats in summary):
-        for spec, _, stats in summary:
-            print(f"engine {spec.name}: {stats.sessions} units, "
-                  f"hits {stats.cache_hits}, re-simulated "
-                  f"{stats.cache_misses}, retries {stats.retries}, "
-                  f"failed {stats.failed}")
+            or any(tally.retries or tally.failed
+                   for _, _, tally in summary):
+        for spec, _, tally in summary:
+            print(f"engine {spec.name}: {tally.total} units, "
+                  f"hits {tally.cache_hits}, re-simulated "
+                  f"{tally.misses}, retries {tally.retries}, "
+                  f"failed {tally.failed}")
     if len(summary) > 1:
         rows = [
-            (spec.name, spec.paper, f"{elapsed:.1f}", stats.sessions,
-             stats.cache_hits, stats.cache_misses, stats.failed)
-            for spec, elapsed, stats in summary
+            (spec.name, spec.paper, f"{elapsed:.1f}", tally.total,
+             tally.cache_hits, tally.misses, tally.failed)
+            for spec, elapsed, tally in summary
         ]
         print(format_table(
             ["Experiment", "Paper", "Wall(s)", "Units", "Hits", "Misses",
@@ -730,15 +719,15 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
                   f"cache={'on' if cache else 'off'}",
         ))
         total_s = sum(elapsed for _, elapsed, _ in summary)
-        units = sum(stats.sessions for _, _, stats in summary)
-        hits = sum(stats.cache_hits for _, _, stats in summary)
-        misses = sum(stats.cache_misses for _, _, stats in summary)
-        failed = sum(stats.failed for _, _, stats in summary)
+        units = sum(tally.total for _, _, tally in summary)
+        hits = sum(tally.cache_hits for _, _, tally in summary)
+        misses = sum(tally.misses for _, _, tally in summary)
+        failed = sum(tally.failed for _, _, tally in summary)
         print(f"total: {units} units (hits {hits}, misses {misses}, "
               f"failed {failed}) in {total_s:.1f}s")
     if aborted:
         return 1
-    if any(stats.failed for _, _, stats in summary):
+    if any(tally.failed for _, _, tally in summary):
         return 3  # completed, but degraded: partial results
     return 0
 

@@ -40,7 +40,7 @@ from . import (
     table2,
 )
 from .common import FULL, MEDIUM, SCALES, SMALL, Scale, engine_options, pick_videos
-from ..runner import CacheLike, RunStats
+from ..runner import CacheLike
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,8 @@ class ExperimentSpec:
         *,
         jobs: Optional[int] = None,
         cache: CacheLike = None,
-        stats: Optional[RunStats] = None,
         supervision=None,
         ledger=None,
-        failures=None,
         sharding=None,
         health=None,
         dist=None,
@@ -77,11 +75,11 @@ class ExperimentSpec:
 
         All keywords default to ``None`` = inherit the surrounding
         :func:`~repro.runner.engine_options` scope, so nested callers
-        (CLI around spec, test around CLI) compose.  ``supervision``,
-        ``ledger`` and ``failures`` are the durability layer: a
-        :class:`~repro.runner.SupervisionPolicy`, a
-        :class:`~repro.runner.RunLedger` and a
-        :class:`~repro.runner.FailureReport` to accumulate into.
+        (CLI around spec, test around CLI) compose.  ``supervision`` and
+        ``ledger`` are the durability layer: a
+        :class:`~repro.runner.SupervisionPolicy` and a
+        :class:`~repro.runner.RunLedger`, whose subscribers (a
+        :class:`~repro.runner.UnitCounts`, say) see every unit settle.
         ``sharding`` is a :class:`~repro.runner.Sharding` policy;
         sharding-aware experiments (``model_validation``) scale their
         campaign to it, others ignore it.  ``health`` is a
@@ -91,10 +89,9 @@ class ExperimentSpec:
         then run over the distributed work queue instead of the local
         pool, with byte-identical results.
         """
-        with engine_options(jobs=jobs, cache=cache, stats=stats,
+        with engine_options(jobs=jobs, cache=cache,
                             supervision=supervision, ledger=ledger,
-                            failures=failures, sharding=sharding,
-                            health=health, dist=dist):
+                            sharding=sharding, health=health, dist=dist):
             return self.module.run(scale, seed=seed)
 
 

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..runner import (
-    FailureReport,
     RetryBudget,
-    RunStats,
     SessionPlan,
     SupervisionPolicy,
     engine_options,
@@ -37,11 +35,9 @@ from ..workloads.video import Video
 
 __all__ = [
     "FULL",
-    "FailureReport",
     "MB",
     "MEDIUM",
     "RetryBudget",
-    "RunStats",
     "SCALES",
     "SMALL",
     "Scale",

@@ -18,7 +18,7 @@ per suspicion — so CI logs stay readable.
 
 Everything arrives as events on the campaign's ledger stream, to which
 the dashboard subscribes: the unit counters it shares with the progress
-line (:class:`~repro.obs.progress.UnitCounts`), plus the health plane's
+line (:class:`~repro.runner.ledger.UnitCounts`), plus the health plane's
 ``started`` / ``suspect`` events and live ``beat`` lanes, so the
 dashboard needs health monitoring on (the ``repro dash`` command wires
 both).  Like every subscriber it only watches — closing it mid-campaign
@@ -31,7 +31,7 @@ import sys
 import time
 from typing import Any, Dict, Optional, TextIO
 
-from .progress import UnitCounts
+from ..runner.ledger import UnitCounts
 
 __all__ = [
     "DashboardReporter",

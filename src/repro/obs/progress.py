@@ -10,9 +10,10 @@ subscriber on the campaign's event stream
 
 It only *reads* the events the engine reports anyway — the ledger
 records the same events whether or not anyone subscribes — so enabling
-it cannot perturb results or the persisted record.  :class:`UnitCounts`
-is the fold it shares with the ``repro dash`` board
-(:mod:`repro.obs.dash`).
+it cannot perturb results or the persisted record.  Its counters are
+the ledger's unit tally, :class:`~repro.runner.ledger.UnitCounts`,
+which it shares with the ``repro dash`` board (:mod:`repro.obs.dash`)
+and the CLI's ``engine`` line.
 
 Two terminal realities it respects:
 
@@ -36,45 +37,12 @@ import sys
 import time
 from typing import Any, Optional, TextIO
 
+from ..runner.ledger import UnitCounts
 from ..runner.sharding import ShardResult
 
 __all__ = [
     "ProgressReporter",
-    "UnitCounts",
 ]
-
-
-class UnitCounts:
-    """The unit counters the live displays fold from the ledger stream.
-
-    ``total`` grows by each ``scheduled`` batch, whose cache hits count
-    as done at once; a quarantined unit counts as settled too, so the
-    display converges even when a unit never finishes.
-    """
-
-    def __init__(self) -> None:
-        self.total = 0
-        self.done = 0
-        self.cache_hits = 0
-        self.retries = 0
-        self.failed = 0
-
-    def fold(self, record: dict) -> None:
-        """Count one ledger record."""
-        kind = record["event"]
-        if kind == "scheduled":
-            hits = record["cache_hits"]
-            self.total += record["units"]
-            self.done += hits
-            self.cache_hits += hits
-        elif kind == "done":
-            if not record.get("cached"):
-                self.done += 1
-        elif kind == "retried":
-            self.retries += 1
-        elif kind == "quarantined":
-            self.failed += 1
-            self.done += 1
 
 
 class ProgressReporter(UnitCounts):

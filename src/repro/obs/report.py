@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from ..stats import HistogramSketch, MomentAccumulator
-from ..runner.ledger import LedgerView
+from ..runner.ledger import LedgerView, UnitCounts
 
 __all__ = [
     "render_html",
@@ -81,12 +81,13 @@ def render_report(view: LedgerView, *,
     if span:
         lines.append(f"- Window: {_fmt_wall(span[0])} → {_fmt_wall(span[1])} "
                      f"({_fmt_seconds(duration)})")
-    scheduled = view.units_scheduled()
-    hits = view.cache_hits()
+    tally = UnitCounts()
+    for event in view.events:
+        tally.fold(event)
     lines.append(
-        f"- Units: {scheduled} scheduled ({hits} cache hits), "
-        f"{counts.get('done', 0)} done, {counts.get('retried', 0)} retried, "
-        f"{counts.get('quarantined', 0)} quarantined")
+        f"- Units: {tally.total} scheduled ({tally.cache_hits} cache hits), "
+        f"{counts.get('done', 0)} done, {tally.retries} retried, "
+        f"{tally.failed} quarantined")
     if counts.get("merged"):
         lines.append(f"- Shards merged: {counts['merged']}")
     if counts.get("suspect"):

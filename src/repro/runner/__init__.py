@@ -17,21 +17,23 @@ Public API:
 * :func:`plan_fingerprint`, :func:`task_fingerprint`,
   :func:`code_version`, :func:`fingerprint`, :func:`canonical` — cache
   keys (:mod:`repro.runner.fingerprint`).
-* :func:`engine_options`, :class:`EngineOptions`, :class:`RunStats`,
+* :func:`engine_options`, :class:`EngineOptions`,
   :func:`current_options` — ambient configuration the CLI installs and
   experiments inherit.
 * :class:`SupervisionPolicy`, :class:`RetryBudget`,
-  :class:`FailureReport`, :class:`CampaignAborted`, :class:`UnitFailure`,
-  :class:`FailedUnit`, :func:`run_supervised` — the durability layer
+  :class:`CampaignAborted`, :class:`UnitFailure`, :class:`FailedUnit`,
+  :func:`format_failures`, :func:`run_supervised` — the durability layer
   (:mod:`repro.runner.supervise`): the worker loop every ``jobs>1``
   batch runs on, with per-unit deadlines, retries with backoff, and
   quarantine of poison units under a policy.
-* :class:`RunLedger`, :func:`load_ledger`, :func:`ledger_path`,
-  :func:`campaign_fingerprint`, :func:`list_campaigns` — the one
-  campaign event stream (:mod:`repro.runner.ledger`): the engine's
-  write-ahead record of every unit settlement, behind ``--resume``,
-  ``repro list`` and ``repro report``, and the only channel
-  :mod:`repro.obs` subscribes its progress, dash and exporters to.
+* :class:`RunLedger`, :class:`UnitCounts`, :func:`load_ledger`,
+  :func:`ledger_path`, :func:`campaign_fingerprint`,
+  :func:`list_campaigns` — the one campaign event stream
+  (:mod:`repro.runner.ledger`): the engine's write-ahead record of
+  every unit settlement, behind ``--resume``, ``repro list`` and
+  ``repro report``, the unit tally the CLI's ``engine`` line reads,
+  and the only channel :mod:`repro.obs` subscribes its progress, dash
+  and exporters to.
 * :class:`Sharding`, :class:`ShardSpec`, :class:`ShardResult`,
   :class:`ShardStore`, :func:`run_shards`, :func:`run_sharded_sessions`,
   :func:`shard_fingerprint` — the million-session campaign layer
@@ -63,6 +65,7 @@ from .fingerprint import (
 )
 from .ledger import (
     RunLedger,
+    UnitCounts,
     campaign_fingerprint,
     ledger_path,
     list_campaigns,
@@ -71,7 +74,6 @@ from .ledger import (
 from .pool import (
     CacheLike,
     EngineOptions,
-    RunStats,
     SessionPlan,
     current_options,
     engine_options,
@@ -93,10 +95,10 @@ from .supervise import (
     CampaignAborted,
     ChaosError,
     FailedUnit,
-    FailureReport,
     RetryBudget,
     SupervisionPolicy,
     UnitFailure,
+    format_failures,
     run_supervised,
 )
 
@@ -107,12 +109,10 @@ __all__ = [
     "DistPolicy",
     "EngineOptions",
     "FailedUnit",
-    "FailureReport",
     "FileShardQueue",
     "ResultCache",
     "RetryBudget",
     "RunLedger",
-    "RunStats",
     "SessionPlan",
     "ShardQueue",
     "ShardResult",
@@ -120,6 +120,7 @@ __all__ = [
     "ShardStore",
     "Sharding",
     "SupervisionPolicy",
+    "UnitCounts",
     "UnitFailure",
     "WorkerOptions",
     "WorkerStats",
@@ -129,6 +130,7 @@ __all__ = [
     "current_options",
     "engine_options",
     "fingerprint",
+    "format_failures",
     "ledger_path",
     "list_campaigns",
     "load_ledger",

@@ -44,8 +44,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..pool import _OPTIONS, EngineOptions, current_options
 from ..sharding import ShardSpec, ShardStore
-from ..supervise import (CampaignAborted, FailedUnit, FailureReport,
-                         UnitFailure, _process_context)
+from ..supervise import (CampaignAborted, FailedUnit, UnitFailure,
+                         _process_context)
 from .queue import ShardQueue, make_queue, queue_path
 from .worker import WorkerOptions, worker_main
 
@@ -188,15 +188,14 @@ def run_shards_distributed(
     fn: Callable[..., Any],
     shards: Sequence[Tuple[ShardSpec, tuple]],
     keys: Sequence[str],
-    *, stats=None,
-    on_result: Optional[Callable[[Any], None]] = None,
+    *, on_result: Optional[Callable[[Any], None]] = None,
     queue: Optional[ShardQueue] = None,
 ) -> List[Any]:
     """Run one shard batch over the distributed fabric (see module doc).
 
     Same contract as the local :func:`~repro.runner.sharding.run_shards`
     body: plan-ordered results (``ShardResult`` or ``FailedUnit``),
-    ambient stats/ledger/failures honored, ``CampaignAborted`` on a
+    every settlement on the ambient ledger, ``CampaignAborted`` on a
     quarantined shard unless the supervision policy degrades — plus
     ``on_result`` streamed over the growing plan-order prefix.
     """
@@ -211,11 +210,6 @@ def run_shards_distributed(
     if queue is None:
         queue = make_queue(policy.queue, ttl=policy.ttl)
     ledger = options.ledger
-    # a private report when the caller keeps none: an abort still names
-    # every quarantined shard
-    failures = options.failures if options.failures is not None \
-        else FailureReport()
-    stats = options.stats if stats is None else stats
 
     total = len(shards)
     results: List[Any] = [None] * total
@@ -264,18 +258,14 @@ def run_shards_distributed(
         # (last status wins) still ends on that settlement
         nonlocal retries
         worker = record.get("worker")
-        label = _shard_label(shards[i][0])
         for attempt in range(1, int(record.get("attempts", 1))):
             retries += 1
-            failures.retries += 1
             if ledger is not None:
-                failure = UnitFailure(
-                    index=i, label=label, key=keys[i], kind="shard-retried",
+                ledger.failure(UnitFailure(
+                    index=i, label=_shard_label(shards[i][0]), key=keys[i],
+                    kind="shard-retried",
                     error=f"attempt {attempt} failed on {worker}",
-                    attempts=attempt, worker=worker)
-                ledger.event("retried", failure, key=keys[i], unit=i,
-                             worker=worker, error=failure.error,
-                             attempts=attempt, shard=label)
+                    attempts=attempt, worker=worker))
 
     def land(i: int) -> bool:
         # called once the done marker exists: its record names the worker
@@ -315,10 +305,7 @@ def run_shards_distributed(
         settled[i] = True
         quarantined.append(failure)
         if ledger is not None:
-            ledger.event("quarantined", failure, key=failure.key, unit=i,
-                         worker=failure.worker, error=failure.error,
-                         attempts=failure.attempts, shard=failure.label)
-        failures.add(failure)
+            ledger.failure(failure)
 
     lanes: Dict[str, DistWorkerLane] = {}
     holder: Dict[str, str] = {}      # key -> worker last seen leasing it
@@ -400,13 +387,9 @@ def run_shards_distributed(
     finally:
         fleet.stop()
 
-    if stats is not None:
-        stats.add(total, hits)
-        stats.retries += retries
-        stats.failed += len(quarantined)
     degrade = options.supervision is not None and options.supervision.degrade
     if quarantined and not degrade:
-        raise CampaignAborted(failures)
+        raise CampaignAborted(quarantined, retries)
     if ledger is not None:
         ledger.event("batch-finished", results)
     return results

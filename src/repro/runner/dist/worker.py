@@ -35,10 +35,9 @@ import pickle
 import signal
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Set, Tuple
 
-from ..pool import RunStats
 from ..sharding import ShardSpec, ShardStore, _shard_call
 from ..supervise import (RetryBudget, SupervisionPolicy, UnitFailure,
                          run_supervised)
@@ -129,7 +128,7 @@ class WorkerStats:
     stolen: int = 0         # claims that re-leased an expired holder
     lost_leases: int = 0    # renewals that found the lease gone
     busy_s: float = 0.0
-    stats: RunStats = field(default_factory=RunStats)
+    retries: int = 0        # failed attempts the supervisor re-ran
 
     def summary(self) -> str:
         return (f"worker {self.worker}: {self.completed} shards "
@@ -203,9 +202,7 @@ def run_worker(options: WorkerOptions,
                 out.stolen += 1
                 note(f"re-leased {shard.key[:12]} from {shard.previous}")
             fn, spec, args = pickle.loads(shard.payload)
-            hit = shard.key in store
-            out.stats.add(1, int(hit))
-            if hit:
+            if shard.key in store:
                 # landed by a holder presumed dead: nothing to recompute
                 complete(shard, spec, started)
                 continue
@@ -237,14 +234,12 @@ def run_worker(options: WorkerOptions,
             for index, item in enumerate(claims()):
                 on_done(index, _shard_call(item))
         else:
-            _, quarantined, retries = run_supervised(
+            _, _, out.retries = run_supervised(
                 _shard_call, claims(), jobs=1, policy=policy,
                 describe=lambda i: f"shard {running[i][1].campaign} "
                                    f"#{running[i][1].index}",
                 on_done=on_done, on_failure=on_failure,
                 tick=(max(0.05, options.ttl / 3.0), renewer))
-            out.stats.retries += retries
-            out.stats.failed += len(quarantined)
     except BaseException:
         # SIGTERM/Ctrl-C (or an unsupervised shard crash): hand the
         # lease back so the shard re-leases now, not after the TTL

@@ -30,8 +30,10 @@ Event kinds: ``campaign-started`` / ``campaign-finished`` (CLI scope),
 entry point that ran it in ``batch``), the unit
 *settlements* ``done`` / ``retried`` / ``quarantined`` (written once
 each by the engine, keyed by the unit's cache ``key``; a cache hit
-replays as ``done`` with ``"cached": true``) and ``merged`` (one per
-shard result handed to the streaming reduction).  The health plane
+replays as ``done`` with ``"cached": true``; a failure carries its
+``label``, ``worker``, ``kind``, ``error`` and ``attempts``, see
+:meth:`RunLedger.failure`) and ``merged`` (one per shard result handed
+to the streaming reduction).  The health plane
 (:mod:`repro.obs.health`) adds ``started``, ``heartbeat-summary`` and
 ``suspect``; a distributed campaign adds ``dist-published``,
 ``re-leased`` and ``worker-exit``.  Every ``unit`` field is the unit's
@@ -39,6 +41,11 @@ index in its batch's plan.  The kinds in :data:`LIVE_KINDS` reach the
 subscribers but are never written: a ``beat`` per worker heartbeat
 (value: the live lane) and ``batch-finished`` (value: the batch's
 plan-ordered results).
+
+:class:`UnitCounts` folds the stream into the campaign's unit tally —
+units scheduled, cache hits, retries, quarantines — which the CLI's
+``engine`` line and failure block, the live displays and the report's
+Units line all read.
 
 The settlements are the write-ahead record behind ``--resume`` and
 ``repro list``: folded last-status-wins per key (``retried`` reads as
@@ -65,6 +72,7 @@ __all__ = [
     "LIVE_KINDS",
     "LedgerView",
     "RunLedger",
+    "UnitCounts",
     "campaign_fingerprint",
     "ledger_path",
     "list_campaigns",
@@ -206,6 +214,14 @@ class RunLedger:
         for fn in self._subscribers:
             fn(record, value)
 
+    def failure(self, failure: Any) -> None:
+        """Report one :class:`~repro.runner.supervise.UnitFailure`: a
+        ``retried`` settlement, or ``quarantined`` once it is final."""
+        self.event("quarantined" if failure.final else "retried", failure,
+                   key=failure.key, unit=failure.index, label=failure.label,
+                   worker=failure.worker, kind=failure.kind,
+                   error=failure.error, attempts=failure.attempts)
+
     def unit_counts(self) -> Dict[str, int]:
         """Settled units per status: done / failed / quarantined."""
         return _count_statuses(self.units)
@@ -220,6 +236,56 @@ class RunLedger:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class UnitCounts:
+    """The unit tally, folded from the ledger stream.
+
+    Subscribe one to a :class:`RunLedger`, or :meth:`fold` a loaded
+    ledger's events.  ``total`` grows by each ``scheduled`` batch, whose
+    cache hits count as done at once; a quarantined unit counts as
+    settled too, so a live display converges even when a unit never
+    finishes.  ``quarantined`` keeps each quarantine record, in ledger
+    order.
+    """
+
+    def __init__(self) -> None:
+        self.total = 0
+        self.done = 0
+        self.cache_hits = 0
+        self.retries = 0
+        self.quarantined: List[dict] = []
+
+    @property
+    def misses(self) -> int:
+        """Units scheduled but not served from the cache."""
+        return self.total - self.cache_hits
+
+    @property
+    def failed(self) -> int:
+        """Units quarantined."""
+        return len(self.quarantined)
+
+    def fold(self, record: dict) -> None:
+        """Count one ledger record."""
+        kind = record["event"]
+        if kind == "scheduled":
+            hits = record.get("cache_hits", 0)
+            self.total += record.get("units", 0)
+            self.done += hits
+            self.cache_hits += hits
+        elif kind == "done":
+            if not record.get("cached"):
+                self.done += 1
+        elif kind == "retried":
+            self.retries += 1
+        elif kind == "quarantined":
+            self.quarantined.append(record)
+            self.done += 1
+
+    def __call__(self, record: dict, value: Any = None) -> None:
+        """The subscriber: fold each event as it is reported."""
+        self.fold(record)
 
 
 def _kind(event: dict) -> str:
@@ -274,16 +340,6 @@ class LedgerView:
         if not stamps:
             return None
         return min(stamps), max(stamps)
-
-    def units_scheduled(self) -> int:
-        """Units scheduled across every engine batch (cache hits included)."""
-        return sum(e.get("units", 0) for e in self.events
-                   if e.get("event") == "scheduled")
-
-    def cache_hits(self) -> int:
-        """Cache hits across every engine batch."""
-        return sum(e.get("cache_hits", 0) for e in self.events
-                   if e.get("event") == "scheduled")
 
     def unit_latencies(self) -> List[float]:
         """Per-unit wall latencies from ``done`` events, arrival order."""

@@ -49,9 +49,7 @@ from .ledger import RunLedger
 from .supervise import (
     CHAOS_ENV,
     CampaignAborted,
-    FailureReport,
     SupervisionPolicy,
-    UnitFailure,
     chaos_hook,
     chaos_mark_done,
     run_supervised,
@@ -60,7 +58,6 @@ from .supervise import (
 __all__ = [
     "CacheLike",
     "EngineOptions",
-    "RunStats",
     "SessionPlan",
     "current_options",
     "engine_options",
@@ -87,33 +84,17 @@ class SessionPlan:
 
 
 @dataclass
-class RunStats:
-    """Counters the engine accumulates while an experiment runs."""
-
-    sessions: int = 0        # units requested (sessions + coarse tasks)
-    cache_hits: int = 0
-    cache_misses: int = 0    # units actually simulated
-    retries: int = 0         # failed attempts that were re-run (supervision)
-    failed: int = 0          # units quarantined after exhausting retries
-
-    def add(self, requested: int, hits: int) -> None:
-        self.sessions += requested
-        self.cache_hits += hits
-        self.cache_misses += requested - hits
-
-
-@dataclass
 class EngineOptions:
     """Ambient engine configuration (see :func:`engine_options`).
 
-    ``supervision``/``ledger``/``failures`` form the durability layer:
-    a :class:`~repro.runner.supervise.SupervisionPolicy` routes cache
+    ``supervision``/``ledger`` form the durability layer: a
+    :class:`~repro.runner.supervise.SupervisionPolicy` routes cache
     misses through supervised worker processes (deadlines, retries,
-    quarantine), a :class:`~repro.runner.ledger.RunLedger` receives
+    quarantine), and a :class:`~repro.runner.ledger.RunLedger` receives
     every lifecycle event — one write-ahead record as each unit
-    settles, streamed on to its subscribers (progress, dash, the export
-    collector) — and a :class:`~repro.runner.supervise.FailureReport`
-    accumulates whatever was quarantined.  ``sharding`` is the
+    settles, retry and quarantine included, streamed on to its
+    subscribers (the unit tally, progress, dash, the export
+    collector).  ``sharding`` is the
     campaign-scaling layer: a
     :class:`~repro.runner.sharding.Sharding` policy that sharding-aware
     call sites (:func:`~repro.runner.sharding.run_shards`, the
@@ -135,10 +116,8 @@ class EngineOptions:
 
     jobs: int = 1
     cache: Optional[ResultCache] = None
-    stats: Optional[RunStats] = None
     supervision: Optional[SupervisionPolicy] = None
     ledger: Optional[RunLedger] = None
-    failures: Optional[FailureReport] = None
     sharding: Optional[Any] = None  # repro.runner.sharding.Sharding
     health: Optional[Any] = None    # repro.obs.health.HealthMonitor
     dist: Optional[Any] = None      # repro.runner.dist.DistPolicy
@@ -200,11 +179,10 @@ def engine_options(**overrides):
     """Override the ambient engine options within a ``with`` block.
 
     Keywords are the :class:`EngineOptions` fields — ``jobs``, ``cache``
-    (a :class:`ResultCache`, a path, or ``None``), ``stats``,
-    ``supervision``, ``ledger``, ``failures``, ``sharding``,
-    ``health``, ``dist``.  ``None`` keeps the surrounding value, so nested
-    scopes compose: a test can pin ``jobs=1`` around an experiment the
-    CLI configured with ``jobs=8``.
+    (a :class:`ResultCache`, a path, or ``None``), ``supervision``,
+    ``ledger``, ``sharding``, ``health``, ``dist``.  ``None`` keeps the
+    surrounding value, so nested scopes compose: a test can pin
+    ``jobs=1`` around an experiment the CLI configured with ``jobs=8``.
     """
     base = _OPTIONS.get()
     options = merge_options(base, overrides)
@@ -247,9 +225,8 @@ def _keyed(cache: Optional[ResultCache],
 
 def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
                 keys: Optional[List[str]], jobs: int,
-                cache: Optional[ResultCache], stats: Optional[RunStats],
-                options: EngineOptions, describe: Callable[[int], str],
-                batch: str) -> List[Any]:
+                cache: Optional[ResultCache], options: EngineOptions,
+                describe: Callable[[int], str], batch: str) -> List[Any]:
     """Cache-lookup, execute, persist: the engine's one batch pipeline.
 
     Every unit that completes is persisted (cache + ledger) *as it
@@ -268,7 +245,6 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
     """
     supervision = options.supervision
     ledger = options.ledger
-    failures = options.failures
     health = options.health
     results: List[Any] = [None] * len(items)
     pending = list(range(len(items)))
@@ -298,18 +274,6 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
             ledger.event("done", value, key=key, unit=i,
                          worker=lane, latency_s=latency_s)
 
-    def on_failure(failure: UnitFailure) -> None:
-        if ledger is not None:
-            ledger.event(
-                "quarantined" if failure.final else "retried", failure,
-                key=failure.key, unit=failure.index, label=failure.label,
-                worker=failure.worker, kind=failure.kind,
-                error=failure.error, attempts=failure.attempts)
-        if failure.final and failures is not None:
-            failures.add(failure)
-
-    quarantined: List[UnitFailure] = []
-    retries = 0
     if jobs == 1 and supervision is None and health is None:
         # inline: no process, no pickle round-trip, and an exception
         # propagates straight from the unit that raised it
@@ -324,27 +288,15 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
             policy=supervision,
             describe=lambda li: describe(pending[li]),
             keys=[keys[i] for i in pending] if keys is not None else None,
-            on_done=on_done, on_failure=on_failure, health=health,
+            on_done=on_done,
+            on_failure=ledger.failure if ledger is not None else None,
+            health=health,
             plan_index=pending)
         for i, result in zip(pending, computed):
             results[i] = result  # FailedUnit placeholders land here too
-    if stats is not None:
-        stats.add(len(items), hits)
-        stats.retries += retries
-        stats.failed += len(quarantined)
-    if failures is not None:
-        failures.retries += retries
-    if quarantined and not (supervision is not None and supervision.degrade):
-        # the ambient report (when installed) already holds the batch's
-        # quarantines via on_failure; raise with it so callers see one
-        # accumulated account, not a per-batch fragment
-        report = failures
-        if report is None:
-            report = FailureReport()
-            report.retries = retries
-            for failure in quarantined:
-                report.add(failure)
-        raise CampaignAborted(report)
+        if quarantined and not (supervision is not None
+                                and supervision.degrade):
+            raise CampaignAborted(quarantined, retries)
     return results
 
 
@@ -352,18 +304,16 @@ PlanLike = Union[SessionPlan, Tuple[Any, Any]]
 
 
 def run_sessions(plans: Iterable[PlanLike], *, jobs: Optional[int] = None,
-                 cache: CacheLike = None,
-                 stats: Optional[RunStats] = None) -> List[Any]:
+                 cache: CacheLike = None) -> List[Any]:
     """Execute a batch of session plans; results come back in plan order.
 
     ``plans`` holds :class:`SessionPlan` objects or ``(video, config)``
-    tuples.  ``jobs``/``cache``/``stats`` default to the ambient
+    tuples.  ``jobs``/``cache`` default to the ambient
     :func:`engine_options`; experiments normally pass none of them.
     """
     options = _OPTIONS.get()
     jobs = options.jobs if jobs is None else max(1, int(jobs))
     cache = options.cache if cache is None else _as_cache(cache)
-    stats = options.stats if stats is None else stats
     normalized = [p if isinstance(p, SessionPlan) else SessionPlan(*p)
                   for p in plans]
     keys = None
@@ -379,7 +329,7 @@ def run_sessions(plans: Iterable[PlanLike], *, jobs: Optional[int] = None,
         seed = getattr(plan.config, "seed", "?")
         return f"{video} seed={seed}"
 
-    results = _run_cached(_call_plan, normalized, keys, jobs, cache, stats,
+    results = _run_cached(_call_plan, normalized, keys, jobs, cache,
                           options, describe, "run_sessions")
     if options.ledger is not None:
         options.ledger.event("batch-finished", results)
@@ -388,7 +338,6 @@ def run_sessions(plans: Iterable[PlanLike], *, jobs: Optional[int] = None,
 
 def run_tasks(fn: Callable[..., Any], argslist: Iterable[tuple], *,
               jobs: Optional[int] = None, cache: CacheLike = None,
-              stats: Optional[RunStats] = None,
               keys: Optional[List[str]] = None) -> List[Any]:
     """Execute ``fn(*args)`` for each args tuple, in order.
 
@@ -403,7 +352,6 @@ def run_tasks(fn: Callable[..., Any], argslist: Iterable[tuple], *,
     options = _OPTIONS.get()
     jobs = options.jobs if jobs is None else max(1, int(jobs))
     cache = options.cache if cache is None else _as_cache(cache)
-    stats = options.stats if stats is None else stats
     items = [(fn, tuple(args)) for args in argslist]
     if keys is not None:
         keys = list(keys)
@@ -421,7 +369,7 @@ def run_tasks(fn: Callable[..., Any], argslist: Iterable[tuple], *,
             rendered = rendered[:57] + "..."
         return f"{fn.__name__}{rendered}"
 
-    results = _run_cached(_call_task, items, keys, jobs, cache, stats,
+    results = _run_cached(_call_task, items, keys, jobs, cache,
                           options, describe, "run_tasks")
     if options.ledger is not None:
         options.ledger.event("batch-finished", results)

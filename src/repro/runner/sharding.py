@@ -233,7 +233,6 @@ def _shard_call(payload: Tuple[Callable[..., Any], ShardSpec, tuple]):
 def run_shards(fn: Callable[..., Any],
                shards: Sequence[Tuple[ShardSpec, tuple]],
                *, jobs: Optional[int] = None,
-               stats=None,
                on_result: Optional[Callable[[Any], None]] = None
                ) -> List[Any]:
     """Run ``fn(*args)`` for each ``(spec, args)`` shard, in shard order.
@@ -272,12 +271,11 @@ def run_shards(fn: Callable[..., Any],
     if options.dist is not None:
         from .dist.coordinator import run_shards_distributed
 
-        return run_shards_distributed(fn, shards, keys, stats=stats,
-                                      on_result=reduce)
+        return run_shards_distributed(fn, shards, keys, on_result=reduce)
     store = ShardStore.for_cache(options.cache)
     payloads = [((fn, spec, tuple(args)),) for spec, args in shards]
     results = run_tasks(_shard_call, payloads, jobs=jobs, cache=store,
-                        stats=stats, keys=keys)
+                        keys=keys)
     for result in results:
         reduce(result)
     return results

@@ -13,9 +13,9 @@ whole run.  This module is the engine's fault boundary:
   campaign-wide retry budget drained) is **quarantined** — recorded as a
   :class:`UnitFailure` and replaced by a :class:`FailedUnit` placeholder
   instead of aborting the campaign;
-* everything that went wrong comes back as a :class:`FailureReport`
-  (unit keys, exception tracebacks, retry counts) so partial results
-  degrade *loudly*, never silently.
+* every failed attempt is reported as a :class:`UnitFailure` (unit
+  key, exception traceback, attempts), which the engine writes to the
+  run ledger, so partial results degrade *loudly*, never silently.
 
 Supervision is opt-in (``EngineOptions.supervision``); without a policy
 the same loop keeps the engine's fail-fast semantics (first exception
@@ -47,10 +47,10 @@ __all__ = [
     "CampaignAborted",
     "ChaosError",
     "FailedUnit",
-    "FailureReport",
     "RetryBudget",
     "SupervisionPolicy",
     "UnitFailure",
+    "format_failures",
     "run_supervised",
 ]
 
@@ -140,43 +140,24 @@ class FailedUnit:
     failure: UnitFailure
 
 
-class FailureReport:
-    """Everything that went wrong in a campaign, in plan order.
+def format_failures(records: Sequence[dict], retries: int) -> str:
+    """The failure block the CLI prints: one row per quarantined unit.
 
-    Accumulated ambiently (``EngineOptions.failures``) across every
-    batch an experiment runs, surfaced by the CLI as a table and by the
-    campaign collector as an export.  ``ok`` is ``True`` when the
-    campaign lost nothing.
+    ``records`` are flat failure records — :meth:`UnitFailure.record`
+    or the run ledger's ``quarantined`` events, which carry the same
+    fields — and ``retries`` the retries spent beside them.
     """
-
-    def __init__(self) -> None:
-        self.failures: List[UnitFailure] = []
-        self.retries: int = 0
-
-    @property
-    def ok(self) -> bool:
-        """``True`` when no unit was quarantined."""
-        return not self.failures
-
-    def add(self, failure: UnitFailure) -> None:
-        """Record one quarantined unit."""
-        self.failures.append(failure)
-
-    def records(self) -> List[dict]:
-        """Flat export records, one per quarantined unit."""
-        return [f.record() for f in self.failures]
-
-    def format(self) -> str:
-        """A human-readable failure table for the CLI."""
-        if self.ok:
-            return "no failures"
-        lines = [f"{len(self.failures)} unit(s) quarantined "
-                 f"({self.retries} retries spent):"]
-        for f in self.failures:
-            key = f" key={f.key[:12]}" if f.key else ""
-            lines.append(f"  [{f.kind}] {f.label}{key} "
-                         f"after {f.attempts} attempt(s): {f.error}")
-        return "\n".join(lines)
+    if not records:
+        return "no failures"
+    lines = [f"{len(records)} unit(s) quarantined "
+             f"({retries} retries spent):"]
+    for record in records:
+        key = record.get("key")
+        key = f" key={key[:12]}" if key else ""
+        lines.append(f"  [{record['kind']}] {record['label']}{key} "
+                     f"after {record['attempts']} attempt(s): "
+                     f"{record['error']}")
+    return "\n".join(lines)
 
 
 class CampaignAborted(RuntimeError):
@@ -185,13 +166,16 @@ class CampaignAborted(RuntimeError):
     Raised *after* the batch completes, with every completed unit
     already persisted to the cache and ledger — ``repro experiment
     --resume`` (or simply rerunning against the same cache) re-simulates
-    only what is missing.  ``report`` carries the full
-    :class:`FailureReport`.
+    only what is missing.  ``failures`` holds the batch's quarantined
+    :class:`UnitFailure`\\ s; the message renders them with the
+    ``retries`` the batch spent.
     """
 
-    def __init__(self, report: FailureReport) -> None:
-        super().__init__(report.format())
-        self.report = report
+    def __init__(self, failures: Sequence[UnitFailure],
+                 retries: int = 0) -> None:
+        super().__init__(format_failures([f.record() for f in failures],
+                                         retries))
+        self.failures = list(failures)
 
 
 # -- chaos hooks --------------------------------------------------------------

@@ -49,8 +49,9 @@ from repro.runner.dist import (
     run_worker,
 )
 from repro.runner.dist.coordinator import _LocalFleet
-from repro.runner.ledger import RunLedger, ledger_path, load_ledger
-from repro.runner.pool import RunStats, engine_options
+from repro.runner.ledger import (RunLedger, UnitCounts, ledger_path,
+                                 load_ledger)
+from repro.runner.pool import engine_options
 from repro.runner.sharding import (
     ShardResult,
     ShardSpec,
@@ -460,7 +461,7 @@ class TestWorker:
             queue.publish(key, pickle.dumps((fn, spec, args)))
         stats = drain("q2", max_attempts=2)
         assert stats.completed == 4 and stats.failed == 0
-        assert stats.stats.retries == 1
+        assert stats.retries == 1
         assert len(starts) == 2
         assert os.path.exists(marker) and queue.settled()
         store = ShardStore(tmp_path / "cache")
@@ -528,13 +529,14 @@ class TestCoordinator:
 
         # second coordinator, fresh queue, *no workers anywhere*: every
         # artifact prefills from the store
-        stats = RunStats()
+        ledger, counts = RunLedger(), UnitCounts()
+        ledger.subscribe(counts)
         with engine_options(
-                cache=ResultCache(tmp_path / "cache"), stats=stats,
+                cache=ResultCache(tmp_path / "cache"), ledger=ledger,
                 dist=DistPolicy(queue=str(tmp_path / "q2"), workers=0,
                                 ttl=10, poll=0.02)):
             again = run_shards(_moments_shard, shards)
-        assert stats.cache_hits == 5 and stats.cache_misses == 0
+        assert counts.cache_hits == 5 and counts.misses == 0
         assert [r.shard.index for r in again] == list(range(5))
         assert list((tmp_path / "q2" / "tasks").glob("*.task")) == []
 
@@ -571,19 +573,19 @@ class TestCoordinator:
         thread = threading.Thread(target=rescue, daemon=True)
         thread.start()
 
-        stats = RunStats()
+        counts = UnitCounts()
         ledger = RunLedger(tmp_path / "run.jsonl",
                            meta={"experiment": "dist-test"})
+        ledger.subscribe(counts)
         with ledger, engine_options(
-                cache=ResultCache(tmp_path / "cache"), stats=stats,
-                ledger=ledger,
+                cache=ResultCache(tmp_path / "cache"), ledger=ledger,
                 dist=DistPolicy(queue=str(tmp_path / "q"), workers=0,
                                 ttl=1.0, poll=0.05)):
             results = run_shards(_moments_shard, shards)
         thread.join(timeout=10)
 
         # zero re-simulation of the landed artifact, and full results
-        assert stats.cache_hits == 1 and stats.cache_misses == 2
+        assert counts.cache_hits == 1 and counts.misses == 2
         assert [r.shard.index for r in results] == [0, 1, 2]
 
         view = load_ledger(tmp_path / "run.jsonl")
@@ -620,7 +622,7 @@ class TestCoordinator:
                             dist=policy):
             with pytest.raises(CampaignAborted) as excinfo:
                 run_shards(_moments_shard, shards)
-        [failure] = excinfo.value.report.failures
+        [failure] = excinfo.value.failures
         assert failure.kind == "shard-failed" and "boom" in failure.error
 
         degrade = SupervisionPolicy(retry=RetryBudget(max_attempts=1),
@@ -919,9 +921,10 @@ class TestDistCli:
         """A shard a fabric lane had to retry is a retry of the
         campaign: crashing every shard once, `--distributed` reports the
         same `retries` and ledgers the same `retried` events as the
-        same campaign on `--jobs 2`, and each shard still settles
-        `done` for `--resume`."""
+        same campaign on `--jobs 2`, each shard still settles `done`
+        for `--resume`, and the report attributes every retry."""
         from repro.cli import main
+        from repro.obs import render_report
 
         monkeypatch.setenv("REPRO_CHAOS", "crash:1.0")
         base = ["experiment", "model_validation", "--scale", "small",
@@ -947,6 +950,14 @@ class TestDistCli:
         assert "retries 9" in local[0][0]
         assert dist == local
         assert dist[2]["failed"] == 0
+        report = render_report(load_ledger(ledger_path(
+            tmp_path / "dist-cache", "model_validation", "small", 3)))
+        failures = report.split("## Failures")[1].split("\n## ")[0]
+        rows = [line for line in failures.splitlines()
+                if line.startswith("| retried |")]
+        assert len(rows) == 9
+        assert all(row.split("|")[4].strip() == "shard-retried"
+                   for row in rows)
 
     def test_distributed_campaign_is_byte_identical_to_single_host(
             self, tmp_path, capsys):

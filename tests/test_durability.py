@@ -10,6 +10,7 @@ in-process.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,12 +21,11 @@ from repro.obs import CampaignCollector
 from repro.runner import (
     CampaignAborted,
     FailedUnit,
-    FailureReport,
     ResultCache,
     RetryBudget,
-    RunStats,
     SupervisionPolicy,
     RunLedger,
+    UnitCounts,
     engine_options,
     list_campaigns,
     load_ledger,
@@ -102,6 +102,12 @@ def _cli(args, tmp_path, chaos=None, chaos_dir=None):
 EXPERIMENT = ["experiment", "fig2", "--scale", "small", "--seed", "1",
               "--jobs", "1"]
 
+#: One quarantined fig2 unit in the CLI's failure block.  The poisoned
+#: key's prefix is a regex: plan keys embed the code version, so it
+#: moves with every source edit.
+_QUARANTINE_ROW = (r"  \[exception\] {video} seed=1 after 2 attempt\(s\): "
+                   r"ChaosError: poison unit [0-9a-f]{{12}}")
+
 
 class TestKillAndResume:
     def test_killed_campaign_resumes_byte_identical(self, tmp_path):
@@ -160,7 +166,13 @@ class TestKillAndResume:
                        "--failures", "failures.jsonl"], tmp_path,
                       chaos="poison:1.0")
         assert result.returncode == 3, result.stderr
-        assert "quarantined" in result.stdout
+        lines = result.stdout.splitlines()
+        block = lines.index("2 unit(s) quarantined (2 retries spent):")
+        for row, video in zip(lines[block + 1:block + 3],
+                              ("fig2-flash", "fig2-html5")):
+            assert re.fullmatch(_QUARANTINE_ROW.format(video=video), row), row
+        assert ("engine fig2: 2 units, hits 0, re-simulated 2, retries 2, "
+                "failed 2") in lines
         failures = (tmp_path / "failures.jsonl").read_text().splitlines()
         assert len(failures) == 2  # fig2 runs two units
         assert all('"kind": "exception"' in line for line in failures)
@@ -169,21 +181,28 @@ class TestKillAndResume:
         result = _cli([*EXPERIMENT, "--max-attempts", "2"], tmp_path,
                       chaos="poison:1.0")
         assert result.returncode == 1
-        assert "campaign aborted" in result.stdout
+        lines = result.stdout.splitlines()
+        block = lines.index("fig2: campaign aborted — 2 unit(s) "
+                            "quarantined (2 retries spent):")
+        for row, video in zip(lines[block + 1:block + 3],
+                              ("fig2-flash", "fig2-html5")):
+            assert re.fullmatch(_QUARANTINE_ROW.format(video=video), row), row
 
 
 class TestEngineDurability:
-    """In-process: supervision/ledger/failures through run_sessions."""
+    """In-process: supervision/ledger/quarantine through run_sessions."""
 
     def _run(self, tmp_path, *, chaos=None, monkeypatch=None, plans=None,
-             **opts):
+             ledger=None, **opts):
         if chaos is not None:
             monkeypatch.setenv("REPRO_CHAOS", chaos)
             monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path / "chaos"))
-        stats = RunStats()
-        with engine_options(stats=stats, **opts):
+        ledger = RunLedger() if ledger is None else ledger
+        counts = UnitCounts()
+        ledger.subscribe(counts)
+        with engine_options(ledger=ledger, **opts):
             results = run_sessions(plans if plans is not None else _plans())
-        return results, stats
+        return results, counts
 
     def test_supervised_run_matches_plain_run(self, tmp_path):
         plain, _ = self._run(tmp_path)
@@ -205,8 +224,8 @@ class TestEngineDurability:
         self._run(tmp_path, cache=cache)
         ledger = RunLedger(tmp_path / "j.jsonl")
         try:
-            _, stats = self._run(tmp_path, cache=cache, ledger=ledger)
-            assert stats.cache_hits == 3
+            _, counts = self._run(tmp_path, cache=cache, ledger=ledger)
+            assert counts.cache_hits == 3
             assert ledger.unit_counts()["done"] == 3
         finally:
             ledger.close()
@@ -219,23 +238,23 @@ class TestEngineDurability:
         ledger = RunLedger(tmp_path / "j.jsonl")
         policy = SupervisionPolicy(
             retry=RetryBudget(max_attempts=2, backoff_base=0.0))
-        failures = FailureReport()
+        tally = UnitCounts()
+        ledger.subscribe(tally)
         plans = _mixed_plans(n_clean=2, n_poisoned=1)
         try:
             with pytest.raises(CampaignAborted) as excinfo:
                 self._run(tmp_path, chaos="poison:0.5",
                           monkeypatch=monkeypatch, plans=plans, cache=cache,
-                          ledger=ledger, supervision=policy,
-                          failures=failures)
+                          ledger=ledger, supervision=policy)
             counts = ledger.unit_counts()
             # abort happens *after* the batch: completed units are in the
             # cache and ledger, quarantined ones attributed
             assert counts["quarantined"] == 1
             assert counts["done"] == 2
             assert len(cache) == 2
-            assert excinfo.value.report is failures
-            assert not failures.ok
-            assert len(failures.failures) == 1
+            assert [f.index for f in excinfo.value.failures] == [2]
+            assert tally.failed == 1
+            assert tally.quarantined[0]["key"] == excinfo.value.failures[0].key
         finally:
             ledger.close()
 
@@ -244,18 +263,17 @@ class TestEngineDurability:
         policy = SupervisionPolicy(
             retry=RetryBudget(max_attempts=2, backoff_base=0.0),
             degrade=True)
-        failures = FailureReport()
-        results, stats = self._run(tmp_path, chaos="poison:0.5",
-                                   monkeypatch=monkeypatch,
-                                   plans=_mixed_plans(n_clean=2,
-                                                      n_poisoned=1),
-                                   supervision=policy, failures=failures)
+        results, counts = self._run(tmp_path, chaos="poison:0.5",
+                                    monkeypatch=monkeypatch,
+                                    plans=_mixed_plans(n_clean=2,
+                                                       n_poisoned=1),
+                                    supervision=policy)
         assert len(results) == 3
         placeholders = [i for i, r in enumerate(results)
                         if isinstance(r, FailedUnit)]
         assert placeholders == [2]  # the poisoned plan, in its slot
-        assert stats.failed == 1
-        assert [f.index for f in failures.failures] == placeholders
+        assert counts.failed == 1
+        assert [r["unit"] for r in counts.quarantined] == placeholders
 
     def test_collector_exports_failures(self, tmp_path, monkeypatch):
         collector = CampaignCollector()

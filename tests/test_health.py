@@ -28,8 +28,8 @@ from repro.obs import (
 from repro.runner import (
     ResultCache,
     RetryBudget,
-    RunStats,
     SupervisionPolicy,
+    UnitCounts,
     engine_options,
     run_supervised,
     run_tasks,
@@ -366,18 +366,19 @@ class TestSupervisedIntegration:
                            meta={"experiment": "kill-test"})
         spy = Spy()
         ledger.subscribe(spy)
+        counts = UnitCounts()
+        ledger.subscribe(counts)
         monitor = HealthMonitor(HealthPolicy(interval=0.1), ledger=ledger)
         policy = SupervisionPolicy(unit_timeout=unit_timeout, retry=FAST)
-        stats = RunStats()
         args = (str(tmp_path), 3)
         started = time.monotonic()
         with ledger, engine_options(supervision=policy, health=monitor,
-                                    ledger=ledger, stats=stats):
+                                    ledger=ledger):
             results = run_tasks(_sigkill_once, [(args,)])
         elapsed = time.monotonic() - started
         assert results == [9]
-        assert stats.failed == 0
-        assert stats.retries == 1
+        assert counts.failed == 0
+        assert counts.retries == 1
         assert elapsed < unit_timeout
         assert "worker-lost" in [s.kind for s in spy.suspicions]
 

@@ -22,6 +22,7 @@ from repro.obs import (
     render_report,
     write_report,
 )
+from repro.runner import UnitCounts
 
 
 class FakeClock:
@@ -76,8 +77,11 @@ class TestRunLedger:
         assert counts["started"] == 3
         assert counts["done"] == 2
         assert counts["retried"] == 1
-        assert view.units_scheduled() == 3
-        assert view.cache_hits() == 1
+        counts = UnitCounts()
+        for event in view.events:
+            counts.fold(event)
+        assert counts.total == 3
+        assert counts.cache_hits == 1
         assert view.unit_latencies() == [2.0, 1.0]
         assert [e["seq"] for e in view.events] == list(range(len(view.events)))
 
@@ -109,7 +113,10 @@ class TestRunLedger:
         view = load_ledger(path)
         assert view.events[-1]["event"] == "scheduled"
         assert view.events[-1]["seq"] == last_seq + 1
-        assert view.units_scheduled() == 4
+        counts = UnitCounts()
+        for event in view.events:
+            counts.fold(event)
+        assert counts.total == 4
 
     def test_fresh_discards_previous_log(self, tmp_path):
         path = _write_campaign(tmp_path / "run.jsonl")

@@ -32,8 +32,9 @@ from repro.experiments import (
 )
 from repro.runner import (
     ResultCache,
-    RunStats,
+    RunLedger,
     SessionPlan,
+    UnitCounts,
     canonical,
     code_version,
     current_options,
@@ -47,6 +48,13 @@ from repro.runner import (
 #: An even smaller scale for test-suite latency (mirrors test_experiments).
 TINY = Scale(name="tiny", sessions_per_cell=3, capture_duration=90.0,
              catalog_scale=0.02, mc_horizon=4000.0)
+
+
+def _tally():
+    """An in-memory ledger with the unit tally subscribed to it."""
+    ledger, counts = RunLedger(), UnitCounts()
+    ledger.subscribe(counts)
+    return ledger, counts
 
 
 # Module-level workers: picklable by reference, as the pool requires.
@@ -91,7 +99,7 @@ if __name__ == "__main__":
     try:
         run_tasks(_die_on_two, [(x,) for x in range(4)], jobs=2)
     except CampaignAborted as exc:
-        for failure in exc.report.failures:
+        for failure in exc.failures:
             print(failure.kind, failure.index)
         sys.exit(0)
     sys.exit(1)
@@ -207,20 +215,20 @@ class TestRunTasks:
         cache = ResultCache(tmp_path)
         args = [(x,) for x in range(4)]
 
-        stats = RunStats()
-        run_tasks(_square, args, cache=cache, stats=stats)
-        assert (stats.cache_hits, stats.cache_misses) == (0, 4)
+        def run():
+            ledger, counts = _tally()
+            with engine_options(ledger=ledger):
+                result = run_tasks(_square, args, cache=cache)
+            return result, (counts.cache_hits, counts.misses)
 
-        stats = RunStats()
-        run_tasks(_square, args, cache=cache, stats=stats)
-        assert (stats.cache_hits, stats.cache_misses) == (4, 0)
+        assert run()[1] == (0, 4)
+        assert run()[1] == (4, 0)
 
         # a code change moves every key: the warm cache no longer applies
         monkeypatch.setattr(fingerprint_module, "code_version",
                             lambda: "cafebabecafebabe")
-        stats = RunStats()
-        result = run_tasks(_square, args, cache=cache, stats=stats)
-        assert (stats.cache_hits, stats.cache_misses) == (0, 4)
+        result, hits_misses = run()
+        assert hits_misses == (0, 4)
         assert result == [0, 1, 4, 9]
 
 
@@ -306,13 +314,13 @@ class TestDeterminism:
 class TestSpecRun:
     def test_spec_run_threads_jobs_cache_stats(self, tmp_path):
         spec = get_experiment("model_validation")
-        cold = RunStats()
-        first = spec.run(TINY, seed=0, jobs=2, cache=tmp_path, stats=cold)
-        assert cold.cache_misses == cold.sessions > 0
+        ledger, cold = _tally()
+        first = spec.run(TINY, seed=0, jobs=2, cache=tmp_path, ledger=ledger)
+        assert cold.misses == cold.total > 0
 
-        warm = RunStats()
-        second = spec.run(TINY, seed=0, jobs=2, cache=tmp_path, stats=warm)
-        assert warm.cache_hits == warm.sessions == cold.sessions
+        ledger, warm = _tally()
+        second = spec.run(TINY, seed=0, jobs=2, cache=tmp_path, ledger=ledger)
+        assert warm.cache_hits == warm.total == cold.total
         assert second.report() == first.report()
 
 

@@ -35,12 +35,12 @@ from repro.runner import (
     EngineOptions,
     ResultCache,
     RunLedger,
-    RunStats,
     SessionPlan,
     ShardResult,
     ShardSpec,
     ShardStore,
     Sharding,
+    UnitCounts,
     current_options,
     engine_options,
     merge_options,
@@ -194,15 +194,15 @@ class TestMergeOptions:
             merge_options(EngineOptions(), {"job": 2})
 
     def test_nested_scopes_compose(self, tmp_path):
-        stats = RunStats()
+        ledger = RunLedger()
         with engine_options(jobs=3, sharding=Sharding(shards=2)):
-            with engine_options(cache=str(tmp_path), stats=stats):
+            with engine_options(cache=str(tmp_path), ledger=ledger):
                 options = current_options()
                 # inner scope inherits what it did not override
                 assert options.jobs == 3
                 assert options.sharding == Sharding(shards=2)
                 assert isinstance(options.cache, ResultCache)
-                assert options.stats is stats
+                assert options.ledger is ledger
             assert current_options().cache is None
         assert current_options().sharding is None
 
@@ -226,6 +226,13 @@ class TestMergeOptions:
 
 def _double(x):
     return x * 2
+
+
+def _tally():
+    """An in-memory ledger with the unit tally subscribed to it."""
+    ledger, counts = RunLedger(), UnitCounts()
+    ledger.subscribe(counts)
+    return ledger, counts
 
 
 def _spec(index=0, of=4, units=10, campaign="camp", seed=0):
@@ -325,12 +332,13 @@ class TestRunShards:
 
     def test_rerun_hits_shard_store(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cold, warm = RunStats(), RunStats()
-        with engine_options(cache=cache):
-            run_shards(_double, self._units(), stats=cold)
-            results = run_shards(_double, self._units(), stats=warm)
-        assert cold.cache_misses == 4 and cold.cache_hits == 0
-        assert warm.cache_hits == 4 and warm.cache_misses == 0
+        (cold_ledger, cold), (warm_ledger, warm) = _tally(), _tally()
+        with engine_options(cache=cache, ledger=cold_ledger):
+            run_shards(_double, self._units())
+        with engine_options(cache=cache, ledger=warm_ledger):
+            results = run_shards(_double, self._units())
+        assert cold.misses == 4 and cold.cache_hits == 0
+        assert warm.cache_hits == 4 and warm.misses == 0
         assert [r.value for r in results] == [0, 2, 4, 6]
         # artifacts live in the shard namespace, not the session cache
         store = ShardStore(cache)
@@ -339,13 +347,14 @@ class TestRunShards:
 
     def test_redimensioned_campaign_reuses_prefix(self, tmp_path):
         cache = ResultCache(tmp_path)
-        grown = RunStats()
+        ledger, grown = _tally()
         with engine_options(cache=cache):
             run_shards(_double, self._units(4))
-            run_shards(_double, self._units(8), stats=grown)
+            with engine_options(ledger=ledger):
+                run_shards(_double, self._units(8))
         # the first 4 shards of the grown campaign are cache hits even
         # though the shard *count* changed
-        assert grown.cache_hits == 4 and grown.cache_misses == 4
+        assert grown.cache_hits == 4 and grown.misses == 4
 
 
 # -- streaming reduction equivalence (the satellite-4 contract) --------------
@@ -526,10 +535,9 @@ class TestModelValidationCampaignGate:
         tiny = Scale(name="tiny", sessions_per_cell=3,
                      capture_duration=90.0, catalog_scale=0.02,
                      mc_horizon=4000.0)
-        stats = RunStats()
         result = get_experiment("model_validation").run(
             tiny, seed=0, jobs=2, cache=ResultCache(tmp_path),
-            stats=stats, sharding=Sharding(shards=4, sessions=10_000))
+            sharding=Sharding(shards=4, sessions=10_000))
         assert result.shards == 4
         # lam * horizon = 10k expected arrivals per strategy; Poisson
         # fluctuation is ~1%, so the three-strategy campaign clears 27k
@@ -542,11 +550,11 @@ class TestModelValidationCampaignGate:
         variances = [row.empirical_var for row in result.moment_rows]
         assert max(variances) / min(variances) < 1.1
         # every shard artifact landed in the store: a re-run is free
-        warm = RunStats()
+        ledger, warm = _tally()
         rerun = get_experiment("model_validation").run(
             tiny, seed=0, jobs=2, cache=ResultCache(tmp_path),
-            stats=warm, sharding=Sharding(shards=4, sessions=10_000))
-        assert warm.cache_misses == 0
+            ledger=ledger, sharding=Sharding(shards=4, sessions=10_000))
+        assert warm.misses == 0
         assert rerun.campaign_sessions == result.campaign_sessions
         assert [r.empirical_mean for r in rerun.moment_rows] \
             == [r.empirical_mean for r in result.moment_rows]

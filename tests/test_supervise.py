@@ -14,10 +14,11 @@ import pytest
 from repro.runner import (
     CampaignAborted,
     FailedUnit,
-    FailureReport,
     RetryBudget,
+    RunLedger,
     SupervisionPolicy,
     UnitFailure,
+    format_failures,
     run_supervised,
 )
 
@@ -177,7 +178,7 @@ class TestRunSupervised:
         assert retries == 0
 
 
-class TestFailureReport:
+class TestFormatFailures:
     def _failure(self, **overrides):
         base = dict(index=3, label="fig2-flash seed=1", key="ab" * 20,
                     kind="exception", error="ValueError: nope",
@@ -185,23 +186,28 @@ class TestFailureReport:
         base.update(overrides)
         return UnitFailure(**base)
 
-    def test_ok_until_a_failure_is_added(self):
-        report = FailureReport()
-        assert report.ok
-        assert report.format() == "no failures"
-        report.add(self._failure())
-        assert not report.ok
+    def test_no_failures_formats_as_such(self):
+        assert format_failures([], 0) == "no failures"
 
     def test_format_attributes_every_failure(self):
-        report = FailureReport()
-        report.add(self._failure())
-        report.retries = 4
-        text = report.format()
-        assert "1 unit(s) quarantined (4 retries spent)" in text
-        assert "fig2-flash seed=1" in text
-        assert "after 2 attempt(s)" in text
-        assert "ValueError: nope" in text
-        assert ("ab" * 20)[:12] in text
+        text = format_failures([self._failure().record()], 4)
+        assert text == (
+            "1 unit(s) quarantined (4 retries spent):\n"
+            "  [exception] fig2-flash seed=1 key=abababababab "
+            "after 2 attempt(s): ValueError: nope")
+        # a keyless unit (no cache, no ledger file) prints no key
+        keyless = format_failures([self._failure(key=None).record()], 0)
+        assert keyless.splitlines()[1] == (
+            "  [exception] fig2-flash seed=1 after 2 attempt(s): "
+            "ValueError: nope")
+
+    def test_ledger_records_format_like_failure_records(self):
+        ledger = RunLedger()
+        ledger.failure(self._failure())
+        [record] = ledger.records
+        assert record["event"] == "quarantined"
+        assert (format_failures([record], 1)
+                == format_failures([self._failure().record()], 1))
 
     def test_records_are_flat_and_export_ready(self):
         record = self._failure().record()
@@ -209,9 +215,9 @@ class TestFailureReport:
         assert record["kind"] == "exception"
         assert record["final"] is True
 
-    def test_campaign_aborted_carries_the_report(self):
-        report = FailureReport()
-        report.add(self._failure())
-        exc = CampaignAborted(report)
-        assert exc.report is report
+    def test_campaign_aborted_carries_the_failures(self):
+        failure = self._failure()
+        exc = CampaignAborted([failure], 4)
+        assert exc.failures == [failure]
+        assert str(exc) == format_failures([failure.record()], 4)
         assert "quarantined" in str(exc)
