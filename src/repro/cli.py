@@ -63,6 +63,7 @@ shards, the work-stealing granularity knob.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -150,7 +151,10 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
              "reporting them instead of aborting (exit code 3)")
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser, built on first use and then reused:
+    no default reads the environment, so one tree serves every call."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(

@@ -15,8 +15,8 @@ Public API:
 * :class:`ResultCache` — the content-addressed store
   (:mod:`repro.runner.cache`).
 * :func:`plan_fingerprint`, :func:`task_fingerprint`,
-  :func:`code_version`, :func:`fingerprint`, :func:`canonical` — cache
-  keys (:mod:`repro.runner.fingerprint`).
+  :func:`code_version`, :func:`fingerprint`, :func:`fingerprint_batch`,
+  :func:`canonical` — cache keys (:mod:`repro.runner.fingerprint`).
 * :func:`engine_options`, :class:`EngineOptions`,
   :func:`current_options` — ambient configuration the CLI installs and
   experiments inherit.
@@ -60,6 +60,7 @@ from .fingerprint import (
     canonical,
     code_version,
     fingerprint,
+    fingerprint_batch,
     plan_fingerprint,
     task_fingerprint,
 )
@@ -130,6 +131,7 @@ __all__ = [
     "current_options",
     "engine_options",
     "fingerprint",
+    "fingerprint_batch",
     "format_failures",
     "ledger_path",
     "list_campaigns",

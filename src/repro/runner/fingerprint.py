@@ -15,6 +15,12 @@ by ``repr`` (exact round-trip), and unknown objects fall back to their
 class plus ``vars()``.  Callables are rejected — a config carrying a
 closure cannot be content-addressed (or pickled to a worker) and should
 fail loudly rather than collide.
+
+A batch of units is keyed by :func:`fingerprint_batch`, which encodes
+each distinct argument object once per call: thirty Monte-Carlo shards
+that all carry the same catalog canonicalize it once, not thirty times.
+Its keys are byte-identical to :func:`fingerprint`'s, so the per-unit
+functions stay the reference a batch key can always be checked against.
 """
 
 from __future__ import annotations
@@ -25,12 +31,13 @@ import hashlib
 import json
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 __all__ = [
     "canonical",
     "code_version",
     "fingerprint",
+    "fingerprint_batch",
     "plan_fingerprint",
     "task_fingerprint",
 ]
@@ -85,11 +92,65 @@ def canonical(obj: Any) -> Any:
     raise TypeError(f"cannot fingerprint {type(obj).__qualname__}: {obj!r}")
 
 
+def _dumps(encoded: Any) -> str:
+    return json.dumps(encoded, sort_keys=True, separators=(",", ":"))
+
+
+def _digest(payload: str) -> str:
+    return hashlib.sha256(payload.encode()).hexdigest()[:DIGEST_LEN]
+
+
+#: ``id(obj) -> (obj, canonical JSON text)`` for one batch.
+_Memo = Dict[int, Tuple[Any, str]]
+
+
 def fingerprint(*parts: Any) -> str:
     """A stable hex digest of the canonical encoding of ``parts``."""
-    payload = json.dumps([canonical(p) for p in parts],
-                         sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:DIGEST_LEN]
+    return _digest(_dumps([canonical(p) for p in parts]))
+
+
+def fingerprint_batch(rows: Iterable[Sequence[Any]]) -> List[str]:
+    """``[fingerprint(*row) for row in rows]``, encoding each distinct
+    object once.
+
+    The memo maps ``id(obj)`` to the object's canonical JSON text and
+    holds the object itself, so no id is recycled while the call runs.
+    Plain lists and tuples are joined from their items' memoized texts,
+    the way :func:`json.dumps` lays out a list, so a fresh ``list(args)``
+    row part still shares the encoding of every argument it holds.  The
+    memo lives for one call: an object mutated between two batches is
+    encoded afresh.
+
+    >>> shared = [1.5, "video"]
+    >>> fingerprint_batch([("a", shared), ("b", [shared])]) == [
+    ...     fingerprint("a", shared), fingerprint("b", [shared])]
+    True
+    """
+    memo: _Memo = {}
+    return [_digest(_joined(row, memo)) for row in rows]
+
+
+def _joined(items: Iterable[Any], memo: _Memo) -> str:
+    return "[" + ",".join([_text(item, memo) for item in items]) + "]"
+
+
+def _text(obj: Any, memo: _Memo) -> str:
+    """``_dumps(canonical(obj))``, memoized by ``id(obj)``.
+
+    A module-level function, not a closure over ``memo``: a recursive
+    closure is a reference cycle, which would keep the memo and every
+    object it pins alive until the next full garbage collection.
+    """
+    hit = memo.get(id(obj))
+    if hit is not None:
+        return hit[1]
+    kind = type(obj)
+    if kind is list or kind is tuple:
+        encoded = _joined(obj, memo)
+    else:
+        encoded = _dumps(canonical(obj))
+    memo[id(obj)] = (obj, encoded)
+    return encoded
 
 
 def _iter_source_files(root: Path) -> Iterable[Path]:
@@ -115,9 +176,18 @@ def code_version() -> str:
     return digest.hexdigest()[:16]
 
 
+def _plan_row(video: Any, config: Any) -> tuple:
+    return ("session", code_version(), video, config)
+
+
 def plan_fingerprint(video: Any, config: Any) -> str:
     """Cache key for one ``run_session(video, config)`` call."""
-    return fingerprint("session", code_version(), video, config)
+    return fingerprint(*_plan_row(video, config))
+
+
+def _task_row(fn: Any, args: tuple) -> tuple:
+    name = f"{fn.__module__}.{fn.__qualname__}"
+    return ("task", code_version(), name, list(args))
 
 
 def task_fingerprint(fn: Any, args: tuple) -> str:
@@ -127,5 +197,4 @@ def task_fingerprint(fn: Any, args: tuple) -> str:
     requirement the multiprocessing pool imposes — so its qualified name
     identifies it; the body is covered by :func:`code_version`.
     """
-    name = f"{fn.__module__}.{fn.__qualname__}"
-    return fingerprint("task", code_version(), name, list(args))
+    return fingerprint(*_task_row(fn, args))

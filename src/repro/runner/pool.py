@@ -44,7 +44,12 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .cache import ResultCache
-from .fingerprint import plan_fingerprint, task_fingerprint
+from .fingerprint import (
+    _plan_row,
+    _task_row,
+    fingerprint_batch,
+    plan_fingerprint,
+)
 from .ledger import RunLedger
 from .supervise import (
     CHAOS_ENV,
@@ -321,7 +326,8 @@ def run_sessions(plans: Iterable[PlanLike], *, jobs: Optional[int] = None,
         # The cache key is (video, config, code version) only — who is
         # observing the run never changes what a session computes, so it
         # must not change where its result lives.
-        keys = [plan.key for plan in normalized]
+        keys = fingerprint_batch(_plan_row(plan.video, plan.config)
+                                 for plan in normalized)
 
     def describe(i: int) -> str:
         plan = normalized[i]
@@ -360,7 +366,7 @@ def run_tasks(fn: Callable[..., Any], argslist: Iterable[tuple], *,
                 f"run_tasks got {len(items)} tasks but {len(keys)} keys")
     elif _keyed(cache, options.ledger):
         # Keyed on (function, args, code version) only.
-        keys = [task_fingerprint(fn, args) for _fn, args in items]
+        keys = fingerprint_batch(_task_row(fn, args) for _fn, args in items)
 
     def describe(i: int) -> str:
         _fn, args = items[i]

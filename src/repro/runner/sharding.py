@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .cache import ResultCache
-from .fingerprint import code_version, fingerprint
+from .fingerprint import code_version, fingerprint, fingerprint_batch
 from .pool import SessionPlan, current_options, run_tasks
 from .supervise import CHAOS_ENV, chaos_hook, chaos_mark_done
 
@@ -136,6 +136,13 @@ class ShardResult:
     value: Any
 
 
+def _shard_row(spec: ShardSpec, fn: Callable[..., Any],
+               args: Sequence[Any]) -> tuple:
+    name = f"{fn.__module__}.{fn.__qualname__}"
+    return ("shard", code_version(), name, spec.campaign, spec.scale,
+            spec.seed, spec.index, spec.units, list(args))
+
+
 def shard_fingerprint(spec: ShardSpec, fn: Callable[..., Any],
                       args: Sequence[Any]) -> str:
     """Content address of one shard artifact.
@@ -146,10 +153,7 @@ def shard_fingerprint(spec: ShardSpec, fn: Callable[..., Any],
     value, and nothing (total shard count, jobs, observers) that does
     not.
     """
-    name = f"{fn.__module__}.{fn.__qualname__}"
-    return fingerprint("shard", code_version(), name, spec.campaign,
-                       spec.scale, spec.seed, spec.index, spec.units,
-                       list(args))
+    return fingerprint(*_shard_row(spec, fn, args))
 
 
 class ShardStore(ResultCache):
@@ -267,7 +271,8 @@ def run_shards(fn: Callable[..., Any],
         if on_result is not None:
             on_result(result)
 
-    keys = [shard_fingerprint(spec, fn, args) for spec, args in shards]
+    keys = fingerprint_batch(_shard_row(spec, fn, args)
+                             for spec, args in shards)
     if options.dist is not None:
         from .dist.coordinator import run_shards_distributed
 

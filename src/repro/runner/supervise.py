@@ -248,7 +248,10 @@ def chaos_hook(key: str) -> None:
     elif mode == "poison":
         rate = float(arg) if arg else 0.5
         if _chaos_selected(key, rate):
-            raise ChaosError(f"poison unit {key[:12]}")
+            # session keys are digests, named by their prefix; a shard
+            # key ("shard:<campaign>:<i>/<n>") only differs at its tail
+            shown = key if key.startswith("shard:") else key[:12]
+            raise ChaosError(f"poison unit {shown}")
     elif mode == "kill-after":
         threshold = int(arg)
         root = _chaos_dir()

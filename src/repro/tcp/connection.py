@@ -906,17 +906,21 @@ class TcpConnection:
 
     def _fast_pure_ack(self, seg: TcpSegment) -> bool:
         """A pure ACK that advances ``snd_una`` on an ESTABLISHED
-        connection outside recovery, with persist idle and no FIN in
-        either direction.  ``_try_send`` stays a real call (transmitting
-        the window the ACK opened is the actual work)."""
+        connection outside recovery, with persist idle, no FIN from the
+        peer and none sent yet.  A server that closed right after
+        queueing its body sits in FIN_WAIT_1 with the FIN pending behind
+        the data; its ACKs take this path too.  ``_try_send`` stays a
+        real call (transmitting the window the ACK opened, then the FIN,
+        is the actual work)."""
         # -- guards (reads only) ------------------------------------------
-        if self.state != ESTABLISHED or seg.flags != ACK:
+        state = self.state
+        if (state != ESTABLISHED and state != FIN_WAIT_1) or seg.flags != ACK:
             return False
         ack_off = seg.ack - self.iss - 1
         una = self.snd_una_off
         if ack_off <= una or ack_off > self.snd_nxt_off:
             return False  # dupack / stale / beyond-snd_nxt: generic path
-        if self._fin_sent or self._fin_pending or self._peer_fin_off is not None:
+        if self._fin_sent or self._peer_fin_off is not None:
             return False
         cc = self.cc
         if cc.in_recovery:
@@ -955,7 +959,7 @@ class TcpConnection:
             self._restart_rexmit_timer()
         else:
             self._rexmit_deadline = None  # inlined _cancel_rexmit_timer
-        if self.stream._length > snd_nxt:
+        if self.stream._length > snd_nxt or self._fin_pending:
             self._try_send()
         return True
 

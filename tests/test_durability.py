@@ -25,11 +25,13 @@ from repro.runner import (
     RetryBudget,
     SupervisionPolicy,
     RunLedger,
+    ShardSpec,
     UnitCounts,
     engine_options,
     list_campaigns,
     load_ledger,
     run_sessions,
+    run_shards,
 )
 from repro.simnet import RESEARCH
 from repro.streaming import (
@@ -57,6 +59,10 @@ def _config(seed=3):
 
 def _plans(n=3):
     return [(_video(i), _config(seed=i)) for i in range(n)]
+
+
+def _identity(x):
+    return x
 
 
 def _mixed_plans(n_clean=2, n_poisoned=1, rate=0.5):
@@ -274,6 +280,24 @@ class TestEngineDurability:
         assert placeholders == [2]  # the poisoned plan, in its slot
         assert counts.failed == 1
         assert [r["unit"] for r in counts.quarantined] == placeholders
+
+    def test_poisoned_shards_name_themselves(self, tmp_path, monkeypatch):
+        # shard chaos keys share their "shard:<campaign>:" head, so the
+        # error must carry the whole key to tell the shards apart
+        monkeypatch.setenv("REPRO_CHAOS", "poison:1.0")
+        policy = SupervisionPolicy(
+            retry=RetryBudget(max_attempts=1, backoff_base=0.0))
+        units = [(ShardSpec(campaign="model_validation:camp", scale="tiny",
+                            seed=0, index=i, of=4, units=1), (i,))
+                 for i in range(4)]
+        with engine_options(supervision=policy):
+            with pytest.raises(CampaignAborted) as excinfo:
+                run_shards(_identity, units)
+        errors = [f.error for f in excinfo.value.failures]
+        assert len(errors) == 4 and len(set(errors)) == 4
+        for i, error in enumerate(errors):
+            assert error.endswith(
+                f"poison unit shard:model_validation:camp:{i}/4"), error
 
     def test_collector_exports_failures(self, tmp_path, monkeypatch):
         collector = CampaignCollector()

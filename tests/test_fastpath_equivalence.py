@@ -240,6 +240,18 @@ def test_client_throttled_session_batches_deliveries(sessions, monkeypatch):
     assert fired <= 0.10 * packets
 
 
+def test_closing_server_keeps_acks_on_the_steady_state(sessions,
+                                                      monkeypatch):
+    """The bulk HTML5 strategy (webm, Firefox): the server closes right
+    after queueing the body, so it spends the download in FIN_WAIT_1
+    with the FIN unsent.  Its pure ACKs must still take the steady-state
+    branch rather than the generic state machine."""
+    _fired, packets, generic = _engagement_session(
+        "webm", Application.FIREFOX, sessions, monkeypatch)
+    assert packets > 50_000
+    assert generic <= 0.10 * packets
+
+
 def test_fault_scenario_actually_faulted():
     """The faults scenario must arm and fire its outage + degradation
     inside the captured window, or it proves nothing."""
