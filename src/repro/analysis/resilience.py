@@ -140,22 +140,6 @@ class BlockMergingReport:
     clean_median_block: Optional[float]
     faulted_median_block: Optional[float]
 
-    @property
-    def cycles_lost(self) -> int:
-        """ON-OFF cycles the faults erased from the trace."""
-        return self.clean_cycles - self.faulted_cycles
-
-    @property
-    def block_inflation(self) -> Optional[float]:
-        """Median observed block size, faulted relative to clean.
-
-        Values above 1 mean the analysis sees *larger* blocks under
-        faults — adjacent blocks merged across the recovery burst.
-        """
-        if not self.clean_median_block or self.faulted_median_block is None:
-            return None
-        return self.faulted_median_block / self.clean_median_block
-
 
 def quantify_block_merging(
     clean: SessionResult,

@@ -25,9 +25,10 @@ Commands:
   the artifacts in the shared store.  Start any number, on any hosts
   that see the queue/store paths; kill any of them freely — an expired
   lease re-leases to a surviving worker after the TTL.
-* ``dash <name>`` — run an experiment under worker supervision with the
-  live multi-line health dashboard: one lane per worker (heartbeat age,
-  units/s, RSS, current unit) plus straggler/missed-beat flags.
+* ``dash <name>`` — ``experiment`` with ``--progress --health`` forced
+  on and the exports off: the live board with one lane per worker
+  (heartbeat age, units/s, RSS, current unit) plus
+  straggler/missed-beat flags.
 * ``report`` — render a campaign's run ledger (written by every
   campaign run under ``--cache-dir``; ``--health``/``dash`` add the
   worker-health events) into a self-contained markdown or HTML report:
@@ -38,11 +39,13 @@ Commands:
   experiment registry as machine-readable JSON.
 
 The ``experiment`` command doubles as the campaign observatory:
-``--progress`` keeps a live status line on stderr, ``--health`` turns
-on the engine health plane (heartbeats, straggler detection, run
-ledger), and ``--flows`` / ``--metrics`` export per-session flow
-records and metric time-series (format chosen by file suffix:
-``.jsonl``, ``.csv``, ``.prom``).
+``--progress`` keeps the live board on stderr (a status line, plus one
+lane per worker whenever health beats arrive — the distributed fabric
+sends them without ``--health``), ``--health`` turns on the engine
+health plane (heartbeats, straggler detection, run ledger), and
+``--flows`` / ``--metrics`` export per-session flow records and metric
+time-series (format chosen by file suffix: ``.jsonl``, ``.csv``,
+``.prom``).
 
 It also scales: ``--sessions M --shards N`` re-dimensions a
 sharding-aware campaign (``model_validation``) to M total sessions split
@@ -218,8 +221,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "(.jsonl, .csv, .prom/.txt)")
     p_exp.add_argument(
         "--progress", action="store_true",
-        help="live single-line progress on stderr (done/total, rate, ETA, "
-             "cache hits; default off)")
+        help="live progress on stderr (done/total, rate, ETA, cache "
+             "hits, plus one lane per worker once health beats arrive; "
+             "default off)")
     p_exp.add_argument(
         "--health", action="store_true",
         help="watch the supervised workers: heartbeats, straggler "
@@ -522,7 +526,7 @@ def _cmd_worker(args) -> int:
     return code
 
 
-def _cmd_experiment(args, dashboard: bool = False) -> int:
+def _cmd_experiment(args) -> int:
     from .analysis import format_table
     from .experiments import REGISTRY, SCALES
     from .runner import (
@@ -546,7 +550,6 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
               "$REPRO_CACHE_DIR", file=sys.stderr)
         return 2
     supervision = _supervision_policy(args)
-    health_on = dashboard or getattr(args, "health", False)
     sharding = None
     if (args.shards is not None or args.sessions is not None
             or args.shard_size is not None or args.distributed):
@@ -576,18 +579,14 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
         except ValueError as exc:
             print(f"--distributed: {exc}", file=sys.stderr)
             return 2
-    # the observatory: progress and collection subscribe to each
+    # the observatory: the live board and collection subscribe to each
     # experiment's ledger, which streams the same events either way
     progress = None
     collector = None
-    if dashboard:
-        from .obs import DashboardReporter
-
-        progress = DashboardReporter(label="units")
-    elif args.progress:
+    if args.progress:
         from .obs import ProgressReporter
 
-        progress = ProgressReporter()
+        progress = ProgressReporter(label="units")
     if args.flows or args.metrics or args.failures or args.aggregate:
         from .obs import CampaignCollector
 
@@ -632,7 +631,7 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
                              workers=(args.workers
                                       if dist is not None else None))
                 monitor = None
-                if health_on:
+                if args.health:
                     from .obs import HealthMonitor, HealthPolicy
 
                     beat = getattr(args, "beat_interval", None)
@@ -737,22 +736,21 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
 
 
 def _cmd_dash(args) -> int:
-    """``repro dash``: the experiment runner with the live health board.
+    """``repro dash``: ``repro experiment --progress --health``.
 
-    Exactly ``repro experiment`` under the hood — same engine, caching,
-    sharding and supervision flags — with the multi-line
-    :class:`~repro.obs.DashboardReporter` and the health plane always
-    on (a worker-lane dashboard without heartbeats would be blank).
+    Same engine, caching, sharding and supervision flags, with the live
+    board and the health plane forced on, so the board's worker lanes
+    always have heartbeats to show.
     """
     # the observability exports stay on the experiment command; the
     # dashboard run only watches
-    args.progress = False
+    args.progress = True
     args.health = True
     args.flows = None
     args.metrics = None
     args.failures = None
     args.aggregate = None
-    return _cmd_experiment(args, dashboard=True)
+    return _cmd_experiment(args)
 
 
 def _cmd_report(args) -> int:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..analysis import (
-    Cdf,
     analyze_session,
     dominant_value,
     format_table,
@@ -42,14 +41,6 @@ class Fig4Network:
     @property
     def dominant_block(self) -> float:
         return dominant_value(self.block_sizes, bin_width=8 * KB) or 0.0
-
-    @property
-    def block_cdf(self) -> Cdf:
-        return Cdf.from_samples(self.block_sizes)
-
-    @property
-    def accumulation_cdf(self) -> Cdf:
-        return Cdf.from_samples(self.accumulation_ratios)
 
 
 @dataclass

@@ -16,17 +16,19 @@ subscriber ``fn(record, value)`` on it.  Four pillars:
   Exports are deterministic: byte-identical for any ``--jobs`` value and
   with profiling on or off.  :class:`CampaignCollector` is the
   subscriber that gathers the sessions.
-* **Live progress** (:mod:`~repro.obs.progress`) — an opt-in subscriber
-  keeping one ``\\r``-rewritten status line on stderr (done/total,
-  rate, ETA, cache-hit/fault/retry counts).
-* **Engine health** (:mod:`~repro.obs.health`, :mod:`~repro.obs.dash`,
-  :mod:`~repro.obs.report`) — the campaign control plane: per-worker
-  heartbeats and straggler detection (:class:`HealthMonitor`, which
-  writes its ``started`` / ``suspect`` / ``heartbeat-summary`` events
-  and live ``beat`` lanes onto the stream), the live ``repro dash``
-  worker-lane dashboard (a subscriber), and the post-hoc ``repro
-  report`` renderer over the ledger file.  Health on or off, exports
-  stay byte-identical.
+* **The live board** (:mod:`~repro.obs.progress`) — one opt-in
+  subscriber, :class:`ProgressReporter`, behind both ``--progress`` and
+  ``repro dash``: a status header on stderr (done/total, rate, ETA,
+  cache-hit/fault/retry counts) plus one lane per worker whenever
+  health beats arrive (heartbeat age, units/s, RSS, current unit,
+  straggler/missed-beat flags).
+* **Engine health** (:mod:`~repro.obs.health`, :mod:`~repro.obs.report`)
+  — the campaign control plane: per-worker heartbeats and straggler
+  detection (:class:`HealthMonitor`, which writes its ``started`` /
+  ``suspect`` / ``heartbeat-summary`` events and live ``beat`` lanes —
+  :class:`WorkerLane`, shared with the distributed coordinator — onto
+  the stream), and the post-hoc ``repro report`` renderer over the
+  ledger file.  Health on or off, exports stay byte-identical.
 * **The run profile** (:mod:`~repro.obs.profile`) — ``repro profile``'s
   subscriber: engine batches and unit latencies as wall-clock phases,
   and counters, histograms and events folded from the session results.
@@ -40,7 +42,6 @@ from .collect import (
     CampaignSnapshot,
     FAILURE_FIELDS,
 )
-from .dash import DashboardReporter
 from .exporters import (
     export_records,
     prometheus_lines,
@@ -71,7 +72,6 @@ __all__ = [
     "AGGREGATE_FIELDS",
     "CampaignCollector",
     "CampaignSnapshot",
-    "DashboardReporter",
     "FAILURE_FIELDS",
     "FLOW_FIELDS",
     "HealthMonitor",

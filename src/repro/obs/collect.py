@@ -9,16 +9,13 @@ sequential id — batches themselves run sequentially inside an
 experiment, so ids, and therefore exports, are identical for any
 ``--jobs`` value and identical with profiling on or off.
 
-Two retention modes, one contract:
-
-* **Retaining** (default): every session is kept, per-session exports
-  (:meth:`~CampaignCollector.write_flows`,
-  :meth:`~CampaignCollector.write_metrics`) work, and the aggregate
-  :meth:`~CampaignCollector.snapshot` is folded lazily on demand.
-* **Streaming** (``CampaignCollector(streaming=True)``): each session is
-  folded into the running :class:`CampaignSnapshot` and dropped, so
-  memory stays constant no matter how many sessions pass through.  This
-  is the mode shard workers use (:mod:`repro.runner.sharding`).
+The collector retains every session, so per-session exports
+(:meth:`~CampaignCollector.write_flows`,
+:meth:`~CampaignCollector.write_metrics`) work, and folds the aggregate
+:meth:`~CampaignCollector.snapshot` lazily on demand.  Shard workers
+(:mod:`repro.runner.sharding`) skip the collector: they fold each
+session straight into a :class:`CampaignSnapshot` and drop it, so their
+memory stays constant no matter how many sessions pass through.
 
 Snapshots **merge**: ``CampaignSnapshot`` is built from the mergeable
 primitives in :mod:`repro.stats`, so per-shard snapshots folded in shard
@@ -138,9 +135,9 @@ class CampaignSnapshot:
 
     Constant-size: moments (count/mean/M2/min/max/total) and fixed-bin
     histogram sketches per metric, plus session/flow/strategy tallies —
-    never a session, flow record or packet.  Built per shard by a
-    streaming :class:`CampaignCollector`, shipped through the pool and
-    the shard artifact store, and merged in shard order by the parent.
+    never a session, flow record or packet.  Folded per shard by the
+    shard worker, shipped through the pool and the shard artifact
+    store, and merged in shard order by the parent.
     """
 
     sessions: int = 0
@@ -284,7 +281,7 @@ class CampaignSnapshot:
 
 
 class CampaignCollector:
-    """Collect a campaign's sessions — retained or streamingly reduced.
+    """Collect a campaign's sessions and merge its shard snapshots.
 
     Usage::
 
@@ -296,24 +293,16 @@ class CampaignCollector:
         collector.write_flows("flows.jsonl")
         collector.write_metrics("metrics.prom")
         collector.write_aggregate("aggregate.csv")
-
-    With ``streaming=True`` sessions are folded into the aggregate
-    snapshot and dropped, so memory stays constant; per-session exports
-    (flows/metrics) then raise, because the data they need is gone.
     """
 
-    def __init__(self, streaming: bool = False) -> None:
-        self.streaming = streaming
+    def __init__(self) -> None:
         self.sessions: List[Tuple[str, SessionResult]] = []
         self.failures: List[UnitFailure] = []
         self._aggregate = CampaignSnapshot()
 
     def collect(self, result: SessionResult) -> None:
-        """Adopt one session result (fold-and-drop when streaming)."""
-        if self.streaming:
-            self._aggregate.fold(result)
-        else:
-            self.sessions.append((f"s{len(self.sessions):04d}", result))
+        """Adopt one session result."""
+        self.sessions.append((f"s{len(self.sessions):04d}", result))
 
     def merge(self, other: Union["CampaignCollector", CampaignSnapshot]) -> None:
         """Fold another collector's (or snapshot's) aggregate in."""
@@ -324,8 +313,7 @@ class CampaignCollector:
     def snapshot(self) -> CampaignSnapshot:
         """The campaign's aggregate snapshot.
 
-        Streaming mode returns the running snapshot; retaining mode
-        folds the kept sessions into a fresh one (idempotent — calling
+        Folds the kept sessions into a fresh one (idempotent — calling
         twice does not double-count), merged with anything adopted from
         shard results.  Quarantined-unit failures observed directly are
         counted alongside failures merged from shards.
@@ -373,16 +361,8 @@ class CampaignCollector:
 
     # -- exports -------------------------------------------------------------
 
-    def _require_sessions(self, what: str) -> None:
-        if self.streaming:
-            raise RuntimeError(
-                f"{what} need retained sessions; this collector is "
-                f"streaming (aggregate-only) — use write_aggregate/"
-                f"snapshot instead")
-
     def flow_records(self) -> List[Dict]:
         """Flow records for every collected session, in session order."""
-        self._require_sessions("flow records")
         records: List[Dict] = []
         for session_id, result in self.sessions:
             records.extend(flow_records(result, session_id))
@@ -390,7 +370,6 @@ class CampaignCollector:
 
     def metric_samples(self) -> List[Dict]:
         """Metric samples for every collected session, in session order."""
-        self._require_sessions("metric samples")
         samples: List[Dict] = []
         for session_id, result in self.sessions:
             samples.extend(metric_samples(result, session_id))
@@ -430,7 +409,7 @@ class CampaignCollector:
         )
 
     def aggregate_records(self) -> List[Dict]:
-        """Aggregate records (works in both retention modes)."""
+        """Aggregate records, one per metric."""
         return self.snapshot().records()
 
     def write_aggregate(self, path) -> int:

@@ -32,13 +32,13 @@ are exactly testable with a synthetic clock and hand-fed beats.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 from statistics import median
 from typing import Any, Callable, Dict, List, Optional
 
 from ..runner.ledger import RunLedger
+from ..runner.supervise import WorkerLane, _worker_rss_kb
 
 __all__ = [
     "HealthMonitor",
@@ -46,17 +46,6 @@ __all__ = [
     "Suspicion",
     "WorkerLane",
 ]
-
-
-def _self_rss_kb() -> int:
-    """Peak RSS of *this* process only, in kB (0 where unsupported)."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX
-        return 0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is kilobytes on Linux, bytes on macOS
-    return peak // 1024 if sys.platform == "darwin" else peak
 
 
 @dataclass(frozen=True)
@@ -81,49 +70,6 @@ class HealthPolicy:
     min_completed: int = 3
     ewma_alpha: float = 0.3
     summary_every: float = 5.0
-
-
-@dataclass
-class WorkerLane:
-    """Live state of one supervised worker slot (``w0``, ``w1``, ...).
-
-    A lane outlives worker processes: a respawn updates ``pid`` and
-    resets liveness, while cumulative counters (units done, busy time,
-    retries, RSS watermark) keep accumulating for the slot.
-    """
-
-    worker: str
-    pid: int = 0
-    alive: bool = True
-    spawned_at: float = 0.0
-    last_beat: Optional[float] = None
-    beats: int = 0
-    units_done: int = 0
-    busy_s: float = 0.0
-    retries: int = 0
-    rate: float = 0.0            # units/s EWMA over completed units
-    rss_kb: int = 0              # worker-reported RSS watermark
-    unit: Optional[int] = None   # plan index currently running
-    label: str = ""
-    unit_started_at: Optional[float] = None
-    missing: bool = False        # currently under missed-beat suspicion
-    straggling: bool = False     # current unit flagged as a straggler
-
-    def beat_age(self, now: float) -> float:
-        """Seconds since the last heartbeat (or spawn, before the first)."""
-        anchor = self.last_beat if self.last_beat is not None else self.spawned_at
-        return max(0.0, now - anchor)
-
-    def snapshot(self, now: float) -> dict:
-        """The lane as a flat dict (ledger heartbeat-summary rendering)."""
-        return {
-            "worker": self.worker, "pid": self.pid,
-            "beat_age_s": round(self.beat_age(now), 3),
-            "beats": self.beats, "units_done": self.units_done,
-            "rate": round(self.rate, 4), "rss_kb": self.rss_kb,
-            "unit": self.unit, "missing": self.missing,
-            "straggling": self.straggling,
-        }
 
 
 @dataclass(frozen=True)
@@ -260,7 +206,7 @@ class HealthMonitor:
         """
         now = self.clock()
         policy = self.policy
-        self.parent_rss_kb = max(self.parent_rss_kb, _self_rss_kb())
+        self.parent_rss_kb = max(self.parent_rss_kb, _worker_rss_kb())
         fresh: List[Suspicion] = []
         p50 = (median(self._latencies)
                if len(self._latencies) >= policy.min_completed else None)

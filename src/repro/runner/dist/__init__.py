@@ -25,7 +25,7 @@ routes here when the policy is present, so sharding-aware experiments
 distribute without code changes.
 """
 
-from .coordinator import DistPolicy, DistWorkerLane, run_shards_distributed
+from .coordinator import DistPolicy, run_shards_distributed
 from .queue import (
     ClaimedShard,
     FileShardQueue,
@@ -39,7 +39,6 @@ from .worker import LeaseRenewer, WorkerOptions, WorkerStats, run_worker
 __all__ = [
     "ClaimedShard",
     "DistPolicy",
-    "DistWorkerLane",
     "FileShardQueue",
     "Lease",
     "LeaseRenewer",

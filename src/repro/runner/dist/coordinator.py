@@ -29,9 +29,11 @@ honors.  :func:`run_shards_distributed` is a drop-in body for
 The run ledger gains the distributed lifecycle: ``dist-published``,
 per-shard ``done`` events attributed to the worker that landed them,
 ``re-leased`` when an expired holder's shard moves, and ``worker-exit``
-when a local worker leaves.  Worker lanes are synthesized from queue
-lease state and streamed as the ledger's live ``beat`` events, so
-``repro dash`` renders a distributed campaign with no code of its own.
+when a local worker leaves.  Worker lanes
+(:class:`~repro.runner.supervise.WorkerLane`, the pool's own lane type)
+are synthesized from queue lease state and streamed as the ledger's
+live ``beat`` events, so the progress board renders a distributed
+campaign with no code of its own.
 """
 
 from __future__ import annotations
@@ -39,19 +41,18 @@ from __future__ import annotations
 import pickle
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..pool import _OPTIONS, EngineOptions, current_options
 from ..sharding import ShardSpec, ShardStore
 from ..supervise import (CampaignAborted, FailedUnit, UnitFailure,
-                         _process_context)
+                         WorkerLane, _process_context)
 from .queue import ShardQueue, make_queue, queue_path
 from .worker import WorkerOptions, worker_main
 
 __all__ = [
     "DistPolicy",
-    "DistWorkerLane",
     "run_shards_distributed",
 ]
 
@@ -82,32 +83,6 @@ class DistPolicy:
         if self.ttl <= 0:
             raise ValueError(f"lease ttl must be > 0, got {self.ttl}")
         queue_path(self.queue)  # a URL is refused here, not at publish
-
-
-@dataclass
-class DistWorkerLane:
-    """A worker lane synthesized from queue lease state.
-
-    Duck-typed to :class:`~repro.obs.health.WorkerLane` — exactly the
-    attributes the dashboard and health reporters read — so the obs
-    layer renders distributed workers without importing this module.
-    """
-
-    worker: str
-    pid: int = 0
-    alive: bool = True
-    missing: bool = False
-    straggling: bool = False
-    rss_kb: int = 0
-    units_done: int = 0
-    rate: float = 0.0
-    unit: Optional[int] = None
-    label: str = ""
-    unit_started_at: Optional[float] = None
-    last_beat: float = field(default_factory=time.monotonic)
-
-    def beat_age(self, now: float) -> float:
-        return max(0.0, now - self.last_beat)
 
 
 def _lane_main(options: WorkerOptions) -> None:
@@ -307,7 +282,7 @@ def run_shards_distributed(
         if ledger is not None:
             ledger.failure(failure)
 
-    lanes: Dict[str, DistWorkerLane] = {}
+    lanes: Dict[str, WorkerLane] = {}
     holder: Dict[str, str] = {}      # key -> worker last seen leasing it
     started = time.monotonic()
 
@@ -331,8 +306,7 @@ def run_shards_distributed(
             holder[lease.key] = lease.worker
             lane = lanes.get(lease.worker)
             if lane is None:
-                lane = lanes[lease.worker] = DistWorkerLane(
-                    worker=lease.worker)
+                lane = lanes[lease.worker] = WorkerLane(worker=lease.worker)
             lane.pid = lease.pid
             lane.last_beat = now - min(lease.age_s, policy.ttl)
             lane.missing = lease.age_s > policy.ttl

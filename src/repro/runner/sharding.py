@@ -288,14 +288,14 @@ def run_shards(fn: Callable[..., Any],
 
 def _session_shard(plans: Tuple[SessionPlan, ...]):
     """Shard worker for session campaigns: stream every plan, fold each
-    result into a streaming collector, return only the snapshot."""
-    from ..obs.collect import CampaignCollector
+    result into a campaign snapshot and drop it, return the snapshot."""
+    from ..obs.collect import CampaignSnapshot
     from ..streaming import run_session
 
-    collector = CampaignCollector(streaming=True)
+    snapshot = CampaignSnapshot()
     for plan in plans:
-        collector.collect(run_session(plan.video, plan.config))
-    return collector.snapshot()
+        snapshot.fold(run_session(plan.video, plan.config))
+    return snapshot
 
 
 PlanLike = Any  # SessionPlan or (video, config); see pool.run_sessions

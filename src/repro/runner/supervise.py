@@ -50,6 +50,7 @@ __all__ = [
     "RetryBudget",
     "SupervisionPolicy",
     "UnitFailure",
+    "WorkerLane",
     "format_failures",
     "run_supervised",
 ]
@@ -138,6 +139,51 @@ class FailedUnit:
     """
 
     failure: UnitFailure
+
+
+@dataclass
+class WorkerLane:
+    """Live state of one worker slot (``w0``, ``w1``, ... or a fabric worker).
+
+    The health monitor and the distributed coordinator both stream it as
+    the value of ``beat`` events.  A lane outlives worker processes: a
+    respawn updates ``pid`` and resets liveness, while cumulative
+    counters (units done, busy time, retries, RSS watermark) keep
+    accumulating for the slot.
+    """
+
+    worker: str
+    pid: int = 0
+    alive: bool = True
+    spawned_at: float = 0.0
+    last_beat: Optional[float] = None
+    beats: int = 0
+    units_done: int = 0
+    busy_s: float = 0.0
+    retries: int = 0
+    rate: float = 0.0            # units/s EWMA over completed units
+    rss_kb: int = 0              # worker-reported RSS watermark
+    unit: Optional[int] = None   # plan index currently running
+    label: str = ""
+    unit_started_at: Optional[float] = None
+    missing: bool = False        # currently under missed-beat suspicion
+    straggling: bool = False     # current unit flagged as a straggler
+
+    def beat_age(self, now: float) -> float:
+        """Seconds since the last heartbeat (or spawn, before the first)."""
+        anchor = self.last_beat if self.last_beat is not None else self.spawned_at
+        return max(0.0, now - anchor)
+
+    def snapshot(self, now: float) -> dict:
+        """The lane as a flat dict (ledger heartbeat-summary rendering)."""
+        return {
+            "worker": self.worker, "pid": self.pid,
+            "beat_age_s": round(self.beat_age(now), 3),
+            "beats": self.beats, "units_done": self.units_done,
+            "rate": round(self.rate, 4), "rss_kb": self.rss_kb,
+            "unit": self.unit, "missing": self.missing,
+            "straggling": self.straggling,
+        }
 
 
 def format_failures(records: Sequence[dict], retries: int) -> str:
@@ -282,7 +328,8 @@ def _process_context():
 
 
 def _worker_rss_kb() -> int:
-    """Peak RSS of this worker process, in kB (0 where unsupported)."""
+    """Peak RSS of the calling process, in kB (0 where unsupported):
+    a worker's heartbeat payload, and the parent's own watermark."""
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX

@@ -799,12 +799,6 @@ class NetflixPlayer(PlayerBase):
         )
         return buffering + self.video.size_bytes_at(self.selected_rate)
 
-    @property
-    def buffering_bytes_expected(self) -> int:
-        return sum(
-            int(self.policy.buffering_playback_s * r / 8) for r in self.renditions
-        )
-
     def start(self) -> None:
         # one connection per rendition, fetching fragments in parallel —
         # the multi-bitrate buffering phase of Figure 11

@@ -303,13 +303,6 @@ class TcpConnection:
         return self.state == CLOSED
 
     @property
-    def send_drained(self) -> bool:
-        """All queued data (and FIN if pending) acknowledged."""
-        data_done = self.snd_una_off >= self.stream.length
-        fin_done = (not self._fin_pending) or self._fin_acked
-        return data_done and fin_done
-
-    @property
     def unacked_bytes(self) -> int:
         return self.snd_nxt_off - self.snd_una_off
 
@@ -321,11 +314,6 @@ class TcpConnection:
     def bytes_delivered(self) -> int:
         """In-order bytes ever made readable to the application."""
         return self.recvbuf.total_delivered
-
-    def effective_window(self) -> int:
-        """min(cwnd, peer window) minus bytes in flight."""
-        wnd = min(self.cc.cwnd, self.snd_wnd)
-        return max(0, int(wnd) - self.unacked_bytes)
 
     # ----------------------------------------------------------- quiescence
 

@@ -174,10 +174,6 @@ class TcpSegment:
         return n
 
     @property
-    def end_seq(self) -> int:
-        return self.seq + self.seq_consumed
-
-    @property
     def is_syn(self) -> bool:
         return bool(self.flags & SYN)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import List
 
 from .catalog import Catalog
 from .video import Video
@@ -43,13 +43,6 @@ class PoissonProcess:
             times.append(t)
             t += self._rng.expovariate(self.lam)
         return times
-
-    def iter_times(self) -> Iterator[float]:
-        """Unbounded arrival-time generator."""
-        t = 0.0
-        while True:
-            t += self._rng.expovariate(self.lam)
-            yield t
 
 
 def generate_sessions(

@@ -89,10 +89,6 @@ class Catalog:
         return [rng.choice(self.videos) for _ in range(n)]
 
     @property
-    def mean_duration(self) -> float:
-        return sum(v.duration for v in self.videos) / len(self.videos)
-
-    @property
     def mean_rate_bps(self) -> float:
         return sum(v.encoding_rate_bps for v in self.videos) / len(self.videos)
 

@@ -41,13 +41,6 @@ class InterruptionModel:
     def sample(self, rng: random.Random, duration: float) -> Interruption:
         raise NotImplementedError
 
-    def mean_beta(self, rng: random.Random, duration: float, n: int = 20000) -> float:
-        """Monte-Carlo mean watched fraction (used by the model benches)."""
-        total = 0.0
-        for _ in range(n):
-            total += self.sample(rng, duration).beta
-        return total / n
-
 
 class NoInterruption(InterruptionModel):
     """Everyone watches everything (the Section 6.1 regime)."""

@@ -91,6 +91,12 @@ def _sleepy_shard(start: int, count: int):
     return _moments_shard(start, count)
 
 
+def _slow_shard(start: int, count: int):
+    """Holds its lease across several coordinator polls."""
+    time.sleep(0.3)
+    return _moments_shard(start, count)
+
+
 def _crash_once_shard(start: int, count: int, marker: str):
     """Kills its process on the first attempt, succeeds on the next."""
     if not os.path.exists(marker):
@@ -749,6 +755,40 @@ class TestLocalLanes:
         events = load_ledger(
             ledger_path(cache, "model_validation", "small", 3)).events
         assert not [e for e in events if e["event"] == "worker-exit"]
+
+    def test_fabric_lanes_reach_the_board(self, tmp_path):
+        """The coordinator's lease-derived lanes are the pool's own
+        WorkerLane, and the live board draws them."""
+        import io
+
+        from repro.obs import ProgressReporter
+        from repro.runner.supervise import WorkerLane
+
+        class FakeTty(io.StringIO):
+            def isatty(self):
+                return True
+
+        shards, keys = _make_shards(3, fn=_slow_shard)
+        stream = FakeTty()
+        board = ProgressReporter(stream=stream, min_interval=0.0,
+                                 label="units")
+        beats = []
+        ledger = RunLedger()
+        ledger.subscribe(board)
+        ledger.subscribe(lambda record, value: beats.append(value)
+                         if record["event"] == "beat" else None)
+        with board, engine_options(
+                cache=ResultCache(tmp_path / "cache"), ledger=ledger,
+                dist=DistPolicy(queue=str(tmp_path / "q"), workers=1,
+                                ttl=20, poll=0.02)):
+            results = run_shards(_slow_shard, shards)
+
+        assert [r.shard.index for r in results] == [0, 1, 2]
+        assert beats and all(isinstance(lane, WorkerLane)
+                             for lane in beats)
+        assert {lane.worker for lane in beats} == {"local-w0"}
+        out = stream.getvalue()
+        assert "\x1b[2K  local-w0 pid " in out   # a drawn lane line
 
     def test_every_landed_shard_names_its_worker(self, tmp_path):
         """An artifact can land in the store well before its worker

@@ -18,9 +18,9 @@ from statistics import median
 import pytest
 
 from repro.obs import (
-    DashboardReporter,
     HealthMonitor,
     HealthPolicy,
+    ProgressReporter,
     RunLedger,
     Suspicion,
     load_ledger,
@@ -470,7 +470,7 @@ def _lane(worker="w0", **kw):
 class TestDashboardReporter:
     def test_tty_redraws_a_block_with_lanes(self):
         stream = _FakeTty()
-        dash = DashboardReporter(stream=stream, min_interval=0.0)
+        dash = ProgressReporter(stream=stream, min_interval=0.0, label="units")
         ledger = _watched(dash)
         ledger.event("scheduled", units=4, cache_hits=1)
         for lane in (_lane("w0", units_done=2, rss_kb=64 * 1024),
@@ -485,8 +485,8 @@ class TestDashboardReporter:
 
     def test_non_tty_emits_plain_lines(self):
         stream = io.StringIO()
-        dash = DashboardReporter(stream=stream, min_interval=0.0,
-                                 plain_interval=0.0)
+        dash = ProgressReporter(stream=stream, min_interval=0.0,
+                                plain_interval=0.0, label="units")
         ledger = _watched(dash)
         ledger.event("scheduled", units=2, cache_hits=0)
         ledger.event("done", object(), unit=0)
@@ -497,7 +497,8 @@ class TestDashboardReporter:
 
     def test_suspicion_prints_immediately_when_plain(self):
         stream = io.StringIO()
-        dash = DashboardReporter(stream=stream, plain_interval=3600.0)
+        dash = ProgressReporter(stream=stream, plain_interval=3600.0,
+                                label="units")
         clock = FakeClock()
         monitor = _monitor(clock, _watched(dash))
         monitor.worker_started("w1", 7)
@@ -510,7 +511,7 @@ class TestDashboardReporter:
 
     def test_straggler_flag_renders_on_the_lane(self):
         stream = _FakeTty()
-        dash = DashboardReporter(stream=stream, min_interval=0.0)
+        dash = ProgressReporter(stream=stream, min_interval=0.0, label="units")
         _watched(dash).event("beat", _lane("w0", straggling=True),
                              worker="w0")
         dash.close()
@@ -518,6 +519,6 @@ class TestDashboardReporter:
 
     def test_zero_unit_close_still_prints_summary(self):
         stream = io.StringIO()
-        with DashboardReporter(stream=stream) as dash:
+        with ProgressReporter(stream=stream, label="units") as dash:
             _watched(dash).event("scheduled", units=0, cache_hits=0)
         assert stream.getvalue().splitlines()[-1].startswith("units 0/0")

@@ -563,5 +563,5 @@ class TestCli:
         captured = capsys.readouterr()
         # captured stderr is not a TTY: plain lines, never \r rewrites
         assert "\r" not in captured.err
-        assert "sessions" in captured.err
-        assert "sessions" not in captured.out
+        assert "units" in captured.err
+        assert "units" not in captured.out

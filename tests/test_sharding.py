@@ -402,11 +402,11 @@ class TestStreamingReduction:
     def _unsharded(self):
         from repro.streaming import run_session
 
-        collector = CampaignCollector(streaming=True)
+        snapshot = CampaignSnapshot()
         for i in range(self.N):
             plan = _plan(i)
-            collector.collect(run_session(plan.video, plan.config))
-        return collector.snapshot()
+            snapshot.fold(run_session(plan.video, plan.config))
+        return snapshot
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_merged_shards_equal_unsharded(self, jobs):
@@ -449,12 +449,6 @@ class TestStreamingReduction:
         assert snap.sessions == 3
         assert snap.flows > 0
         assert collector.sessions == []   # nothing retained, only merged
-
-    def test_streaming_collector_refuses_per_session_exports(self):
-        collector = CampaignCollector(streaming=True)
-        with pytest.raises(RuntimeError, match="streaming"):
-            collector.flow_records()
-        assert collector.aggregate_records() == []
 
     def test_snapshot_is_idempotent(self):
         from repro.streaming import run_session
