@@ -18,12 +18,10 @@ from .renditions import (
     RenditionObservation,
     detect_renditions,
 )
-from .report import bytes_human, format_cdf, format_table, mbps
+from .report import bytes_human, format_table
 from .resilience import (
     BlockMergingReport,
-    ResilienceAggregate,
     ResilienceSummary,
-    aggregate_resilience,
     quantify_block_merging,
     recovery_time,
     summarize_resilience,
@@ -70,10 +68,8 @@ __all__ = [
     "analyze_records",
     "analyze_session",
     "ResilienceSummary",
-    "ResilienceAggregate",
     "BlockMergingReport",
     "summarize_resilience",
-    "aggregate_resilience",
     "recovery_time",
     "quantify_block_merging",
     "Cdf",
@@ -84,7 +80,5 @@ __all__ = [
     "dominant_value",
     "fraction_within",
     "format_table",
-    "format_cdf",
     "bytes_human",
-    "mbps",
 ]

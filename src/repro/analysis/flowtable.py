@@ -192,15 +192,6 @@ class DownloadTrace(EventLog):
             np.cumsum(self._event_advances).astype(np.float64).tolist(),
         )
 
-    def median_handshake_rtt(self) -> Optional[float]:
-        rtts = sorted(
-            f.handshake_rtt for f in self.flows.values()
-            if f.handshake_rtt is not None
-        )
-        if not rtts:
-            return None
-        return rtts[len(rtts) // 2]
-
     def main_flow(self) -> FlowData:
         """The flow that carried the most unique bytes."""
         if not self.flows:

@@ -38,13 +38,6 @@ class LadderObservation:
     def count(self) -> int:
         return len(self.renditions)
 
-    @property
-    def rates_bps(self) -> List[float]:
-        return sorted(
-            r.rate_estimate_bps for r in self.renditions
-            if r.rate_estimate_bps is not None
-        )
-
 
 def _resource_total(flow: FlowData) -> Optional[int]:
     """The Content-Range total (or Content-Length) of a flow's first response."""

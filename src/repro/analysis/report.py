@@ -7,9 +7,7 @@ terminal without plotting.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
-
-from .stats import Cdf
+from typing import Iterable, Optional, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
@@ -42,24 +40,9 @@ def _fmt(cell: object) -> str:
     return str(cell)
 
 
-def format_cdf(cdf: Cdf, *, label: str, unit: str = "", scale: float = 1.0,
-               points: int = 10) -> str:
-    """Compact textual CDF: quantile -> value rows."""
-    lines = [f"CDF of {label} (n={len(cdf)})"]
-    for value, fraction in cdf.sample_points(points):
-        lines.append(f"  p{int(round(fraction * 100)):02d}  "
-                     f"{value * scale:10.2f} {unit}")
-    return "\n".join(lines)
-
-
 def bytes_human(n: float) -> str:
     """1536 -> '1.5 kB' (binary units, as the paper's kB/MB axes)."""
     for unit, factor in (("GB", 1 << 30), ("MB", 1 << 20), ("kB", 1 << 10)):
         if abs(n) >= factor:
             return f"{n / factor:.1f} {unit}"
     return f"{n:.0f} B"
-
-
-def mbps(bps: float) -> str:
-    """Format a bits-per-second value as ``"X.XX Mbps"``."""
-    return f"{bps / 1e6:.2f} Mbps"

@@ -12,11 +12,11 @@ of the same session.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..streaming.session import SessionResult
 from .session_analysis import analyze_session
-from .stats import mean, median
+from .stats import median
 
 
 @dataclass
@@ -35,11 +35,6 @@ class ResilienceSummary:
     wasted_redownloaded_bytes: int
     downshift_count: int
     recovery_time_s: Optional[float]   # first fault -> playback resumed
-
-    @property
-    def recovered(self) -> bool:
-        """The session survived its faults (neither failed nor stuck)."""
-        return not self.failed and self.recovery_time_s is not None
 
 
 def _first_fault_time(result: SessionResult) -> Optional[float]:
@@ -88,46 +83,6 @@ def summarize_resilience(result: SessionResult) -> ResilienceSummary:
         wasted_redownloaded_bytes=result.wasted_redownloaded_bytes,
         downshift_count=len(result.downshifts),
         recovery_time_s=recovery_time(result),
-    )
-
-
-@dataclass
-class ResilienceAggregate:
-    """Fleet-level recovery statistics over many sessions."""
-
-    sessions: int
-    completed_fraction: float
-    failed_fraction: float
-    mean_rebuffer_ratio: float
-    mean_stall_time_s: float
-    mean_retries: float
-    mean_recovery_time_s: Optional[float]  # over sessions that recovered
-    total_wasted_bytes: int
-
-
-def aggregate_resilience(
-    summaries: Sequence[ResilienceSummary],
-) -> ResilienceAggregate:
-    """Fleet-level roll-up of per-session resilience summaries.
-
-    Means are taken over all sessions; rates (failure, completion) are
-    fractions of the whole fleet.  Raises ``ValueError`` on an empty
-    input — an empty fleet has no meaningful rates.
-    """
-    if not summaries:
-        raise ValueError("no sessions to aggregate")
-    n = len(summaries)
-    recoveries = [s.recovery_time_s for s in summaries
-                  if s.recovery_time_s is not None]
-    return ResilienceAggregate(
-        sessions=n,
-        completed_fraction=sum(1 for s in summaries if s.completed) / n,
-        failed_fraction=sum(1 for s in summaries if s.failed) / n,
-        mean_rebuffer_ratio=mean([s.rebuffer_ratio for s in summaries]),
-        mean_stall_time_s=mean([s.stall_time_s for s in summaries]),
-        mean_retries=mean([float(s.retry_count) for s in summaries]),
-        mean_recovery_time_s=mean(recoveries) if recoveries else None,
-        total_wasted_bytes=sum(s.wasted_redownloaded_bytes for s in summaries),
     )
 
 

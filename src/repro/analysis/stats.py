@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 
 @dataclass
@@ -46,16 +46,6 @@ class Cdf:
     @property
     def median(self) -> float:
         return self.quantile(0.5)
-
-    def sample_points(self, n: int = 20) -> List[Tuple[float, float]]:
-        """``n`` evenly spaced (value, fraction) pairs for compact printing."""
-        if n <= 1 or len(self.values) == 1:
-            return [(self.values[-1], 1.0)]
-        out = []
-        for i in range(n):
-            q = (i + 1) / n
-            out.append((self.quantile(q), q))
-        return out
 
 
 def mean(samples: Sequence[float]) -> float:

@@ -38,6 +38,7 @@ from ..model import (
     constant_strategy,
     critical_duration,
     encoding_rate_migration,
+    long_onoff_strategy,
     plan_for,
     short_onoff_strategy,
     simulate_aggregate,
@@ -61,8 +62,7 @@ def _strategy_factory(name: str):
     if name == "Short ON-OFF":
         return short_onoff_strategy()
     if name == "Long ON-OFF":
-        return short_onoff_strategy(
-            block_bytes=5 * 1024 * 1024, buffering_playback_s=60.0)
+        return long_onoff_strategy()
     raise ValueError(f"unknown strategy {name!r}")
 
 

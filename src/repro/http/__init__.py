@@ -8,7 +8,6 @@ from .codec import (
     build_flv_header,
     build_webm_header,
     parse_container_header,
-    sniff_container,
 )
 from .messages import (
     Headers,
@@ -21,7 +20,6 @@ from .messages import (
 from .range import (
     RangeError,
     format_content_range,
-    format_range,
     parse_content_range,
     parse_range,
 )
@@ -34,7 +32,6 @@ __all__ = [
     "parse_request",
     "parse_response_head",
     "RangeError",
-    "format_range",
     "parse_range",
     "format_content_range",
     "parse_content_range",
@@ -43,7 +40,6 @@ __all__ = [
     "build_flv_header",
     "build_webm_header",
     "parse_container_header",
-    "sniff_container",
     "CONTAINER_HEADER_LEN",
     "INVALID_FRAME_RATE",
 ]

@@ -103,12 +103,3 @@ def parse_container_header(data: bytes) -> ContainerMetadata:
             header_size=size,
         )
     raise CodecError(f"unknown container magic {magic!r}")
-
-
-def sniff_container(data: bytes) -> Optional[str]:
-    """Return ``"flv"``/``"webm"`` if ``data`` starts with a known magic."""
-    if data[:4] == FLV_MAGIC:
-        return "flv"
-    if data[:4] == WEBM_MAGIC:
-        return "webm"
-    return None

@@ -15,13 +15,6 @@ class RangeError(ValueError):
     """Unsatisfiable or malformed byte range."""
 
 
-def format_range(start: int, end: int) -> str:
-    """``Range`` header value for the inclusive byte span [start, end]."""
-    if start < 0 or end < start:
-        raise RangeError(f"invalid range {start}-{end}")
-    return f"bytes={start}-{end}"
-
-
 def parse_range(value: str, total: int) -> Tuple[int, int]:
     """Resolve a ``Range`` header against a ``total``-byte resource.
 

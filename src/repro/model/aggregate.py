@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from ..workloads.catalog import Catalog
 
@@ -50,23 +49,6 @@ class PopulationMoments:
             mean_e_l_g=sum(s * download_rate_bps for s in sizes) / n,
         )
 
-    @classmethod
-    def from_sessions(cls, rates: Sequence[float], durations: Sequence[float],
-                      download_rates: Sequence[float]) -> "PopulationMoments":
-        """Moments from per-session (e, L, G) triples."""
-        if not (len(rates) == len(durations) == len(download_rates)):
-            raise ValueError("rates, durations, download_rates must align")
-        if not rates:
-            raise ValueError("need at least one session")
-        n = len(rates)
-        sizes = [e * d for e, d in zip(rates, durations)]
-        return cls(
-            mean_rate_bps=sum(rates) / n,
-            mean_duration_s=sum(durations) / n,
-            mean_size_bits=sum(sizes) / n,
-            mean_e_l_g=sum(s * g for s, g in zip(sizes, download_rates)) / n,
-        )
-
 
 def aggregate_mean_exact(lam: float, moments: PopulationMoments) -> float:
     """Equation (1): E[R] = lam * E[S], in bits/second."""
@@ -93,39 +75,6 @@ def aggregate_variance_factored(lam: float, mean_rate_bps: float,
     """Equation (4) under independence: Var[R] = lam * E[e] E[L] E[G]."""
     _check_lam(lam)
     return lam * mean_rate_bps * mean_duration_s * mean_download_bps
-
-
-def aggregate_cumulant(lam: float, n: int, mean_rate_bps: float,
-                       mean_duration_s: float,
-                       mean_download_bps: float) -> float:
-    """The n-th cumulant of R(t): ``lam * E[e L G^(n-1)]`` (independence).
-
-    For Poisson shot noise the n-th cumulant is ``lam * E[integral X^n]``
-    (Barakat et al.); with X in {0, G} the kernel is ``S * G^(n-1)``
-    regardless of the ON/OFF arrangement — the paper's remark that the
-    strategy invariance extends beyond the variance to all higher moments.
-    """
-    _check_lam(lam)
-    if n < 1:
-        raise ValueError(f"cumulant order must be >= 1, got {n}")
-    return (lam * mean_rate_bps * mean_duration_s
-            * mean_download_bps ** (n - 1))
-
-
-def aggregate_skewness(lam: float, mean_rate_bps: float,
-                       mean_duration_s: float,
-                       mean_download_bps: float) -> float:
-    """Skewness of the aggregate rate: k3 / k2^(3/2).
-
-    Scales as ``1 / sqrt(lam E[e] E[L] / E[G])``: busier links (or higher
-    encoding rates at fixed G) make the aggregate not just relatively
-    smoother but also more symmetric.
-    """
-    k2 = aggregate_cumulant(lam, 2, mean_rate_bps, mean_duration_s,
-                            mean_download_bps)
-    k3 = aggregate_cumulant(lam, 3, mean_rate_bps, mean_duration_s,
-                            mean_download_bps)
-    return k3 / k2 ** 1.5
 
 
 def coefficient_of_variation(mean: float, variance: float) -> float:

@@ -154,19 +154,3 @@ def encoding_rate_migration(
         before=plan_for(lam, moments, alpha),
         after=plan_for(lam, scaled, alpha),
     )
-
-
-def strategy_migration(
-    lam: float,
-    moments: PopulationMoments,
-    alpha: float = 2.0,
-    label: str = "strategy change",
-) -> MigrationEffect:
-    """A pure strategy migration (same sizes, same peak rates): by the
-    Section 6.1 invariance the plan is unchanged; this helper exists to
-    make the invariance an explicit, reportable result."""
-    return MigrationEffect(
-        label=label,
-        before=plan_for(lam, moments, alpha),
-        after=plan_for(lam, moments, alpha),
-    )

@@ -21,20 +21,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 
-def download_outlives_interruption(
-    duration: float,
-    buffering_playback_s: float,
-    accumulation_ratio: float,
-    watch_fraction: float,
-) -> bool:
-    """Equation (7)'s condition: is the download still in progress when
-    the viewer quits?  (``B' < L (1 - k beta)``)."""
-    _check_params(duration, buffering_playback_s, accumulation_ratio,
-                  watch_fraction)
-    return buffering_playback_s < duration * (1.0 - accumulation_ratio
-                                              * watch_fraction)
-
-
 def critical_duration(
     buffering_playback_s: float,
     accumulation_ratio: float,

@@ -49,21 +49,8 @@ class RateProcess:
         """The process's ON/OFF layout, for vectorized grid sampling."""
         raise NotImplementedError
 
-    def rate_at(self, t: float) -> float:
-        """X(t), bits/second."""
-        raise NotImplementedError
-
-    def integral_rate(self) -> float:
-        """integral X(u) du over [0, D] = the video size in bits."""
-        raise NotImplementedError
-
     def integral_rate_squared(self) -> float:
         """integral X^2(u) du over [0, D] (drives the variance, Eq. (2))."""
-        raise NotImplementedError
-
-    def integral_rate_power(self, n: int) -> float:
-        """integral X^n(u) du over [0, D] — the n-th cumulant kernel in the
-        Barakat et al. framework (the paper's "higher moments" remark)."""
         raise NotImplementedError
 
 
@@ -86,19 +73,8 @@ class ConstantRate(RateProcess):
         return GridShape(self.duration, math.inf, math.inf, 0, 0.0, 0.0,
                          self.peak_bps)
 
-    def rate_at(self, t: float) -> float:
-        return self.peak_bps if 0.0 <= t < self.duration else 0.0
-
-    def integral_rate(self) -> float:
-        return self.size_bits
-
     def integral_rate_squared(self) -> float:
         return self.size_bits * self.peak_bps
-
-    def integral_rate_power(self, n: int) -> float:
-        if n < 1:
-            raise ValueError(f"moment order must be >= 1, got {n}")
-        return self.size_bits * self.peak_bps ** (n - 1)
 
 
 @dataclass(frozen=True)
@@ -157,32 +133,9 @@ class OnOffRate(RateProcess):
                          self._full_cycles, self.duty * self.period_s,
                          self._remainder_bits / self.peak_bps, self.peak_bps)
 
-    def rate_at(self, t: float) -> float:
-        if t < 0.0 or t >= self.duration:
-            return 0.0
-        if t < self.buffering_time:
-            return self.peak_bps
-        steady_t = t - self.buffering_time
-        cycle = int(steady_t // self.period_s)
-        phase = steady_t - cycle * self.period_s
-        if cycle < self._full_cycles:
-            return self.peak_bps if phase < self.duty * self.period_s else 0.0
-        # final partial block: ON exactly long enough for the leftover bits
-        return self.peak_bps if phase < self._remainder_bits / self.peak_bps else 0.0
-
-    def integral_rate(self) -> float:
-        return self.size_bits
-
     def integral_rate_squared(self) -> float:
         # X in {0, G}  =>  X^2 = G * X pointwise
         return self.size_bits * self.peak_bps
-
-    def integral_rate_power(self, n: int) -> float:
-        # X in {0, G}  =>  X^n = G^(n-1) * X pointwise: the invariance
-        # extends to every moment order, as the paper observes
-        if n < 1:
-            raise ValueError(f"moment order must be >= 1, got {n}")
-        return self.size_bits * self.peak_bps ** (n - 1)
 
 
 def variance_contribution(process: RateProcess) -> float:

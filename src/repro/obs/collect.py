@@ -12,22 +12,17 @@ experiment, so ids, and therefore exports, are identical for any
 The collector retains every session, so per-session exports
 (:meth:`~CampaignCollector.write_flows`,
 :meth:`~CampaignCollector.write_metrics`) work, and folds the aggregate
-:meth:`~CampaignCollector.snapshot` lazily on demand.  Shard workers
-(:mod:`repro.runner.sharding`) skip the collector: they fold each
-session straight into a :class:`CampaignSnapshot` and drop it, so their
-memory stays constant no matter how many sessions pass through.
+:meth:`~CampaignCollector.snapshot` lazily on demand.
 
 Snapshots **merge**: ``CampaignSnapshot`` is built from the mergeable
-primitives in :mod:`repro.stats`, so per-shard snapshots folded in shard
-order reproduce the unsharded aggregate — counts, min/max, strategy
-tallies and histogram bins bit-for-bit; mean/variance to float-rounding
-tolerance (~1e-9 relative; see ``tests/test_sharding.py``).  The
-collector recognizes :class:`~repro.runner.sharding.ShardResult` values
-in ``batch_finished`` and merges their snapshots automatically, so the
-same subscription covers per-session and per-shard campaigns.
+primitives in :mod:`repro.stats`.  The collector recognizes
+:class:`~repro.runner.sharding.ShardResult` values in
+``batch_finished`` and folds their moments (the Monte-Carlo shards'
+:class:`~repro.model.AggregateMoments`) into its aggregate, so the same
+subscription covers per-session and per-shard campaigns.
 
 Results coming back from ``run_tasks`` that are neither sessions nor
-shard snapshots (Monte-Carlo batches, cohort aggregates) are ignored, as
+shard moments (Monte-Carlo batches, cohort aggregates) are ignored, as
 are the :class:`~repro.runner.FailedUnit` placeholders a degraded
 campaign leaves in quarantined slots — those are collected separately
 from the ledger's ``quarantined`` events and exported by
@@ -281,7 +276,7 @@ class CampaignSnapshot:
 
 
 class CampaignCollector:
-    """Collect a campaign's sessions and merge its shard snapshots.
+    """Collect a campaign's sessions and merge its shard moments.
 
     Usage::
 
@@ -339,17 +334,14 @@ class CampaignCollector:
 
     def batch_finished(self, values) -> None:
         """Adopt the batch's session results (plan order) and merge any
-        shard snapshots, skipping other task values (and
+        shard moments, skipping other task values (and
         quarantined-unit placeholders)."""
         for value in values:
             if isinstance(value, SessionResult):
                 self.collect(value)
             elif isinstance(value, ShardResult):
                 payload = value.value
-                if isinstance(payload, CampaignSnapshot):
-                    self._aggregate.merge(payload)
-                elif (hasattr(payload, "moments")
-                        and hasattr(payload, "sketch")):
+                if hasattr(payload, "moments") and hasattr(payload, "sketch"):
                     # moment-style shard payloads (AggregateMoments)
                     # join the aggregate under their campaign label
                     campaign = value.shard.campaign

@@ -262,12 +262,6 @@ class HealthMonitor:
         """Every worker lane, ordered by lane id."""
         return [self._lanes[name] for name in sorted(self._lanes)]
 
-    def completed_p50(self) -> Optional[float]:
-        """Median completed-unit latency (``None`` below ``min_completed``)."""
-        if len(self._latencies) < self.policy.min_completed:
-            return None
-        return median(self._latencies)
-
     # -- internals -----------------------------------------------------------
 
     def _lane(self, worker: str) -> WorkerLane:

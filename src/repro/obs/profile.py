@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..streaming.session import SessionResult
+from . import exporters
 
 __all__ = [
     "EventRecord",
@@ -533,10 +534,7 @@ def write_jsonl(profile: Profile, path) -> int:
               for name, hist in sorted(profile.histograms.items())]
     lines.append({"kind": "cache", "hits": profile.cache_hits,
                   "computed": profile.computed})
-    with open(path, "w", encoding="utf-8") as f:
-        for line in lines:
-            f.write(json.dumps(line) + "\n")
-    return len(lines)
+    return exporters.write_jsonl(lines, path)
 
 
 def chrome_trace_events(profile: Profile) -> List[dict]:

@@ -69,9 +69,6 @@ class PacketRecord:
     def is_ack(self) -> bool:
         return bool(self.flags & F_ACK)
 
-    def flow_key(self) -> Tuple[str, int, str, int]:
-        return (self.src_ip, self.src_port, self.dst_ip, self.dst_port)
-
 
 def _scaled_window_field(window: int, is_syn: bool) -> int:
     """The 16-bit window field value for a byte window."""

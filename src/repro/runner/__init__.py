@@ -35,10 +35,10 @@ Public API:
   and the only channel :mod:`repro.obs` subscribes its progress, dash
   and exporters to.
 * :class:`Sharding`, :class:`ShardSpec`, :class:`ShardResult`,
-  :class:`ShardStore`, :func:`run_shards`, :func:`run_sharded_sessions`,
-  :func:`shard_fingerprint` — the million-session campaign layer
-  (:mod:`repro.runner.sharding`): deterministic shards through the
-  supervised pool, shard-level artifacts, streaming reduction.
+  :class:`ShardStore`, :func:`run_shards`, :func:`shard_fingerprint` —
+  the million-session campaign layer (:mod:`repro.runner.sharding`):
+  deterministic shards through the supervised pool, shard-level
+  artifacts, streaming reduction.
 * :class:`DistPolicy`, :class:`ShardQueue`, :class:`FileShardQueue`,
   :class:`WorkerOptions`, :func:`run_worker`, :func:`make_queue` — the
   distributed shard fabric (:mod:`repro.runner.dist`): a lease-based
@@ -87,10 +87,8 @@ from .sharding import (
     ShardSpec,
     ShardStore,
     Sharding,
-    run_sharded_sessions,
     run_shards,
     shard_fingerprint,
-    split_items,
 )
 from .supervise import (
     CampaignAborted,
@@ -140,12 +138,10 @@ __all__ = [
     "merge_options",
     "plan_fingerprint",
     "run_sessions",
-    "run_sharded_sessions",
     "run_shards",
     "run_supervised",
     "run_tasks",
     "run_worker",
     "shard_fingerprint",
-    "split_items",
     "task_fingerprint",
 ]

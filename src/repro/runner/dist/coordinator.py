@@ -288,6 +288,7 @@ def run_shards_distributed(
 
     def watch_leases() -> None:
         now = time.monotonic()
+        leasing = set()
         for lease in queue.leases():
             previous = holder.get(lease.key)
             if previous is not None and previous != lease.worker:
@@ -304,6 +305,7 @@ def run_shards_distributed(
                         shard=_shard_label(shards[i][0]) if i is not None
                         else None)
             holder[lease.key] = lease.worker
+            leasing.add(lease.worker)
             lane = lanes.get(lease.worker)
             if lane is None:
                 lane = lanes[lease.worker] = WorkerLane(worker=lease.worker)
@@ -317,6 +319,8 @@ def run_shards_distributed(
             lane.unit_started_at = now - lease.age_s
         elapsed = max(now - started, 1e-9)
         for worker, lane in lanes.items():
+            if worker not in leasing:   # its shard landed: nothing running
+                lane.unit, lane.label, lane.unit_started_at = None, "", None
             lane.units_done = done_by.get(worker, 0)
             lane.rate = lane.units_done / elapsed
             if ledger is not None:
@@ -358,6 +362,7 @@ def run_shards_distributed(
                       f"--queue-dir {policy.queue} --cache-dir "
                       f"{cache_root}", file=sys.stderr)
             time.sleep(policy.poll)
+        watch_leases()   # the final beat follows the final landings
     finally:
         fleet.stop()
 

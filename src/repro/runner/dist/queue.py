@@ -420,9 +420,6 @@ class FileShardQueue(ShardQueue):
     def done_record(self, key: str) -> dict:
         return self._read_json(self._done_path(key))
 
-    def failure_record(self, key: str) -> dict:
-        return self._read_json(self._failed_path(key))
-
     def pending(self) -> List[str]:
         settled = self.done_keys() | {
             path.stem for path in self._failed.glob("*.failed")}
@@ -435,9 +432,9 @@ class FileShardQueue(ShardQueue):
         for path in self._leases.glob("*.lease"):
             try:
                 age = now - path.stat().st_mtime
-            except OSError:
-                continue  # completed/stolen between glob and stat
-            record = self._read_json(path)
+                record = json.loads(path.read_text(encoding="utf-8"))
+            except (OSError, ValueError):
+                continue  # completed, stolen or mid-renewal: seen next poll
             out.append(Lease(
                 key=path.name[:-len(".lease")],
                 worker=record.get("worker", "?"),

@@ -32,20 +32,20 @@ that scale with three moves:
 
 The policy knob is :class:`Sharding` on
 :class:`~repro.runner.pool.EngineOptions` (CLI: ``repro experiment
---shards N --sessions M``); sharding-aware call sites —
-:func:`run_sharded_sessions` here, the Monte-Carlo aggregate campaign in
-``experiments/model_validation.py`` — consult it ambiently.
+--shards N --sessions M``); the sharding-aware call site — the
+Monte-Carlo aggregate campaign in ``experiments/model_validation.py`` —
+consults it ambiently.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .cache import ResultCache
 from .fingerprint import code_version, fingerprint, fingerprint_batch
-from .pool import SessionPlan, current_options, run_tasks
+from .pool import current_options, run_tasks
 from .supervise import CHAOS_ENV, chaos_hook, chaos_mark_done
 
 __all__ = [
@@ -54,9 +54,7 @@ __all__ = [
     "ShardStore",
     "Sharding",
     "run_shards",
-    "run_sharded_sessions",
     "shard_fingerprint",
-    "split_items",
 ]
 
 #: Subdirectory of a cache root where shard artifacts live.
@@ -181,42 +179,6 @@ class ShardStore(ResultCache):
         return cls(cache)
 
 
-def split_items(items: Sequence[Any], shards: int = 1, *,
-                size: Optional[int] = None) -> List[List[Any]]:
-    """Split ``items`` into contiguous chunks, by count or by size.
-
-    The default (count-based) mode fixes the chunk size at
-    ``ceil(len/shards)`` rather than balancing: growing the item list
-    at the same per-shard size extends the tail without disturbing
-    earlier chunks, which is what keeps their shard fingerprints (and
-    cached artifacts) valid across a re-dimension.  The cost is
-    imbalance — the last chunk can be almost empty (16 items over 5
-    shards gives ``[4, 4, 4, 4]`` then nothing for the fifth).
-
-    ``size`` switches to size-based splitting: every chunk holds
-    exactly ``size`` items (last one smaller), and the chunk *count*
-    floats instead of the chunk size.  That is the work-stealing mode —
-    many small uniform chunks — and it composes with re-dimensioning
-    the same way: same ``size``, more items, only new tail chunks.
-    Empty chunks are never produced in either mode.
-
-    >>> split_items([1, 2, 3, 4, 5], 3)
-    [[1, 2], [3, 4], [5]]
-    >>> split_items([1, 2, 3, 4, 5], size=2)
-    [[1, 2], [3, 4], [5]]
-    """
-    if size is not None:
-        if size < 1:
-            raise ValueError(f"size must be >= 1, got {size}")
-    elif shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if not items:
-        return []
-    if size is None:
-        size = -(-len(items) // shards)  # ceil division
-    return [list(items[i:i + size]) for i in range(0, len(items), size)]
-
-
 def _shard_call(payload: Tuple[Callable[..., Any], ShardSpec, tuple]):
     """Pool worker: run one shard and wrap its reduction in a
     :class:`ShardResult` (in the worker, so cached artifacts carry the
@@ -284,59 +246,3 @@ def run_shards(fn: Callable[..., Any],
     for result in results:
         reduce(result)
     return results
-
-
-def _session_shard(plans: Tuple[SessionPlan, ...]):
-    """Shard worker for session campaigns: stream every plan, fold each
-    result into a campaign snapshot and drop it, return the snapshot."""
-    from ..obs.collect import CampaignSnapshot
-    from ..streaming import run_session
-
-    snapshot = CampaignSnapshot()
-    for plan in plans:
-        snapshot.fold(run_session(plan.video, plan.config))
-    return snapshot
-
-
-PlanLike = Any  # SessionPlan or (video, config); see pool.run_sessions
-
-
-def run_sharded_sessions(plans: Iterable[PlanLike], *, campaign: str,
-                         scale: str = "adhoc", seed: int = 0,
-                         shards: Optional[int] = None):
-    """Run a session campaign sharded, reducing to one campaign snapshot.
-
-    The streaming counterpart of :func:`~repro.runner.pool.run_sessions`:
-    instead of a list of :class:`~repro.streaming.SessionResult`\\ s —
-    O(sessions) memory — it returns one merged
-    :class:`~repro.obs.collect.CampaignSnapshot` of flow/metric/QoE
-    aggregates, and no session result ever crosses a process boundary.
-    ``shards`` defaults to the ambient :class:`Sharding` policy (1 when
-    none is installed).  Supervision retries whole shards; the ledger
-    and artifact store make a killed campaign resumable at shard
-    granularity.
-    """
-    from ..obs.collect import CampaignSnapshot
-
-    options = current_options()
-    size = None
-    if shards is None:
-        policy = options.sharding
-        shards = policy.shards if policy is not None else 1
-        size = policy.shard_size if policy is not None else None
-    normalized = [p if isinstance(p, SessionPlan) else SessionPlan(*p)
-                  for p in plans]
-    chunks = split_items(normalized, shards, size=size)
-    units = [
-        (ShardSpec(campaign=campaign, scale=scale, seed=seed, index=i,
-                   of=len(chunks), units=len(chunk)), (tuple(chunk),))
-        for i, chunk in enumerate(chunks)
-    ]
-    merged = CampaignSnapshot()
-
-    def fold(result: Any) -> None:
-        if isinstance(result, ShardResult):
-            merged.merge(result.value)  # plan order: see run_shards
-
-    run_shards(_session_shard, units, on_result=fold)
-    return merged

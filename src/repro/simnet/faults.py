@@ -147,22 +147,6 @@ class FaultSchedule:
         self._add(BandwidthDegradation(start, duration, factor, direction))
         return self
 
-    def server_outage(self, start: float, duration: float) -> "FaultSchedule":
-        self._add(ServerOutage(start, duration))
-        return self
-
-    def connection_reset(self, at: float) -> "FaultSchedule":
-        self._add(ConnectionReset(at))
-        return self
-
-    def flaps(self, mean_interval_s: float,
-              duration_range: Tuple[float, float],
-              start: float = 0.0, until: float = 300.0,
-              direction: str = "both") -> "FaultSchedule":
-        self._add(RandomFlaps(mean_interval_s, duration_range,
-                              start, until, direction))
-        return self
-
     def _add(self, event: FaultEvent) -> None:
         self._validate(event)
         self.events.append(event)

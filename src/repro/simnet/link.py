@@ -238,9 +238,6 @@ class Link:
             backlog -= (t - head_start) * head_rate / 8.0
         return max(0.0, backlog)
 
-    def serialization_delay(self, size_bytes: int) -> float:
-        return size_bytes * 8.0 / self.rate_bps
-
     # -- transmission -------------------------------------------------------
 
     def transmit(self, packet: Any) -> bool:

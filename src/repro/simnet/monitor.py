@@ -79,13 +79,6 @@ class TimeSeries:
                 out.append(t, v)
         return out
 
-    def deltas(self) -> List[Tuple[float, float]]:
-        """Per-interval increments: ``[(t_i, v_i - v_{i-1}), ...]``."""
-        out = []
-        for i in range(1, len(self.times)):
-            out.append((self.times[i], self.values[i] - self.values[i - 1]))
-        return out
-
     def mean(self) -> float:
         if not self.values:
             raise IndexError(f"time series {self.name!r} is empty")
@@ -122,16 +115,6 @@ class TimeSeries:
             out.append(end, (value - prev_value) / bin_width)
             prev_value = value
         return out
-
-    def time_average(self) -> float:
-        """Step-function time average over the sampled span."""
-        if len(self.times) < 2:
-            raise ValueError(f"need >= 2 samples in {self.name!r} for time average")
-        total = 0.0
-        for i in range(1, len(self.times)):
-            total += self.values[i - 1] * (self.times[i] - self.times[i - 1])
-        span = self.times[-1] - self.times[0]
-        return total / span if span > 0 else self.values[0]
 
 
 class PeriodicProbe:

@@ -61,11 +61,6 @@ class Path:
         self.forward.reset()
         self.reverse.reset()
 
-    @property
-    def rtt_floor(self) -> float:
-        """Two-way propagation delay, ignoring serialization and queueing."""
-        return self.forward.prop_delay + self.reverse.prop_delay
-
     def add_tap(self, tap) -> None:
         """Attach a sender-side sniffer to both directions."""
         self.forward.add_tap(tap)

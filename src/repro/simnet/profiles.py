@@ -92,10 +92,6 @@ class NetworkProfile:
         """A copy of this profile with different loss rates (for ablations)."""
         return replace(self, loss_down=loss_down, loss_up=loss_up)
 
-    def with_bandwidth(self, down_bps: float, up_bps: Optional[float] = None) -> "NetworkProfile":
-        """A copy of this profile with a different bottleneck rate."""
-        return replace(self, down_bps=down_bps, up_bps=up_bps or self.up_bps)
-
 
 RESEARCH = NetworkProfile(
     name="Research",

@@ -178,13 +178,6 @@ class EventScheduler:
         heapq.heappush(self._heap, (time, next(self._counter), callback, arg))
         self._live += 1
 
-    def call_after(self, delay: float, callback: Callable,
-                   arg: Any = _NO_ARG) -> None:
-        """Schedule a non-cancellable ``callback`` after ``delay`` seconds."""
-        if delay < 0:
-            raise SchedulingError(f"negative delay {delay!r}")
-        self.call_at(self.clock.now() + delay, callback, arg)
-
     def reserve_seq(self) -> int:
         """Consume and return the next insertion-order sequence number.
 
@@ -374,17 +367,6 @@ class EventScheduler:
             fired += 1
             if max_events is not None and fired >= max_events:
                 break
-        return fired
-
-    def run_while(self, predicate: Callable[[], bool], horizon: float) -> int:
-        """Run while ``predicate()`` is true, never past ``horizon``."""
-        fired = 0
-        while predicate():
-            nxt = self.peek_time()
-            if nxt is None or nxt > horizon:
-                break
-            self.step()
-            fired += 1
         return fired
 
     @property

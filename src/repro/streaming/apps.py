@@ -9,7 +9,7 @@ simulated traffic and compares.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .strategy import StreamingStrategy
 
@@ -89,11 +89,6 @@ TABLE1_EXPECTED: Dict[Combo, StreamingStrategy] = {
     (Service.NETFLIX, Container.SILVERLIGHT, Application.ANDROID):
         StreamingStrategy.LONG_ONOFF,
 }
-
-
-def table1_combos() -> List[Combo]:
-    """All Table 1 cells in the paper's row/column order."""
-    return list(TABLE1_EXPECTED)
 
 
 def container_for_video(video, service: Service) -> Container:

@@ -384,13 +384,9 @@ class PlayerBase:
         if len(self._timers) > 64:
             self._timers = [h for h in self._timers if not h.cancelled]
 
-    def _on_body(self, n: int) -> None:
-        self.downloaded += n
-        self._maybe_start_playback()
-
     def _on_job_body(self, job: TransferJob, n: int) -> None:
-        # per-segment hot path: _on_body inlined, playback check folded
-        # into the one attribute read that decides it
+        # per-segment hot path: the playback check is folded into the
+        # one attribute read that decides it
         job.received += n
         self.downloaded += n
         if self.playback_started_at is None:

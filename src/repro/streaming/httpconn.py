@@ -38,10 +38,6 @@ class HttpResponseStream:
     def in_body(self) -> bool:
         return self._response is not None
 
-    @property
-    def body_remaining(self) -> int:
-        return self._body_expected - self._body_received if self.in_body else 0
-
     def take(self, conn: TcpConnection, max_bytes: int) -> int:
         """Consume up to ``max_bytes`` of *body* from the socket.
 

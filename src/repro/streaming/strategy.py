@@ -23,8 +23,3 @@ class StreamingStrategy(Enum):
     @property
     def has_steady_state(self) -> bool:
         return self is not StreamingStrategy.NO_ONOFF
-
-    @property
-    def throttled(self) -> bool:
-        """Whether the application layer restricts the transfer rate."""
-        return self is not StreamingStrategy.NO_ONOFF

@@ -27,7 +27,7 @@ from .constants import ACK, FIN, PSH, RST, SYN, flags_repr, header_overhead
 from .recvbuf import ReceiveBuffer
 from .rtt import RttEstimator
 from .segment import TcpSegment
-from .seqspace import SequenceUnwrapper, seq_diff, seq_leq, seq_lt, wrap
+from .seqspace import wrap
 from .streambuf import StreamBuffer
 
 __all__ = [
@@ -40,11 +40,7 @@ __all__ = [
     "ReceiveBuffer",
     "RttEstimator",
     "NewRenoCongestion",
-    "SequenceUnwrapper",
     "wrap",
-    "seq_lt",
-    "seq_leq",
-    "seq_diff",
     "flags_repr",
     "header_overhead",
     "ACK",

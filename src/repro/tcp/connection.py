@@ -253,11 +253,6 @@ class TcpConnection:
         self.stream.append_virtual(n)
         self._try_send()
 
-    @property
-    def available(self) -> int:
-        """Bytes ready for the application to read."""
-        return self.recvbuf.unread
-
     def recv(self, max_bytes: int) -> bytes:
         """Read up to ``max_bytes`` from the in-order receive queue."""
         data = self.recvbuf.read(max_bytes)
@@ -293,10 +288,6 @@ class TcpConnection:
         self._teardown("reset-by-local")
 
     # -------------------------------------------------------- derived state
-
-    @property
-    def established(self) -> bool:
-        return self.state == ESTABLISHED
 
     @property
     def fully_closed(self) -> bool:
@@ -366,15 +357,6 @@ class TcpConnection:
             seq += 1
         return seq
 
-    def _ack_no(self) -> int:
-        """The cumulative ACK we advertise to the peer."""
-        if self.irs is None:
-            return 0
-        ack = self.irs + 1 + self.recvbuf.rcv_nxt
-        if self._peer_fin_processed:
-            ack += 1
-        return ack
-
     # ------------------------------------------------------------- sending
 
     def _build_segment(
@@ -394,7 +376,7 @@ class TcpConnection:
             rb._right_edge = edge
         window = rb._right_edge - rcv_nxt
         self._adv_window_last = window
-        # inline _ack_no(): this runs once per segment sent
+        # the cumulative ACK we advertise (once per segment sent)
         irs = self.irs
         if irs is None:
             ack = 0
@@ -1046,7 +1028,7 @@ class TcpConnection:
         if plen:
             rb = self.recvbuf
             data_off = seg.seq - (self.irs + 1)
-            before_gap = bool(rb._ooo)  # inlined ReceiveBuffer.has_gap
+            before_gap = bool(rb._ooo)  # a hole is held
             delivered = rb.offer(data_off, plen, seg.payload)
             if rb._ooo or before_gap or delivered == 0:
                 # out-of-order, gap-filling, or out-of-window: ACK right away
@@ -1143,7 +1125,7 @@ class TcpConnection:
                 self._cancel_rexmit_timer()
         elif (
             seg.flags == ACK
-            and seg.payload_len == 0  # inlined is_pure_ack
+            and seg.payload_len == 0  # a pure ACK
             and ack_off == self.snd_una_off
             and self.snd_nxt_off > self.snd_una_off
             and not window_grew

@@ -38,14 +38,6 @@ class ReceiveBuffer:
     # -- window -------------------------------------------------------------
 
     @property
-    def unread(self) -> int:
-        return self._unread
-
-    @property
-    def ooo_bytes(self) -> int:
-        return self._ooo_bytes
-
-    @property
     def window(self) -> int:
         """Advertisable receive window in bytes.
 
@@ -148,11 +140,6 @@ class ReceiveBuffer:
                 length = end - self.rcv_nxt
             delivered += self._append_inorder(length, payload)
         return delivered
-
-    @property
-    def has_gap(self) -> bool:
-        """True when out-of-order data is being held (a hole exists)."""
-        return bool(self._ooo)
 
     # -- application reads --------------------------------------------------
 

@@ -164,16 +164,6 @@ class TcpSegment:
     # -- derived ------------------------------------------------------------
 
     @property
-    def seq_consumed(self) -> int:
-        """Sequence space consumed: payload plus SYN/FIN flags."""
-        n = self.payload_len
-        if self.flags & SYN:
-            n += 1
-        if self.flags & FIN:
-            n += 1
-        return n
-
-    @property
     def is_syn(self) -> bool:
         return bool(self.flags & SYN)
 
@@ -184,15 +174,6 @@ class TcpSegment:
     @property
     def is_ack(self) -> bool:
         return bool(self.flags & ACK)
-
-    @property
-    def is_pure_ack(self) -> bool:
-        """ACK with no payload and no SYN/FIN."""
-        return self.flags == ACK and self.payload_len == 0
-
-    def flow_key(self):
-        """Directed flow identity: (src_ip, src_port, dst_ip, dst_port)."""
-        return (self.src_ip, self.src_port, self.dst_ip, self.dst_port)
 
     def materialized_payload(self) -> bytes:
         """The payload as real bytes, zero-filling virtual content."""

@@ -62,11 +62,6 @@ class StreamBuffer:
         """Total bytes appended since creation (monotonic)."""
         return self._length
 
-    @property
-    def trimmed(self) -> int:
-        """Bytes discarded from the front (already acknowledged)."""
-        return self._trimmed
-
     def _chunk_index_for(self, offset: int) -> int:
         """Index of the chunk containing ``offset``."""
         i = bisect.bisect_right(self._starts, offset) - 1

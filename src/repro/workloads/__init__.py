@@ -1,6 +1,6 @@
 """The paper's video datasets, interruption models and arrival processes."""
 
-from .arrivals import PoissonProcess, SessionArrival, generate_sessions
+from .arrivals import PoissonProcess
 from .catalog import (
     MBPS,
     NETFLIX_LADDER_BPS,
@@ -14,7 +14,6 @@ from .catalog import (
 from .datasets import (
     DATASET_NAMES,
     FULL_SIZES,
-    make_all_datasets,
     make_dataset,
     make_netmob,
     make_netpc,
@@ -23,7 +22,6 @@ from .datasets import (
     make_youhtml,
     make_youmob,
 )
-from .popularity import ZipfPopularity
 from .interrupts import (
     INTEREST,
     QUALITY,
@@ -49,7 +47,6 @@ __all__ = [
     "DATASET_NAMES",
     "FULL_SIZES",
     "make_dataset",
-    "make_all_datasets",
     "make_youflash",
     "make_youhd",
     "make_youhtml",
@@ -64,7 +61,4 @@ __all__ = [
     "INTEREST",
     "QUALITY",
     "PoissonProcess",
-    "SessionArrival",
-    "generate_sessions",
-    "ZipfPopularity",
 ]

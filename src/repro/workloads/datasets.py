@@ -18,7 +18,7 @@ in seconds; ``scale=1.0`` reproduces the paper's sizes.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Optional
 
 from ..simnet.rng import derive_seed
 from .catalog import (
@@ -153,13 +153,3 @@ def make_dataset(name: str, seed: int = 0, scale: float = 1.0) -> Catalog:
     except KeyError:
         raise KeyError(f"unknown dataset {name!r}; know {sorted(_FACTORIES)}") from None
     return factory(seed=seed, scale=scale)
-
-
-def make_all_datasets(seed: int = 0, scale: float = 1.0) -> Dict[str, Catalog]:
-    """All six datasets, with NetMob drawn from the same NetPC instance."""
-    datasets = {
-        name: make_dataset(name, seed=seed, scale=scale)
-        for name in ("YouFlash", "YouHD", "YouHtml", "YouMob", "NetPC")
-    }
-    datasets["NetMob"] = make_netmob(seed=seed, scale=scale, netpc=datasets["NetPC"])
-    return datasets

@@ -111,12 +111,3 @@ class EmpiricalInterruptionModel(InterruptionModel):
         beta = min(max(beta, 1e-4), 0.999)
         reason = INTEREST if rng.random() < self.p_interest else QUALITY
         return Interruption(beta=beta, completed=False, reason=reason)
-
-    def fraction_watched_below(self, threshold: float, rng: random.Random,
-                               duration: float = 200.0, n: int = 20000) -> float:
-        """Empirical P(beta < threshold), for calibration checks."""
-        hits = 0
-        for _ in range(n):
-            if self.sample(rng, duration).beta < threshold:
-                hits += 1
-        return hits / n

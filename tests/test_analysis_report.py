@@ -1,6 +1,6 @@
 """Tests for the report formatting helpers."""
 
-from repro.analysis import Cdf, bytes_human, format_cdf, format_table, mbps
+from repro.analysis import bytes_human, format_table
 
 
 class TestFormatTable:
@@ -25,25 +25,9 @@ class TestFormatTable:
         assert "A" in text
 
 
-class TestFormatCdf:
-    def test_quantile_rows(self):
-        cdf = Cdf.from_samples(range(1, 101))
-        text = format_cdf(cdf, label="sizes", unit="kB", points=4)
-        assert "CDF of sizes" in text
-        assert "p25" in text and "p100" in text
-
-    def test_scaling(self):
-        cdf = Cdf.from_samples([2048.0])
-        text = format_cdf(cdf, label="x", scale=1 / 1024, points=1)
-        assert "2.00" in text
-
-
 class TestHumanUnits:
     def test_bytes_human(self):
         assert bytes_human(500) == "500 B"
         assert bytes_human(1536) == "1.5 kB"
         assert bytes_human(5 * 1024 * 1024) == "5.0 MB"
         assert bytes_human(3 * 1024 ** 3) == "3.0 GB"
-
-    def test_mbps(self):
-        assert mbps(2_500_000) == "2.50 Mbps"

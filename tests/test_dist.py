@@ -241,7 +241,7 @@ class TestFileShardQueue:
         record = queue.failures()["aaa"]
         assert record["error"] == "division by zero"
         assert record["attempts"] == 2
-        assert queue.failure_record("aaa")["worker"] == "w0"
+        assert record["worker"] == "w0"
 
     def test_ttl_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):
@@ -789,6 +789,11 @@ class TestLocalLanes:
         assert {lane.worker for lane in beats} == {"local-w0"}
         out = stream.getvalue()
         assert "\x1b[2K  local-w0 pid " in out   # a drawn lane line
+        # the last beat follows the last landing: 3 of 3 done, none running
+        final = beats[-1]
+        assert final.units_done == 3
+        assert (final.unit, final.label, final.unit_started_at) == \
+            (None, "", None)
 
     def test_every_landed_shard_names_its_worker(self, tmp_path):
         """An artifact can land in the store well before its worker

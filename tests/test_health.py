@@ -174,7 +174,6 @@ class TestStraggler:
                            miss_after=1e9)
         self._seed(monitor, clock, latencies)
         p50 = median(latencies)
-        assert monitor.completed_p50() == pytest.approx(p50)
         monitor.unit_started("w1", 50, "probe", None)
         clock.advance(3.0 * p50 - 0.001)      # just under the bar
         assert monitor.poll() == []

@@ -18,7 +18,6 @@ from repro.model import (
     coefficient_of_variation,
     constant_strategy,
     critical_duration,
-    download_outlives_interruption,
     encoding_rate_migration,
     invariance_gap,
     long_onoff_strategy,
@@ -28,7 +27,6 @@ from repro.model import (
     simulate_aggregate,
     simulate_aggregate_moments,
     simulate_wasted_bandwidth,
-    strategy_migration,
     unused_bytes,
     unused_playback_seconds,
     waste_sweep,
@@ -49,45 +47,36 @@ def uniform_catalog(n=20, rate=1 * MBPS, duration=200.0):
     return Catalog("uniform", videos)
 
 
-class TestMoments:
-    def test_from_sessions_exact(self):
-        m = PopulationMoments.from_sessions(
-            rates=[1e6, 2e6], durations=[100.0, 200.0],
-            download_rates=[4e6, 4e6])
-        assert m.mean_rate_bps == 1.5e6
-        assert m.mean_duration_s == 150.0
-        assert m.mean_size_bits == (1e6 * 100 + 2e6 * 200) / 2
-        assert m.mean_e_l_g == (1e6 * 100 * 4e6 + 2e6 * 200 * 4e6) / 2
+def _one_video(rate_bps, duration_s, peak_bps):
+    """The moments of a population of one video, downloaded at ``peak``."""
+    size = rate_bps * duration_s
+    return PopulationMoments(mean_rate_bps=rate_bps, mean_duration_s=duration_s,
+                             mean_size_bits=size, mean_e_l_g=size * peak_bps)
 
+
+class TestMoments:
     def test_from_catalog(self):
         catalog = uniform_catalog(rate=1 * MBPS, duration=100.0)
         m = PopulationMoments.from_catalog(catalog, download_rate_bps=4e6)
         assert m.mean_size_bits == pytest.approx(1e6 * 100, rel=0.01)
 
-    def test_alignment_validation(self):
-        with pytest.raises(ValueError):
-            PopulationMoments.from_sessions([1e6], [100.0, 200.0], [4e6])
-        with pytest.raises(ValueError):
-            PopulationMoments.from_sessions([], [], [])
-
 
 class TestAggregateEquations:
     def test_eq1_and_eq3_agree_for_independent_population(self):
-        m = PopulationMoments.from_sessions(
-            rates=[1e6] * 4, durations=[100.0] * 4, download_rates=[4e6] * 4)
+        m = _one_video(1e6, 100.0, 4e6)
         assert aggregate_mean_exact(0.5, m) == pytest.approx(
             aggregate_mean_factored(0.5, m.mean_rate_bps, m.mean_duration_s))
 
     def test_eq3_scaling_in_lambda(self):
-        m = PopulationMoments.from_sessions([1e6], [100.0], [4e6])
+        m = _one_video(1e6, 100.0, 4e6)
         assert aggregate_mean_exact(2.0, m) == 2 * aggregate_mean_exact(1.0, m)
 
     def test_eq4_variance(self):
-        m = PopulationMoments.from_sessions([1e6], [100.0], [4e6])
+        m = _one_video(1e6, 100.0, 4e6)
         assert aggregate_variance(0.1, m) == pytest.approx(0.1 * 1e6 * 100 * 4e6)
 
     def test_lambda_validation(self):
-        m = PopulationMoments.from_sessions([1e6], [100.0], [4e6])
+        m = _one_video(1e6, 100.0, 4e6)
         with pytest.raises(ValueError):
             aggregate_mean_exact(0.0, m)
 
@@ -98,7 +87,7 @@ class TestAggregateEquations:
         scales both E[R] and Var[R] linearly, so CV falls by 1/sqrt(s).
         """
         def cv(rate, peak=8e6):
-            m = PopulationMoments.from_sessions([rate], [100.0], [peak])
+            m = _one_video(rate, 100.0, peak)
             return coefficient_of_variation(
                 aggregate_mean_exact(0.5, m), aggregate_variance(0.5, m))
         assert cv(2e6) == pytest.approx(cv(1e6) / math.sqrt(2))
@@ -108,12 +97,9 @@ class TestRateProcesses:
     def test_constant_rate_duration(self):
         p = ConstantRate(size_bits=8e6, peak_bps=4e6)
         assert p.duration == 2.0
-        assert p.rate_at(1.0) == 4e6
-        assert p.rate_at(2.5) == 0.0
 
     def test_constant_rate_integrals(self):
         p = ConstantRate(size_bits=8e6, peak_bps=4e6)
-        assert p.integral_rate() == 8e6
         assert p.integral_rate_squared() == 8e6 * 4e6
 
     def test_onoff_block_and_duration(self):
@@ -123,16 +109,17 @@ class TestRateProcesses:
 
     def test_onoff_rate_shape(self):
         p = OnOffRate(size_bits=8e6, peak_bps=4e6, period_s=1.0, duty=0.25)
-        assert p.rate_at(0.1) == 4e6      # ON
-        assert p.rate_at(0.5) == 0.0      # OFF
-        assert p.rate_at(1.1) == 4e6      # next cycle ON
+        shape = p.grid_shape()
+        assert shape.buffering_time == 0.0
+        # ON for the first quarter of every 1 s cycle, at the peak
+        assert (shape.period_s, shape.full_on_s, shape.peak_bps) == \
+            (1.0, 0.25, 4e6)
 
     def test_onoff_with_buffering(self):
         p = OnOffRate(size_bits=8e6, peak_bps=4e6, period_s=1.0, duty=0.25,
                       buffering_bits=4e6)
         assert p.buffering_time == 1.0
-        assert p.rate_at(0.9) == 4e6      # still buffering
-        assert p.rate_at(1.5) == 0.0      # first OFF after buffering
+        assert p.grid_shape().buffering_time == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -239,8 +226,6 @@ def _reference_grid(catalog, lam, horizon, strategy, peak_bps, dt, rng):
             )
             rates[steady] = np.where(phase < on_span, process.peak_bps, 0.0)
             grid[lo:hi + 1] += rates
-        else:  # pragma: no cover - generic fallback
-            grid[lo:hi + 1] += np.array([process.rate_at(u) for u in local])
 
     return times, grid, len(arrivals), max_duration
 
@@ -411,11 +396,6 @@ class TestInterruption:
         """B' = 40 s, k = 1.25, beta = 0.2 -> L = 53.3 s."""
         assert critical_duration(40.0, 1.25, 0.2) == pytest.approx(53.333, rel=1e-3)
 
-    def test_condition_matches_critical_duration(self):
-        critical = critical_duration(40.0, 1.25, 0.2)
-        assert download_outlives_interruption(critical + 1, 40.0, 1.25, 0.2)
-        assert not download_outlives_interruption(critical - 1, 40.0, 1.25, 0.2)
-
     def test_critical_duration_infinite_when_k_beta_ge_1(self):
         assert critical_duration(40.0, 1.25, 0.9) == math.inf
 
@@ -483,8 +463,7 @@ class TestInterruption:
 
 class TestDimensioning:
     def moments(self):
-        return PopulationMoments.from_sessions(
-            rates=[1e6] * 3, durations=[200.0] * 3, download_rates=[8e6] * 3)
+        return _one_video(1e6, 200.0, 8e6)
 
     def test_required_capacity_rule(self):
         assert required_capacity(100.0, 400.0, alpha=2.0) == pytest.approx(140.0)
@@ -498,11 +477,6 @@ class TestDimensioning:
         assert 0.0 < plan.headroom_share < 1.0
         assert plan.capacity_bps > plan.mean_bps
 
-    def test_strategy_migration_is_neutral(self):
-        effect = strategy_migration(0.5, self.moments())
-        assert effect.capacity_ratio == pytest.approx(1.0)
-        assert effect.smoothness_ratio == pytest.approx(1.0)
-
     def test_encoding_rate_migration_scales_mean_linearly(self):
         effect = encoding_rate_migration(0.5, self.moments(), rate_scale=2.0)
         assert effect.mean_ratio == pytest.approx(2.0)
@@ -512,60 +486,6 @@ class TestDimensioning:
     def test_rate_scale_validation(self):
         with pytest.raises(ValueError):
             encoding_rate_migration(0.5, self.moments(), rate_scale=0.0)
-
-
-class TestHigherMoments:
-    """The paper's remark: the strategy invariance extends to all moments."""
-
-    def test_power_integrals_invariant_across_strategies(self):
-        from repro.model import ConstantRate, OnOffRate
-
-        bulk = ConstantRate(size_bits=80e6, peak_bps=10e6)
-        onoff = OnOffRate(80e6, 10e6, period_s=2.0, duty=0.25,
-                          buffering_bits=10e6)
-        for n in (1, 2, 3, 4, 5):
-            assert bulk.integral_rate_power(n) == pytest.approx(
-                onoff.integral_rate_power(n))
-
-    def test_power_integral_closed_form(self):
-        from repro.model import ConstantRate
-
-        p = ConstantRate(size_bits=8e6, peak_bps=4e6)
-        assert p.integral_rate_power(1) == 8e6
-        assert p.integral_rate_power(2) == 8e6 * 4e6
-        assert p.integral_rate_power(3) == 8e6 * 4e6 ** 2
-
-    def test_power_order_validation(self):
-        from repro.model import ConstantRate, OnOffRate
-
-        with pytest.raises(ValueError):
-            ConstantRate(8e6, 4e6).integral_rate_power(0)
-        with pytest.raises(ValueError):
-            OnOffRate(8e6, 4e6, 1.0, 0.5).integral_rate_power(0)
-
-    def test_cumulants_match_variance_equation(self):
-        from repro.model import (aggregate_cumulant,
-                                 aggregate_variance_factored)
-
-        k2 = aggregate_cumulant(0.5, 2, 1e6, 100.0, 4e6)
-        assert k2 == pytest.approx(
-            aggregate_variance_factored(0.5, 1e6, 100.0, 4e6))
-
-    def test_skewness_decreases_with_load(self):
-        from repro.model import aggregate_skewness
-
-        light = aggregate_skewness(0.1, 1e6, 100.0, 4e6)
-        heavy = aggregate_skewness(10.0, 1e6, 100.0, 4e6)
-        assert light > heavy > 0
-        assert light / heavy == pytest.approx((10.0 / 0.1) ** 0.5)
-
-    def test_cumulant_validation(self):
-        from repro.model import aggregate_cumulant
-
-        with pytest.raises(ValueError):
-            aggregate_cumulant(0.5, 0, 1e6, 100.0, 4e6)
-        with pytest.raises(ValueError):
-            aggregate_cumulant(-1.0, 2, 1e6, 100.0, 4e6)
 
 
 class TestConcurrentSessions:

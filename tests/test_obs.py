@@ -45,7 +45,7 @@ from repro.streaming import (
 )
 from repro.workloads import MBPS, Video
 
-#: Same tiny scale as test_runner/test_telemetry, for suite latency.
+#: Same tiny scale as test_runner/test_profile, for suite latency.
 TINY = Scale(name="tiny", sessions_per_cell=3, capture_duration=90.0,
              catalog_scale=0.02, mc_horizon=4000.0)
 

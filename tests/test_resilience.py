@@ -10,12 +10,17 @@ cleanly failed — never hung — session.
 import pytest
 
 from repro.analysis import (
-    aggregate_resilience,
     quantify_block_merging,
     recovery_time,
     summarize_resilience,
 )
-from repro.simnet import RESIDENCE, FaultSchedule, NetworkProfile
+from repro.simnet import (
+    RESIDENCE,
+    ConnectionReset,
+    FaultSchedule,
+    NetworkProfile,
+    ServerOutage,
+)
 from repro.streaming import (
     DEFAULT_RETRY,
     NO_RETRY,
@@ -126,13 +131,13 @@ class TestOtherFaultKinds:
         # satellite (a): a torn-down connection is surfaced to the player,
         # so even without a retry policy the session fails instead of
         # idling to the capture horizon
-        result = netflix_session(FaultSchedule().connection_reset(2.0))
+        result = netflix_session(FaultSchedule([ConnectionReset(2.0)]))
         assert result.failed
         assert result.fail_reason == "reset-by-peer"
 
     def test_connection_reset_with_policy_recovers(self, clean_run):
         result = netflix_session(
-            FaultSchedule().connection_reset(2.0), DEFAULT_RETRY)
+            FaultSchedule([ConnectionReset(2.0)]), DEFAULT_RETRY)
         assert not result.failed
         assert result.retry_count > 0
         assert result.downloaded == clean_run.downloaded
@@ -141,7 +146,7 @@ class TestOtherFaultKinds:
         # the server 503s every block request for 10 s of steady state;
         # the client keeps retrying with backoff until it comes back
         result = netflix_session(
-            FaultSchedule().server_outage(30.0, 10.0), DEFAULT_RETRY)
+            FaultSchedule([ServerOutage(30.0, 10.0)]), DEFAULT_RETRY)
         assert not result.failed
         assert result.retry_count >= 1
         assert result.downloaded == clean_run.downloaded
@@ -204,7 +209,7 @@ class TestResilienceAnalysis:
         summary = summarize_resilience(outage_resume_run)
         assert not summary.failed
         assert summary.retry_count == outage_resume_run.retry_count
-        assert summary.recovered
+        assert summary.recovery_time_s is not None
 
     def test_recovery_time_semantics(self, outage_resume_run, clean_run):
         rec = recovery_time(outage_resume_run)
@@ -213,15 +218,6 @@ class TestResilienceAnalysis:
         else:
             assert rec == 0.0  # fault absorbed without a stall
         assert recovery_time(clean_run) is None  # no fault log at all
-
-    def test_aggregate(self, outage_resume_run):
-        summary = summarize_resilience(outage_resume_run)
-        agg = aggregate_resilience([summary, summary])
-        assert agg.sessions == 2
-        assert agg.failed_fraction == 0.0
-        assert agg.mean_retries == summary.retry_count
-        with pytest.raises(ValueError):
-            aggregate_resilience([])
 
     def test_block_merging_report(self, clean_run, outage_resume_run):
         report = quantify_block_merging(clean_run, outage_resume_run)

@@ -30,7 +30,7 @@ from repro.model import (
     simulate_aggregate,
     simulate_aggregate_moments,
 )
-from repro.obs import CampaignCollector, CampaignSnapshot, ProgressReporter
+from repro.obs import CampaignCollector, ProgressReporter
 from repro.runner import (
     EngineOptions,
     ResultCache,
@@ -44,10 +44,8 @@ from repro.runner import (
     current_options,
     engine_options,
     merge_options,
-    run_sharded_sessions,
     run_shards,
     shard_fingerprint,
-    split_items,
 )
 from repro.simnet import RESEARCH
 from repro.simnet.rng import derive_seed
@@ -262,55 +260,6 @@ def _square(x):
     return x * x
 
 
-class TestSplitItems:
-    def test_fixed_chunk_size(self):
-        assert split_items([1, 2, 3, 4, 5], 3) == [[1, 2], [3, 4], [5]]
-        assert split_items([1, 2], 5) == [[1], [2]]
-        assert split_items([], 3) == []
-
-    def test_prefix_stability_under_growth(self):
-        # same per-shard size, more items: earlier chunks unchanged, so
-        # their shard fingerprints (and cached artifacts) stay valid
-        small = split_items(list(range(8)), 4)     # chunks of 2
-        large = split_items(list(range(12)), 6)    # still chunks of 2
-        assert large[:len(small)] == small
-
-    def test_invalid_shards(self):
-        with pytest.raises(ValueError, match="shards"):
-            split_items([1], 0)
-        with pytest.raises(ValueError, match="size"):
-            split_items([1], size=0)
-
-    def test_size_mode_fixes_the_chunk_size(self):
-        assert split_items([1, 2, 3, 4, 5], size=2) == [[1, 2], [3, 4], [5]]
-        assert split_items([1, 2], size=5) == [[1, 2]]
-        assert split_items([], size=3) == []
-        # the chunk *count* floats with the item count, never the size
-        assert [len(c) for c in split_items(list(range(10)), size=4)] \
-            == [4, 4, 2]
-
-    def test_size_mode_prefix_stable_and_fingerprints_agree(self):
-        # re-dimensioning at the same --shard-size: earlier chunks (and
-        # so their shard fingerprints) are byte-for-byte unchanged
-        small = split_items(list(range(8)), size=2)
-        large = split_items(list(range(12)), size=2)
-        assert large[:len(small)] == small
-        for index, chunk in enumerate(small):
-            a = shard_fingerprint(
-                _spec(index=index, of=len(small), units=len(chunk)),
-                _double, (tuple(chunk),))
-            b = shard_fingerprint(
-                _spec(index=index, of=len(large), units=len(chunk)),
-                _double, (tuple(chunk),))
-            assert a == b
-
-    def test_count_and_size_modes_agree_on_equal_geometry(self):
-        # --shards 3 over 12 items is chunks of 4; --shard-size 4 must
-        # produce the identical split (and so identical fingerprints)
-        items = list(range(12))
-        assert split_items(items, 3) == split_items(items, size=4)
-
-
 # -- run_shards through the pool ---------------------------------------------
 
 
@@ -357,7 +306,7 @@ class TestRunShards:
         assert grown.cache_hits == 4 and grown.misses == 4
 
 
-# -- streaming reduction equivalence (the satellite-4 contract) --------------
+# -- streaming reduction -------------------------------------------------------
 
 
 def _plan(i, seed=3):
@@ -372,84 +321,7 @@ def _plan(i, seed=3):
     return SessionPlan(video, config)
 
 
-def _assert_snapshots_equal(sharded: CampaignSnapshot,
-                            unsharded: CampaignSnapshot):
-    """The documented contract: integer state bit-for-bit, float moments
-    to ~1e-9 relative (addition order differs across shard boundaries)."""
-    assert sharded.sessions == unsharded.sessions
-    assert sharded.flows == unsharded.flows
-    assert sharded.strategies == unsharded.strategies
-    assert set(sharded.moments) == set(unsharded.moments)
-    for name, acc in unsharded.moments.items():
-        other = sharded.moments[name]
-        assert other.count == acc.count
-        assert other.min == acc.min and other.max == acc.max
-        assert other.mean == pytest.approx(acc.mean, rel=1e-9)
-        assert other.variance == pytest.approx(acc.variance, rel=1e-9,
-                                               abs=1e-12)
-    assert set(sharded.sketches) == set(unsharded.sketches)
-    for name, sketch in unsharded.sketches.items():
-        other = sharded.sketches[name]
-        assert other.counts == sketch.counts     # bin-for-bin
-        assert other.underflow == sketch.underflow
-        for q in (50, 90, 99):
-            assert other.percentile(q) == sketch.percentile(q)
-
-
 class TestStreamingReduction:
-    N = 5
-
-    def _unsharded(self):
-        from repro.streaming import run_session
-
-        snapshot = CampaignSnapshot()
-        for i in range(self.N):
-            plan = _plan(i)
-            snapshot.fold(run_session(plan.video, plan.config))
-        return snapshot
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_merged_shards_equal_unsharded(self, jobs):
-        plans = [_plan(i) for i in range(self.N)]
-        with engine_options(jobs=jobs):
-            sharded = run_sharded_sessions(
-                plans, campaign="equiv", scale="tiny", seed=0, shards=3)
-        _assert_snapshots_equal(sharded, self._unsharded())
-
-    def test_jobs_values_bit_identical(self):
-        plans = [_plan(i) for i in range(self.N)]
-        snaps = []
-        for jobs in (1, 2):
-            with engine_options(jobs=jobs):
-                snaps.append(run_sharded_sessions(
-                    plans, campaign="equiv", scale="tiny", seed=0,
-                    shards=3))
-        a, b = snaps
-        # same merge order (plan order) -> floats identical, not approx
-        assert a.moments.keys() == b.moments.keys()
-        for name in a.moments:
-            assert a.moments[name].mean == b.moments[name].mean
-            assert a.moments[name].m2 == b.moments[name].m2
-        assert a.sketches["bytes"].counts == b.sketches["bytes"].counts
-
-    def test_ambient_policy_sets_default_shards(self):
-        plans = [_plan(i) for i in range(2)]
-        with engine_options(sharding=Sharding(shards=2)):
-            snap = run_sharded_sessions(plans, campaign="pol", seed=0)
-        assert snap.sessions == 2
-
-    def test_collector_merges_shard_results(self):
-        plans = [_plan(i) for i in range(3)]
-        collector = CampaignCollector()
-        ledger = RunLedger()
-        ledger.subscribe(collector)
-        with engine_options(ledger=ledger):
-            run_sharded_sessions(plans, campaign="obs", seed=0, shards=2)
-        snap = collector.snapshot()
-        assert snap.sessions == 3
-        assert snap.flows > 0
-        assert collector.sessions == []   # nothing retained, only merged
-
     def test_snapshot_is_idempotent(self):
         from repro.streaming import run_session
 
@@ -465,12 +337,13 @@ class TestStreamingReduction:
     def test_progress_reporter_counts_shards(self):
         import io
 
-        plans = [_plan(i) for i in range(4)]
+        units = [(_spec(index=i, of=2, units=2, campaign="prog"), (i,))
+                 for i in range(2)]
         reporter = ProgressReporter(stream=io.StringIO())
         ledger = RunLedger()
         ledger.subscribe(reporter)
         with engine_options(ledger=ledger):
-            run_sharded_sessions(plans, campaign="prog", seed=0, shards=2)
+            run_shards(_double, units)
         assert reporter.shards_done == 2
         assert reporter.shards_total == 2
         # one merged event per shard handed to the reduction, plan order

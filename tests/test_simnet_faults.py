@@ -60,10 +60,15 @@ class TestLinkFaultState:
         assert link.stats.packets_blackholed == 0
 
     def test_set_rate_changes_serialization(self):
-        link = make_link()
-        base = link.serialization_delay(1000)
-        link.set_rate(link.base_rate_bps / 4)
-        assert link.serialization_delay(1000) == pytest.approx(4 * base)
+        def serialization_s(rate_scale):
+            link = make_link()
+            arrived = []
+            link.connect(lambda p: arrived.append(link.scheduler.clock.now()))
+            link.set_rate(link.base_rate_bps * rate_scale)
+            link.transmit(FakePacket(wire_size=1000))
+            link.scheduler.run()
+            return arrived[0] - link.prop_delay
+        assert serialization_s(0.25) == pytest.approx(4 * serialization_s(1.0))
 
     def test_set_rate_rejects_nonpositive(self):
         link = make_link()
@@ -135,7 +140,7 @@ class TestFaultScheduleValidation:
 
     def test_flap_interval_positive(self):
         with pytest.raises(ConfigurationError):
-            FaultSchedule().flaps(0.0, (1.0, 2.0))
+            FaultSchedule([RandomFlaps(0.0, (1.0, 2.0))])
 
     def test_constructor_validates_events(self):
         with pytest.raises(ConfigurationError):
@@ -182,9 +187,7 @@ class TestFaultScheduleArming:
         sched = EventScheduler()
         path = make_path(sched)
         server = FakeServer()
-        log = (FaultSchedule()
-               .server_outage(1.0, 5.0)
-               .connection_reset(2.0)
+        log = (FaultSchedule([ServerOutage(1.0, 5.0), ConnectionReset(2.0)])
                .apply(sched, path, server=server))
         sched.run_until(10.0)
         assert server.until == 6.0
@@ -195,19 +198,20 @@ class TestFaultScheduleArming:
     def test_server_faults_require_server(self):
         sched = EventScheduler()
         with pytest.raises(ConfigurationError):
-            FaultSchedule().server_outage(1.0, 5.0).apply(sched, make_path(sched))
+            FaultSchedule([ServerOutage(1.0, 5.0)]).apply(sched,
+                                                          make_path(sched))
 
     def test_flaps_require_rng(self):
         sched = EventScheduler()
         with pytest.raises(ConfigurationError):
-            FaultSchedule().flaps(5.0, (0.5, 1.0)).apply(sched, make_path(sched))
+            FaultSchedule([RandomFlaps(5.0, (0.5, 1.0))]).apply(
+                sched, make_path(sched))
 
     def test_flaps_deterministic_under_seed(self):
         def flap_times(seed):
             sched = EventScheduler()
             path = make_path(sched)
-            log = (FaultSchedule()
-                   .flaps(5.0, (0.5, 1.0), until=60.0)
+            log = (FaultSchedule([RandomFlaps(5.0, (0.5, 1.0), until=60.0)])
                    .apply(sched, path, rng=random.Random(seed)))
             sched.run_until(100.0)
             return log.times("outage-start"), log.times("outage-end")

@@ -187,7 +187,8 @@ class TestPath:
     def test_rtt_floor(self):
         sched = EventScheduler()
         path = Path(sched, rate_ab_bps=1e6, rate_ba_bps=1e6, prop_delay=0.01)
-        assert path.rtt_floor == pytest.approx(0.02)
+        assert path.forward.prop_delay + path.reverse.prop_delay == \
+            pytest.approx(0.02)
 
     def test_link_from_validates_endpoint(self):
         sched = EventScheduler()

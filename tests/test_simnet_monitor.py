@@ -58,13 +58,6 @@ class TestTimeSeries:
         w = ts.window(1.0, 3.0)
         assert w.times == [1.0, 2.0, 3.0]
 
-    def test_deltas(self):
-        ts = TimeSeries("x")
-        ts.append(0.0, 0.0)
-        ts.append(1.0, 10.0)
-        ts.append(2.0, 15.0)
-        assert ts.deltas() == [(1.0, 10.0), (2.0, 5.0)]
-
     def test_mean_min_max(self):
         ts = TimeSeries("x")
         for t, v in [(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)]:
@@ -72,19 +65,6 @@ class TestTimeSeries:
         assert ts.mean() == pytest.approx(3.0)
         assert ts.min() == 1.0
         assert ts.max() == 5.0
-
-    def test_time_average_weights_by_interval(self):
-        ts = TimeSeries("x")
-        ts.append(0.0, 10.0)   # holds for 1 s
-        ts.append(1.0, 0.0)    # holds for 3 s
-        ts.append(4.0, 99.0)   # terminal sample, zero weight
-        assert ts.time_average() == pytest.approx((10.0 * 1 + 0.0 * 3) / 4)
-
-    def test_time_average_needs_two_samples(self):
-        ts = TimeSeries("x")
-        ts.append(0.0, 1.0)
-        with pytest.raises(ValueError):
-            ts.time_average()
 
     def test_binned_rate_of_cumulative_series(self):
         ts = TimeSeries("bytes")

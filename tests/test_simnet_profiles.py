@@ -59,13 +59,6 @@ class TestProfileDerivation:
         assert derived.down_bps == RESIDENCE.down_bps
         assert RESIDENCE.loss_down != 0.02  # original untouched
 
-    def test_with_bandwidth(self):
-        derived = ACADEMIC.with_bandwidth(5e6)
-        assert derived.down_bps == 5e6
-        assert derived.up_bps == ACADEMIC.up_bps
-        both = ACADEMIC.with_bandwidth(5e6, 2e6)
-        assert both.up_bps == 2e6
-
 
 class TestPathConstruction:
     def test_bursty_profile_builds_gilbert_elliott(self):
@@ -95,7 +88,8 @@ class TestPathConstruction:
         path = RESIDENCE.build_path(_scheduler(), random.Random(1))
         assert path.forward.rate_bps == 7.7e6
         assert path.reverse.rate_bps == 1.2e6
-        assert path.rtt_floor == pytest.approx(RESIDENCE.rtt)
+        assert path.forward.prop_delay + path.reverse.prop_delay == \
+            pytest.approx(RESIDENCE.rtt)
 
 
 class TestBuildClientServer:

@@ -161,25 +161,13 @@ class TestEventScheduler:
         sched.run()
         assert sched.fired == 2
 
-    def test_run_while_predicate(self):
-        sched = EventScheduler()
-        count = {"n": 0}
-
-        def tick():
-            count["n"] += 1
-            sched.after(1.0, tick)
-
-        sched.at(0.0, tick)
-        sched.run_while(lambda: count["n"] < 5, horizon=100.0)
-        assert count["n"] == 5
-
 
 class TestFastPathEdgeCases:
     """Edge cases of the tuple-entry fast path (PR 5).
 
     Cancellation is *lazy*: a cancelled handle stays in the heap until it
-    surfaces, so every consumer (``peek_time``, ``step``, ``run_until``,
-    ``run_while``) must skip corpses without firing them or counting them.
+    surfaces, so every consumer (``peek_time``, ``step``, ``run_until``)
+    must skip corpses without firing them or counting them.
     """
 
     def test_cancelled_head_is_skipped_lazily_by_peek_and_run(self):
@@ -235,7 +223,7 @@ class TestFastPathEdgeCases:
         marker = object()
         got = []
         sched.call_at(1.0, got.append, marker)
-        sched.call_after(1.0, got.append, marker)
+        sched.call_at(2.0, got.append, marker)
         sched.run()
         assert got == [marker, marker]
         assert got[0] is marker
@@ -266,27 +254,6 @@ class TestFastPathEdgeCases:
         assert (sched.mark_time, sched.mark_seq) == (1.5, early.seq)
         sched.at(1.5, lambda: None)         # same time, later seq
         assert sched.mark_seq == early.seq
-
-    def test_run_while_respects_horizon(self):
-        sched = EventScheduler()
-        fired = []
-        sched.at(1.0, lambda: fired.append(1.0))
-        sched.at(5.0, lambda: fired.append(5.0))   # exactly at horizon
-        sched.at(5.1, lambda: fired.append(5.1))   # beyond horizon
-        n = sched.run_while(lambda: True, horizon=5.0)
-        assert n == 2
-        assert fired == [1.0, 5.0]
-        assert sched.clock.now() == 5.0            # not advanced past it
-        assert sched.pending == 1                  # the 5.1 event survives
-
-    def test_run_while_skips_cancelled_heads_at_horizon_check(self):
-        sched = EventScheduler()
-        fired = []
-        h = sched.at(1.0, lambda: fired.append("dead"))
-        sched.at(2.0, lambda: fired.append("alive"))
-        h.cancel()
-        sched.run_while(lambda: len(fired) < 1, horizon=10.0)
-        assert fired == ["alive"]
 
     def test_run_until_max_events_uses_resumable_slow_path(self):
         sched = EventScheduler()

@@ -64,7 +64,6 @@ class TestHttpResponseStream:
         conn = FakeConn([response_bytes(10_000), 10_000])
         stream = HttpResponseStream(on_body_bytes=lambda n: None)
         assert stream.take(conn, 4000) == 4000
-        assert stream.body_remaining == 6000
         assert stream.take(conn, 10_000) == 6000
         assert stream.responses_completed == 1
 

@@ -252,9 +252,11 @@ class TestAdaptiveNetflix:
     """Akhshabi-style rendition adaptation (cited in Section 5)."""
 
     def _run(self, bandwidth_bps, capture):
+        from dataclasses import replace
+
         from repro.simnet import ACADEMIC
 
-        profile = ACADEMIC.with_bandwidth(bandwidth_bps)
+        profile = replace(ACADEMIC, down_bps=bandwidth_bps)
         return stream(nf_video(), Application.FIREFOX,
                       service=Service.NETFLIX, profile=profile,
                       duration=capture)

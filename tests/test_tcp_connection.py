@@ -175,7 +175,8 @@ class TestFlowControl:
 
         def drain():
             got["n"] += client.recv_discard(1 << 20)
-            if got["n"] + client.recvbuf.unread < 500_000 or client.available:
+            if got["n"] + client.recvbuf._unread < 500_000 \
+                    or client.recvbuf._unread:
                 net.scheduler.after(0.05, drain)
 
         net.scheduler.after(0.0, drain)

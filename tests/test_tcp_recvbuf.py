@@ -13,7 +13,7 @@ class TestInOrderDelivery:
         assert buf.offer(0, 100, b"a" * 100) == 100
         assert buf.offer(100, 100, b"b" * 100) == 100
         assert buf.rcv_nxt == 200
-        assert buf.unread == 200
+        assert buf._unread == 200
 
     def test_read_returns_bytes_in_order(self):
         buf = ReceiveBuffer(1000)
@@ -31,7 +31,7 @@ class TestInOrderDelivery:
         buf = ReceiveBuffer(1000)
         buf.offer(0, 500, None)
         assert buf.read_discard(200) == 200
-        assert buf.unread == 300
+        assert buf._unread == 300
 
     def test_zero_length_offer(self):
         buf = ReceiveBuffer(1000)
@@ -56,8 +56,8 @@ class TestOutOfOrder:
     def test_gap_holds_data(self):
         buf = ReceiveBuffer(1000)
         assert buf.offer(100, 100, None) == 0
-        assert buf.has_gap
-        assert buf.ooo_bytes == 100
+        assert buf._ooo
+        assert buf._ooo_bytes == 100
         assert buf.rcv_nxt == 0
 
     def test_gap_fill_drains_held_data(self):
@@ -65,7 +65,7 @@ class TestOutOfOrder:
         buf.offer(100, 100, b"B" * 100)
         delivered = buf.offer(0, 100, b"A" * 100)
         assert delivered == 200
-        assert not buf.has_gap
+        assert not buf._ooo
         assert buf.read(200) == b"A" * 100 + b"B" * 100
 
     def test_multiple_holes_drain_progressively(self):
@@ -81,7 +81,7 @@ class TestOutOfOrder:
         buf = ReceiveBuffer(1000)
         buf.offer(100, 100, None)
         buf.offer(100, 100, None)
-        assert buf.ooo_bytes == 100
+        assert buf._ooo_bytes == 100
 
     def test_ooo_overlapping_delivery_point_trimmed_on_drain(self):
         buf = ReceiveBuffer(1000)
@@ -119,14 +119,14 @@ class TestWindow:
         for seq in range(100, 1000, 100):
             assert buf.offer(seq, 100, None) == 0
         # all promised bytes were held, none rejected
-        assert buf.ooo_bytes == 900
+        assert buf._ooo_bytes == 900
         # the hole itself must still be acceptable
         assert buf.offer(0, 100, None) == 1000
 
     def test_offer_beyond_right_edge_rejected(self):
         buf = ReceiveBuffer(1000)
         assert buf.offer(1000, 100, None) == 0
-        assert buf.ooo_bytes == 0
+        assert buf._ooo_bytes == 0
 
     def test_offer_straddling_right_edge_trimmed(self):
         buf = ReceiveBuffer(1000)
@@ -182,7 +182,7 @@ class TestReassemblyProperties:
             # re-offer duplicates to exercise dedup paths
             buf.offer(seq, length, payload[seq : seq + length])
         assert buf.rcv_nxt == total
-        assert not buf.has_gap
+        assert not buf._ooo
         assert buf.read(total) == payload[:total]
 
     @settings(max_examples=100)
@@ -194,4 +194,4 @@ class TestReassemblyProperties:
         for seq, length in segments:
             delivered += buf.offer(seq, length, None)
         assert delivered == total
-        assert buf.unread == total
+        assert buf._unread == total

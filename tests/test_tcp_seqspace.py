@@ -1,9 +1,6 @@
-"""Tests for 32-bit sequence arithmetic and unwrapping."""
+"""Tests for 32-bit sequence arithmetic."""
 
-from hypothesis import given
-from hypothesis import strategies as st
-
-from repro.tcp import SequenceUnwrapper, seq_diff, seq_leq, seq_lt, wrap
+from repro.tcp import wrap
 
 SEQ_MOD = 1 << 32
 
@@ -18,62 +15,3 @@ class TestWrap:
 
     def test_negative_wraps(self):
         assert wrap(-1) == SEQ_MOD - 1
-
-
-class TestComparison:
-    def test_simple_ordering(self):
-        assert seq_lt(1, 2)
-        assert not seq_lt(2, 1)
-        assert not seq_lt(2, 2)
-
-    def test_ordering_across_wrap(self):
-        near_top = SEQ_MOD - 10
-        assert seq_lt(near_top, 5)      # 5 is "after" the wrap
-        assert not seq_lt(5, near_top)
-
-    def test_leq(self):
-        assert seq_leq(3, 3)
-        assert seq_leq(3, 4)
-        assert not seq_leq(4, 3)
-
-    def test_diff_signed(self):
-        assert seq_diff(10, 4) == 6
-        assert seq_diff(4, 10) == -6
-
-    def test_diff_across_wrap(self):
-        assert seq_diff(2, SEQ_MOD - 3) == 5
-        assert seq_diff(SEQ_MOD - 3, 2) == -5
-
-
-class TestSequenceUnwrapper:
-    def test_first_value_is_base(self):
-        u = SequenceUnwrapper()
-        assert u.unwrap(1000) == 1000
-
-    def test_monotone_stream(self):
-        u = SequenceUnwrapper()
-        values = [u.unwrap(i * 1000) for i in range(10)]
-        assert values == [i * 1000 for i in range(10)]
-
-    def test_unwraps_across_wraparound(self):
-        u = SequenceUnwrapper()
-        u.unwrap(SEQ_MOD - 2000)
-        after = u.unwrap(wrap(SEQ_MOD + 3000))
-        assert after == SEQ_MOD + 3000
-
-    def test_tolerates_small_reordering(self):
-        u = SequenceUnwrapper()
-        assert u.unwrap(5000) == 5000
-        assert u.unwrap(3000) == 3000  # late (retransmitted) segment
-        assert u.unwrap(6000) == 6000
-
-    @given(st.lists(st.integers(min_value=-(1 << 20), max_value=1 << 20), min_size=1, max_size=60))
-    def test_round_trip_arbitrary_walk(self, deltas):
-        """Unwrapping a wrapped random walk recovers the walk exactly as
-        long as single steps stay within half the sequence space."""
-        u = SequenceUnwrapper()
-        pos = 1 << 33  # keep the true value positive
-        for delta in deltas:
-            pos += delta
-            assert u.unwrap(wrap(pos)) - u.unwrap(wrap(pos)) == 0
-            assert u.unwrap(wrap(pos)) % SEQ_MOD == wrap(pos)

@@ -11,7 +11,7 @@ class TestAppend:
     def test_empty_buffer(self):
         buf = StreamBuffer()
         assert buf.length == 0
-        assert buf.trimmed == 0
+        assert buf._trimmed == 0
 
     def test_append_real(self):
         buf = StreamBuffer()
@@ -94,7 +94,7 @@ class TestTrim:
         buf = StreamBuffer()
         buf.append(b"ABCDEF")
         buf.trim(3)
-        assert buf.trimmed == 3
+        assert buf._trimmed == 3
         assert buf.read_range(3, 6) == b"DEF"
         with pytest.raises(IndexError):
             buf.read_range(2, 4)
@@ -117,7 +117,7 @@ class TestTrim:
         buf.append(b"ABCDEF")
         buf.trim(4)
         buf.trim(2)  # earlier trim is a no-op
-        assert buf.trimmed == 4
+        assert buf._trimmed == 4
 
     def test_trim_beyond_length_raises(self):
         buf = StreamBuffer()
