@@ -290,6 +290,11 @@ def run_shards_distributed(
         now = time.monotonic()
         leasing = set()
         for lease in queue.leases():
+            i = index_of.get(lease.key)
+            if i is not None and settled[i]:
+                # a landed shard's worker writes the done marker before
+                # it drops the lease: that lease runs nothing
+                continue
             previous = holder.get(lease.key)
             if previous is not None and previous != lease.worker:
                 # an expired holder's shard moved: the re-lease is the
@@ -298,7 +303,6 @@ def run_shards_distributed(
                 # loop never witnessed; ``released`` dedups the two paths)
                 if ledger is not None and lease.key not in released:
                     released.add(lease.key)
-                    i = index_of.get(lease.key)
                     ledger.event(
                         "re-leased", worker=lease.worker, previous=previous,
                         unit=i,
@@ -312,7 +316,6 @@ def run_shards_distributed(
             lane.pid = lease.pid
             lane.last_beat = now - min(lease.age_s, policy.ttl)
             lane.missing = lease.age_s > policy.ttl
-            i = index_of.get(lease.key)
             lane.unit = i
             lane.label = (_shard_label(shards[i][0])
                           if i is not None else lease.key[:12])

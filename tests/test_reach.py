@@ -64,64 +64,66 @@ def test_named():
 
 @pytest.fixture(scope="module")
 def fixture_repo(tmp_path_factory):
-    """``(root, reached-set file)`` of the audited fixture repository."""
+    """``(root, reached set)`` of the audited fixture repository."""
     root = tmp_path_factory.mktemp("repo")
     files = {"src/repro/__init__.py": "", "src/repro/mod.py": MODULE,
              "examples/demo.py": EXAMPLE, "tests/test_mod.py": TEST}
     for rel, text in files.items():
         (root / rel).parent.mkdir(parents=True, exist_ok=True)
         (root / rel).write_text(text)
-    (root / "tools").mkdir()
-    saved = root / "reached.txt"
-    assert reach.main(["--root", str(root), "--save-reached",
-                       str(saved)]) == 0
-    return root, saved
+    return root, reach.collect(root)
 
 
-def _check(root, saved, allow_lines):
-    (root / "tools" / "reach_allow.txt").write_text(
-        "".join(line + "\n" for line in allow_lines))
-    return reach.main(["--root", str(root), "--reached", str(saved),
-                       "--check"])
+def _problems(fixture_repo, allow_lines):
+    """What ``--check`` fails on (it exits 1 on any) for this allow-list."""
+    root, reached = fixture_repo
+    path = root / "reach_allow.txt"
+    path.write_text("".join(line + "\n" for line in allow_lines))
+    return reach.check(reach.listing(root, reached), reach.read_allow(path))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestReach:
     def test_forked_child_is_followed(self, fixture_repo):
-        root, saved = fixture_repo
-        reached = set(saved.read_text().splitlines())
-        assert "mod.py\treached_in_parent" in reached
-        assert "mod.py\treached_in_child" in reached
-        assert "mod.py\tnever_reached" not in reached
+        _, reached = fixture_repo
+        names = {line.rsplit("\t", 1)[-1] for line in reached
+                 if line.startswith("mod.py\t")}
+        assert {"reached_in_parent", "reached_in_child"} <= names
+        assert "never_reached" not in names
 
     def test_lists_uncalled_and_test_only(self, fixture_repo):
-        root, saved = fixture_repo
-        listed = reach.listing(root, set(saved.read_text().splitlines()))
+        listed = reach.listing(*fixture_repo)
         assert set(listed) == {"repro.mod:never_reached",
                                "repro.mod:named_by_test"}
 
     def test_check_passes_on_a_matching_allow_list(self, fixture_repo):
-        assert _check(*fixture_repo, [
+        assert _problems(fixture_repo, [
             "repro.mod:never_reached  equation: Eq. (9)",
-            "repro.mod:named_by_test  reference: the scalar path"]) == 0
+            "repro.mod:named_by_test  reference: the scalar path"]) == []
 
     def test_check_fails_on_a_listed_function_not_allowed(self,
                                                          fixture_repo):
-        assert _check(*fixture_repo, [
-            "repro.mod:never_reached  equation: Eq. (9)"]) == 1
+        assert _problems(fixture_repo, [
+            "repro.mod:never_reached  equation: Eq. (9)"]) == [
+            "repro.mod:named_by_test: only tests reach it; delete it, or "
+            "allow it with a reason"]
 
     @pytest.mark.parametrize("stale", ["repro.mod:reached_in_child",
                                        "repro.mod:gone"])
     def test_check_fails_on_a_stale_entry(self, fixture_repo, stale):
-        assert _check(*fixture_repo, [
+        assert _problems(fixture_repo, [
             "repro.mod:never_reached  equation: Eq. (9)",
             "repro.mod:named_by_test  reference: the scalar path",
-            f"{stale}  pcap: the writer contract"]) == 1
+            f"{stale}  pcap: the writer contract"]) == [
+            f"{stale}: stale allow-list entry (reached, named outside "
+            f"tests/, or gone)"]
 
     def test_check_fails_on_an_invalid_reason(self, fixture_repo):
-        assert _check(*fixture_repo, [
+        problems = _problems(fixture_repo, [
             "repro.mod:never_reached  equation: Eq. (9)",
-            "repro.mod:named_by_test  handy: keeps a test short"]) == 1
+            "repro.mod:named_by_test  handy: keeps a test short"])
+        assert len(problems) == 1
+        assert problems[0].startswith("repro.mod:named_by_test: reason")
 
 
 def test_ci_steps_are_audited_but_not_the_audit_itself():

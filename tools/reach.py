@@ -29,12 +29,14 @@ as ``<module>:<qualname>  <kind>: <reason>``, where ``<kind>`` is one of
 from the allow-list, when an allow-list entry is stale (reached, named
 outside ``tests/`` or gone), or when an entry gives no valid kind.
 
+Functions are matched by file, first line and name (a code object's
+``co_firstlineno`` is its first decorator's line, as in the AST), which
+every supported Python records.
+
 Usage::
 
-    python tools/reach.py                        # run everything, list
-    python tools/reach.py --check                # ... gated on the allow-list
-    python tools/reach.py --save-reached r.txt   # keep the reached set
-    python tools/reach.py --reached r.txt        # re-list without re-running
+    python tools/reach.py           # run everything, print the listing
+    python tools/reach.py --check   # ... and gate it on the allow-list
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ _DRIVES_REPRO = re.compile(
 
 def start_collector(out_dir: str, package: str) -> None:
     """Record every code object this process (and its forks) calls, and
-    write the ``<file>\\t<qualname>`` of those under ``package`` to a
-    fresh file in ``out_dir`` at exit."""
+    write the ``<file>\\t<first line>\\t<name>`` of those under
+    ``package`` to a fresh file in ``out_dir`` at exit."""
     import atexit
     import threading
 
@@ -103,7 +105,8 @@ def start_collector(out_dir: str, package: str) -> None:
             if name not in real:
                 real[name] = os.path.realpath(name)
             if real[name].startswith(prefix):
-                lines.add(f"{real[name][len(prefix):]}\t{code.co_qualname}")
+                lines.add(f"{real[name][len(prefix):]}\t"
+                          f"{code.co_firstlineno}\t{code.co_name}")
         seen.clear()
         path = os.path.join(out_dir, f"{os.getpid()}-{time.time_ns()}.txt")
         with open(path, "w", encoding="utf-8") as f:
@@ -234,7 +237,7 @@ def commands(root: Path
 
 def collect(root: Path) -> Set[str]:
     """Run every audited command under the collector; return the reached
-    ``<path under the package>\\t<qualname>`` set."""
+    ``<path under the package>\\t<first line>\\t<name>`` set."""
     root = root.resolve()
     package = root / "src" / "repro"
     scratch = Path(tempfile.mkdtemp(prefix="repro-reach-"))
@@ -282,8 +285,9 @@ def collect(root: Path) -> Set[str]:
 # -- what is listed -----------------------------------------------------------
 
 def definitions(package: Path) -> Dict[str, Tuple[str, str, int]]:
-    """``<module>:<qualname>`` -> ``(path under package, name, lines)`` for
-    every function defined under ``package`` (dunders excluded)."""
+    """``<module>:<qualname>`` -> ``(reached key, name, lines)`` for every
+    function defined under ``package`` (dunders excluded); the reached
+    key is the one :func:`start_collector` records for its code."""
     found: Dict[str, Tuple[str, str, int]] = {}
     base = package.name
     for path in sorted(package.rglob("*.py")):
@@ -299,10 +303,12 @@ def definitions(package: Path) -> Dict[str, Tuple[str, str, int]]:
                 elif isinstance(child, (ast.FunctionDef,
                                         ast.AsyncFunctionDef)):
                     qualname = prefix + child.name
+                    first = min([child.lineno] + [
+                        d.lineno for d in child.decorator_list])
                     if not (child.name.startswith("__")
                             and child.name.endswith("__")):
                         found[f"{module}:{qualname}"] = (
-                            rel, child.name,
+                            f"{rel}\t{first}\t{child.name}", child.name,
                             child.end_lineno - child.lineno + 1)
                     walk(child, f"{qualname}.<locals>.")
                 else:
@@ -345,9 +351,8 @@ def listing(root: Path, reached: Set[str]) -> Dict[str, int]:
     """The listed functions, ``<module>:<qualname>`` -> line count."""
     defs = definitions(root / "src" / "repro")
     named = references(root)
-    return {key: lines for key, (rel, name, lines) in sorted(defs.items())
-            if f"{rel}\t{key.split(':', 1)[1]}" not in reached
-            and name not in named}
+    return {key: lines for key, (code, name, lines) in sorted(defs.items())
+            if code not in reached and name not in named}
 
 
 def read_allow(path: Path) -> Dict[str, str]:
@@ -380,32 +385,17 @@ def check(listed: Dict[str, int], allow: Dict[str, str]) -> List[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=ROOT,
-                        help="repository to audit (default: this one)")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 unless the listing matches "
                              "tools/reach_allow.txt")
-    parser.add_argument("--reached", type=Path,
-                        help="read the reached set from this file instead "
-                             "of running anything")
-    parser.add_argument("--save-reached", type=Path,
-                        help="write the reached set to this file")
     args = parser.parse_args(argv)
 
-    root = args.root.resolve()
-    if args.reached:
-        reached = set(args.reached.read_text().splitlines())
-    else:
-        started = time.perf_counter()
-        reached = collect(root)
-        print(f"collected in {time.perf_counter() - started:.1f}s",
-              file=sys.stderr)
-    if args.save_reached:
-        args.save_reached.write_text("".join(
-            line + "\n" for line in sorted(reached)))
-
-    listed = listing(root, reached)
-    allow = read_allow(root / "tools" / "reach_allow.txt")
+    started = time.perf_counter()
+    reached = collect(ROOT)
+    print(f"collected in {time.perf_counter() - started:.1f}s",
+          file=sys.stderr)
+    listed = listing(ROOT, reached)
+    allow = read_allow(ROOT / "tools" / "reach_allow.txt")
     for key, lines in listed.items():
         mark = "  (allowed)" if key in allow else ""
         print(f"{key}  {lines} lines{mark}")
