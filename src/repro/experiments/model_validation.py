@@ -34,12 +34,10 @@ from ..model import (
     PopulationMoments,
     aggregate_mean_exact,
     aggregate_variance,
-    coefficient_of_variation,
     constant_strategy,
     critical_duration,
     encoding_rate_migration,
     long_onoff_strategy,
-    plan_for,
     short_onoff_strategy,
     simulate_aggregate,
     simulate_aggregate_moments,

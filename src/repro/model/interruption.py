@@ -16,9 +16,8 @@ With buffering amount ``B_n`` (downloaded "instantly"), accumulation ratio
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 
 def critical_duration(

@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from ..stats import HistogramSketch, MomentAccumulator
 from ..workloads.arrivals import PoissonProcess
 from ..workloads.catalog import Catalog
-from .onoffrate import ConstantRate, OnOffRate, RateProcess
+from .onoffrate import ConstantRate, GridShape, OnOffRate, RateProcess
 
 
 @dataclass
@@ -131,10 +131,90 @@ def long_onoff_strategy(
                                 buffering_playback_s)
 
 
-#: Grid samples per vectorized pass of :func:`_simulate_grid`: enough to
-#: amortize numpy's per-call cost, few enough that a pass's temporaries
-#: stay small beside the grid itself.
-_CHUNK_SAMPLES = 8192
+#: Slack, in cycles, of the ON-candidate search of :func:`_cycling_on`:
+#: far above the float error of the phase arithmetic (about 1e-12 of a
+#: cycle on campaign horizons), so the search never drops a sample that
+#: the exact ON test calls ON.
+_TOL = 1e-7
+
+
+def _first_at_or_after(
+    times: np.ndarray,
+    t0: np.ndarray,
+    offset: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    dt: float,
+) -> np.ndarray:
+    """Per session, the first grid index ``k`` in ``[lo, hi)`` with
+    ``times[k] - t0 >= offset``, else ``hi``.
+
+    The test is monotone in ``k``: a float estimate is corrected by unit
+    steps, each step evaluating the very expression of the ON test, so
+    the threshold is exact.  An infinite ``offset`` gives ``hi``.
+    """
+    k = np.clip(np.ceil((t0 + offset) / dt), lo, hi).astype(np.int64)
+    last = len(times) - 1
+    while True:
+        down = (k > lo) & (times[np.maximum(k - 1, 0)] - t0 >= offset)
+        if not down.any():
+            break
+        k -= down
+    while True:
+        up = (k < hi) & (times[np.minimum(k, last)] - t0 < offset)
+        if not up.any():
+            break
+        k += up
+    return k
+
+
+def _cycling_on(
+    times: np.ndarray,
+    t0: np.ndarray,
+    start: np.ndarray,
+    length: np.ndarray,
+    shape: GridShape,
+    dt: float,
+) -> np.ndarray:
+    """Grid indices of the ON samples of one video's sessions, each
+    session ``s`` read over its cycling region ``start[s] + [0,
+    length[s])``, past the buffering and before the download's end.
+
+    Sample ``start + j`` sits ``gamma + F_j`` cycles (mod 1) into the
+    ON/OFF pattern, with ``F_j = frac(j dt / P)`` shared by the video's
+    sessions and ``gamma`` the session's phase at ``start``.  With the
+    ``F_j`` sorted once, two ``searchsorted`` calls per session bound the
+    samples within the tolerance of an ON span; only those get the exact
+    float test, the same expressions the per-sample loop evaluated.
+    """
+    period = shape.period_s
+    # float error of the phase, in cycles, grows with the times involved
+    tol = _TOL + 2.0 ** -46 * (times[-1] + t0.max()) / period
+    width = max(shape.full_on_s, shape.last_on_s) / period + 2 * tol
+    steps = (np.arange(length.max()) * (dt / period)) % 1.0
+    order = np.argsort(steps)
+    # two laps of the sorted F_j: a span past 1 wraps round to 0
+    laps = np.concatenate((steps[order], steps[order] + 1.0))
+    order = np.concatenate((order, order))
+    # cycles since the buffering ended, at ``start``: gamma is its fraction
+    elapsed = (times[start] - t0 - shape.buffering_time) / period
+    begin = (np.floor(elapsed) - elapsed - tol) % 1.0
+    first = np.searchsorted(laps, begin)
+    # a span of a whole cycle or more takes each sample once
+    sizes = np.minimum(np.searchsorted(laps, begin + width) - first,
+                       len(steps))
+    owner = np.repeat(np.arange(len(t0)), sizes)
+    j = order[np.arange(sizes.sum())
+              + np.repeat(first - np.cumsum(sizes) + sizes, sizes)]
+    keep = j < length[owner]
+    j, owner = j[keep], owner[keep]
+    k = start[owner] + j
+    steady_t = times[k] - t0[owner] - shape.buffering_time
+    cycle = np.floor(steady_t / period)
+    phase = steady_t - cycle * period
+    on = phase < np.where(cycle < shape.full_cycles, shape.full_on_s,
+                          shape.last_on_s)
+    return k[on]
 
 
 def _simulate_grid(
@@ -152,19 +232,23 @@ def _simulate_grid(
     their own warmup policy to the grid.
 
     Every arrival draws its video with one ``rng.choice``; the strategy
-    builds one rate process per distinct video.  Sessions are then
-    sampled in arrival-order chunks of about ``_CHUNK_SAMPLES`` grid
-    samples, each sample's ON test reading the process's
-    :class:`~repro.model.onoffrate.GridShape`.  ``np.add.at`` adds a
-    chunk's samples in order, so each grid cell sums its sessions' rates
-    in arrival order: the grid is the same, bit for bit, as a
-    session-by-session loop's.
+    builds one rate process per distinct video, read through its
+    :class:`~repro.model.onoffrate.GridShape`.  A session's samples are
+    ON while buffering, then follow the ON/OFF cycles until the download
+    ends; both ends are exact index thresholds, so the buffering prefix
+    costs two count edges and only the cycling samples that can be ON
+    get the float ON test (:func:`_cycling_on`).
+
+    Each grid cell counts its ON sessions; ``grid = S[count]`` with ``S =
+    cumsum([0, G, G, ...])``.  Summing the sessions' rates in arrival
+    order from 0.0 gives the same float, since an OFF session adds +0.0:
+    the grid is the same, bit for bit, as a session-by-session loop's.
+    That needs every process to peak at ``peak_bps``.
     """
     arrivals = PoissonProcess(lam, rng).times_until(horizon)
-    grid = np.zeros(int(horizon / dt) + 1)
-    times = np.arange(len(grid)) * dt
+    times = np.arange(int(horizon / dt) + 1) * dt
     if not arrivals:
-        return times, grid, 0, 0.0
+        return times, np.zeros(len(times)), 0, 0.0
 
     # choice over the slots draws exactly what choice over the videos does
     slots = range(len(catalog.videos))
@@ -173,44 +257,38 @@ def _simulate_grid(
     shapes = []
     for slot in used.tolist():
         video = catalog.videos[slot]
-        process = strategy(video.size_bytes * 8.0, video.encoding_rate_bps,
-                           peak_bps)
-        shapes.append(process.grid_shape())
-    (duration, buffering, period, full_cycles, full_on, last_on,
-     peak) = np.array(shapes, dtype=float)[rows].T
+        shape = strategy(video.size_bytes * 8.0, video.encoding_rate_bps,
+                         peak_bps).grid_shape()
+        if shape.peak_bps != peak_bps:
+            raise ValueError(f"{video.video_id}: the process peaks at "
+                             f"{shape.peak_bps!r}, not at {peak_bps!r}")
+        shapes.append(shape)
+    duration = np.array([shape.duration for shape in shapes])
+    buffering = np.array([shape.buffering_time for shape in shapes])
 
     t0 = np.array(arrivals)
     lo = np.ceil(t0 / dt).astype(np.int64)
-    hi = np.minimum(len(grid) - 1, ((t0 + duration) / dt).astype(np.int64))
-    counts = np.maximum(hi - lo + 1, 0)
-    live = np.flatnonzero(counts)
-    ends = np.cumsum(counts[live])
-    start = 0
-    # a ConstantRate buffers forever: its cycle arithmetic is NaN, unread
-    with np.errstate(invalid="ignore"):
-        while start < live.size:
-            reach = (ends[start - 1] if start else 0) + _CHUNK_SAMPLES
-            stop = max(start + 1, int(np.searchsorted(ends, reach, "right")))
-            chunk = live[start:stop]
-            n = counts[chunk]
-            idx = np.arange(n.sum()) + np.repeat(lo[chunk] - np.cumsum(n) + n,
-                                                 n)
-            local = times[idx] - np.repeat(t0[chunk], n)
-            buffer_end = np.repeat(buffering[chunk], n)
-            cycle_s = np.repeat(period[chunk], n)
-            steady_t = local - buffer_end
-            cycle = np.floor(steady_t / cycle_s)
-            phase = steady_t - cycle * cycle_s
-            on = phase < np.where(cycle < np.repeat(full_cycles[chunk], n),
-                                  np.repeat(full_on[chunk], n),
-                                  np.repeat(last_on[chunk], n))
-            on &= local < np.repeat(duration[chunk], n)
-            on |= local < buffer_end
-            # an OFF sample adds +0.0, which leaves its cell unchanged
-            np.add.at(grid, idx, on * np.repeat(peak[chunk], n))
-            start = stop
+    hi = np.minimum(len(times) - 1,
+                    ((t0 + duration[rows]) / dt).astype(np.int64)) + 1
+    live = np.flatnonzero(hi > lo)
+    t0, lo, hi, rows = t0[live], lo[live], hi[live], rows[live]
+    # samples [lo, cycling) buffer, [cycling, done) cycle, [done, hi) idle
+    cycling = _first_at_or_after(times, t0, buffering[rows], lo, hi, dt)
+    done = _first_at_or_after(times, t0, duration[rows], cycling, hi, dt)
+    edges = np.bincount(lo, minlength=len(times) + 1)
+    edges -= np.bincount(cycling, minlength=len(times) + 1)
+    count = np.cumsum(edges, out=edges)[:-1]
+    cyclers = np.flatnonzero(done > cycling)
+    cyclers = cyclers[np.argsort(rows[cyclers])]
+    videos, firsts = np.unique(rows[cyclers], return_index=True)
+    for video, group in zip(videos.tolist(), np.split(cyclers, firsts[1:])):
+        np.add.at(count, _cycling_on(
+            times, t0[group], cycling[group], done[group] - cycling[group],
+            shapes[video], dt), 1)
 
-    return times, grid, len(arrivals), float(duration.max())
+    table = np.cumsum(np.concatenate(([0.0], np.full(count.max(),
+                                                     float(peak_bps)))))
+    return times, table[count], len(arrivals), float(duration.max())
 
 
 def _steady_samples(

@@ -8,7 +8,7 @@ and player-buffer occupancy (Table 2).  :class:`TimeSeries` stores samples;
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .scheduler import EventHandle, EventScheduler
 

@@ -8,7 +8,7 @@ at 7.7 Mbps and uploads at 1.2 Mbps).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from .link import Link
 from .loss import LossModel

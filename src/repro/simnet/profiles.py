@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from .link import Link
 from .loss import BernoulliLoss, GilbertElliottLoss, LossModel, NoLoss
 from .network import Network
 from .node import Host

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .constants import ACK, FIN, PSH, SYN, flags_repr, header_overhead
+from .constants import ACK, FIN, SYN, flags_repr, header_overhead
 
 
 class TcpSegment:

@@ -22,7 +22,6 @@ from typing import Optional
 
 from ..simnet.rng import derive_seed
 from .catalog import (
-    MBPS,
     TIER_240P,
     TIER_360P,
     TIER_360P_WEBM,

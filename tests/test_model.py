@@ -250,6 +250,21 @@ def _quarter_second_blocks(size_bits, e, peak):
                      buffering_bits=min(size_bits, 0.5 * peak))
 
 
+def _cycles_of(period_s, duty=0.5, buffering_s=0.5):
+    """``buffering_s`` of buffering, then cycles of ``period_s``."""
+    def build(size_bits, e, peak):
+        return OnOffRate(size_bits, peak, period_s=period_s, duty=duty,
+                         buffering_bits=min(size_bits, buffering_s * peak))
+    return build
+
+
+def _tail_block(size_bits, e, peak):
+    """Buffering all but 0.2 s of the download: the cycling region is one
+    partial block, 0 or 1 grid samples long."""
+    return OnOffRate(size_bits, peak, period_s=1.0, duty=0.5,
+                     buffering_bits=max(0.0, size_bits - 0.2 * peak))
+
+
 #: Strategy factories of the oracle: the three of the paper, then edge
 #: shapes of the ON/OFF layout.
 GRID_STRATEGIES = {
@@ -260,6 +275,11 @@ GRID_STRATEGIES = {
     "zero-remainder": _zero_remainder,
     "all-buffering": short_onoff_strategy(buffering_playback_s=1e9),
     "quarter-second": _quarter_second_blocks,
+    # shorter than every grid step of the oracle
+    "sub-step": _cycles_of(0.07, duty=0.3),
+    # the step itself at dt = 0.5, a divisor of it at dt = 1.0
+    "half-second": _cycles_of(0.5, duty=0.25),
+    "tail-block": _tail_block,
 }
 
 
@@ -274,6 +294,18 @@ class _AlignedArrivals:
         return [0.25 * k for k in range(0, int(horizon / 0.25), 3)]
 
 
+class _TenthArrivals:
+    """Arrivals every 0.7 s on float multiples of 0.1: with a 0.1 s grid
+    and periods of tenths, sample offsets fall within float rounding of
+    the ON/OFF boundaries, on either side of them."""
+
+    def __init__(self, lam, rng):
+        self.rng = rng
+
+    def times_until(self, horizon):
+        return [0.1 * k for k in range(0, int(horizon / 0.1), 7)]
+
+
 def _grid_catalog(durations, rates):
     return Catalog("oracle", [
         Video(video_id=f"o{i}", duration=d, encoding_rate_bps=r,
@@ -286,9 +318,8 @@ class TestGridKernelOracle:
     """The batched grid kernel against the per-session loop, bit for bit."""
 
     def _assert_same_grid(self, catalog, lam, horizon, strategy, peak, dt,
-                          seed, chunk, arrivals=None):
+                          seed, arrivals=None):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(montecarlo, "_CHUNK_SAMPLES", chunk)
             if arrivals is not None:
                 mp.setattr(montecarlo, "PoissonProcess", arrivals)
                 mp.setitem(globals(), "PoissonProcess", arrivals)
@@ -316,35 +347,39 @@ class TestGridKernelOracle:
         peak=st.sampled_from([1e6, 8e6, 1.7e7 / 3]),
         dt=st.sampled_from([0.1, 0.3, 0.5, 1.0]),
         seed=st.integers(min_value=0, max_value=2**16),
-        chunk=st.integers(min_value=1, max_value=64),
     )
     def test_matches_per_session_loop(self, name, videos, lam, horizon, peak,
-                                      dt, seed, chunk):
+                                      dt, seed):
         durations, rates = zip(*videos)
         self._assert_same_grid(_grid_catalog(durations, rates), lam, horizon,
-                               GRID_STRATEGIES[name], peak, dt, seed, chunk)
+                               GRID_STRATEGIES[name], peak, dt, seed)
 
     @pytest.mark.parametrize("name", sorted(GRID_STRATEGIES))
     def test_edge_shapes_cross_chunks(self, name):
         """Every shape, over sessions cut by the horizon (``hi`` clipped),
-        sessions shorter than a grid step (``hi < lo``) and sessions many
-        chunks long."""
+        sessions shorter than a grid step (``hi < lo``) and sessions
+        hundreds of grid steps long, many sharing one video."""
         catalog = _grid_catalog([0.02, 40.0, 250.0], [1e6, 2e6, 3e6])
-        peak, dt, chunk = 8e6, 0.5, 7
+        peak, dt = 8e6, 0.5
         grid, sessions = self._assert_same_grid(
-            catalog, 0.2, 300.0, GRID_STRATEGIES[name], peak, dt, 3, chunk)
+            catalog, 0.2, 300.0, GRID_STRATEGIES[name], peak, dt, 3)
         assert sessions > 0 and grid[-1] > 0      # clipped at the horizon
         shapes = [GRID_STRATEGIES[name](v.size_bytes * 8.0,
                                         v.encoding_rate_bps, peak).grid_shape()
                   for v in catalog.videos]
         assert shapes[0].duration < dt            # can fall between samples
-        assert shapes[2].duration / dt > chunk    # spans many chunks
+        assert shapes[2].duration / dt > 100
         if name == "duty-one":
             assert all(s.full_on_s == s.period_s for s in shapes)
         if name == "zero-remainder":
             assert all(s.last_on_s == 0.0 for s in shapes)
         if name == "all-buffering":
             assert all(s.buffering_time == s.duration for s in shapes)
+        if name == "sub-step":
+            assert all(s.period_s < dt for s in shapes)
+        if name == "tail-block":
+            assert all(s.full_cycles == 0 for s in shapes)
+            assert all(s.duration - s.buffering_time < dt for s in shapes)
 
     @pytest.mark.parametrize("name", sorted(GRID_STRATEGIES))
     def test_samples_on_the_boundaries(self, name):
@@ -355,7 +390,51 @@ class TestGridKernelOracle:
         # no partial block) with the quarter-second factory
         catalog = _grid_catalog([18.0, 16.0, 0.5], [1e6, 1e6, 1e6])
         self._assert_same_grid(catalog, 0.3, 40.0, GRID_STRATEGIES[name],
-                               8e6, 0.25, 5, 5, arrivals=_AlignedArrivals)
+                               8e6, 0.25, 5, arrivals=_AlignedArrivals)
+
+    @pytest.mark.parametrize("period", [0.25, 0.125, 0.0625])
+    @pytest.mark.parametrize("duty", [0.25, 0.5])
+    @pytest.mark.parametrize("aligned", [False, True])
+    def test_period_divides_the_step(self, period, duty, aligned):
+        """A period equal to the 0.25 s step or dividing it: every sample
+        sits at the same phase of its cycle, so the candidate search sees
+        all of a session's samples tie at 0.  On the lattice those samples
+        fall on cycle starts; the 18 Mbit video ends on a whole block, so
+        its final partial ON span is empty."""
+        catalog = _grid_catalog([18.0, 17.0, 120.0], [1e6, 1e6, 1e6])
+        shape = _cycles_of(period, duty)(18e6, 1e6, 8e6).grid_shape()
+        assert shape.last_on_s == 0.0
+        grid, sessions = self._assert_same_grid(
+            catalog, 0.3, 200.0, _cycles_of(period, duty), 8e6, 0.25, 5,
+            arrivals=_AlignedArrivals if aligned else None)
+        assert sessions > 0 and grid.any()
+
+    @pytest.mark.parametrize("period, duty",
+                             [(0.1, 0.5), (0.3, 1 / 3), (0.7, 3 / 7),
+                              (0.7, 0.5), (0.3, 1.0)])
+    @pytest.mark.parametrize("buffering_s", [0.0, 0.2, 1.1])
+    def test_samples_within_rounding_of_the_boundaries(self, period, duty,
+                                                       buffering_s):
+        """Where the float ON test and the candidate search round a
+        sample to opposite sides of a boundary, the search's slack must
+        keep the sample a candidate, without taking a sample twice when
+        the span is the whole cycle (duty 1), and the buffering and
+        download thresholds must land on the exact test's side."""
+        catalog = _grid_catalog([18.0, 16.3, 5.1], [1e6, 1e6, 1e6])
+        self._assert_same_grid(catalog, 0.3, 200.0,
+                               _cycles_of(period, duty, buffering_s), 8e6,
+                               0.1, 5, arrivals=_TenthArrivals)
+
+    def test_rejects_a_process_off_the_peak(self):
+        """The grid maps ON counts through sums of ``peak_bps``: a process
+        that peaks elsewhere would be summed at the wrong rate."""
+        def doubled(size_bits, e, peak):
+            return ConstantRate(size_bits, 2 * peak)
+
+        with pytest.raises(ValueError, match="peaks at"):
+            montecarlo._simulate_grid(
+                _grid_catalog([40.0], [1e6]), 0.2, 300.0, doubled, 8e6, 0.5,
+                random.Random(1))
 
 
 #: Outputs of ``simulate_aggregate_moments`` on one small seeded shard per
